@@ -16,7 +16,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 
 from . import decision, kernel, reconcile
 from .protocol import AlertKind, CasePhase
@@ -28,20 +27,6 @@ SAFE_PHASES = {CasePhase.RECONCILED.value, CasePhase.AWAITING_SPD.value,
 
 CRITICAL_KINDS = {AlertKind.RSB_SUSPECTED.value, AlertKind.COUNT_MISMATCH.value,
                   AlertKind.MANUAL_OVERRIDE.value}
-
-
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".out-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _out_dir(flag_value: str | None) -> str:
@@ -56,35 +41,42 @@ def _load_scenario_file(path: str, seed: int | None) -> kernel.Scenario:
     return scenario
 
 
+def _fold(trace: kernel.Trace) -> tuple[dict[str, int], dict[str, int], list[str]]:
+    """One pass over the records: alert counts, outcome counts, safety findings."""
+    alert_counts: dict[str, int] = {}
+    outcome_counts: dict[str, int] = {}
+    critical_cases = set()
+    cases = []
+    for record in trace.records:
+        if record["type"] == "alert":
+            kind = record["kind"]
+            alert_counts[kind] = alert_counts.get(kind, 0) + 1
+            if kind in CRITICAL_KINDS:
+                critical_cases.add(record.get("case"))
+        elif record["type"] == "case":
+            outcome = record["outcomes"][-1] if record["outcomes"] else "NeverReconciled"
+            outcome_counts[outcome] = outcome_counts.get(outcome, 0) + 1
+            cases.append(record)
+    findings = [r["case_id"] for r in cases
+                if r["case_id"] in critical_cases and r["phase"] not in SAFE_PHASES]
+    return alert_counts, outcome_counts, findings
+
+
 def safety_findings(trace: kernel.Trace) -> list[str]:
     """Cases with a critical finding that never reached reconciliation."""
-    critical_cases = {r.get("case") for r in trace.records
-                      if r["type"] == "alert" and r["kind"] in CRITICAL_KINDS}
-    findings = []
-    for record in trace.records:
-        if record["type"] != "case":
-            continue
-        if record["case_id"] in critical_cases and record["phase"] not in SAFE_PHASES:
-            findings.append(record["case_id"])
-    return findings
+    return _fold(trace)[2]
 
 
 def run_summary(trace: kernel.Trace) -> dict:
     """Order-independent statistics for one run."""
-    alert_counts: dict[str, int] = {}
-    outcome_counts: dict[str, int] = {}
-    for record in trace.records:
-        if record["type"] == "alert":
-            alert_counts[record["kind"]] = alert_counts.get(record["kind"], 0) + 1
-        elif record["type"] == "case":
-            outcome = record["outcomes"][-1] if record["outcomes"] else "NeverReconciled"
-            outcome_counts[outcome] = outcome_counts.get(outcome, 0) + 1
+    alert_counts, outcome_counts, findings = _fold(trace)
+    retained_at = kernel.replay_cavity(trace)[1]
     return {
         "alert_counts": alert_counts,
         "outcome_counts": outcome_counts,
-        "retained_at_reconcile": kernel.reconciled_with_retained_item(trace),
-        "retained_at_complete": kernel.completed_with_retained_item(trace),
-        "safety_findings": safety_findings(trace),
+        "retained_at_reconcile": CasePhase.RECONCILED.value in retained_at,
+        "retained_at_complete": CasePhase.COMPLETE.value in retained_at,
+        "safety_findings": findings,
     }
 
 
@@ -94,19 +86,16 @@ def _merge_counts(into: dict, add: dict) -> None:
 
 
 def batch_summary(scenario: kernel.Scenario, runs: int, seed_base: int) -> dict:
-    """Run independent seeds and reduce their statistics by seed order."""
-    by_seed = {}
-    for i in range(runs):
-        seed = seed_base + i
-        trace = kernel.run(dataclasses.replace(scenario, seed=seed))
-        by_seed[seed] = run_summary(trace)
+    """Run independent seeds and reduce their statistics in seed order."""
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     alert_counts: dict[str, int] = {}
     outcome_counts: dict[str, int] = {}
     retained = 0
     retained_complete = 0
     finding_runs = 0
-    for seed in sorted(by_seed):
-        summary = by_seed[seed]
+    for seed in range(seed_base, seed_base + runs):
+        summary = run_summary(kernel.run(dataclasses.replace(scenario, seed=seed)))
         _merge_counts(alert_counts, summary["alert_counts"])
         _merge_counts(outcome_counts, summary["outcome_counts"])
         retained += summary["retained_at_reconcile"]
@@ -136,10 +125,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     reconcile.persist(trace, os.path.join(out_dir, "trace.ndjson"))
     for spec in scenario.cases:
         report = reconcile.generate_report(trace, spec.case_id)
-        _write_atomic(os.path.join(out_dir, f"report_{spec.case_id}.json"),
-                      json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
-        _write_atomic(os.path.join(out_dir, f"report_{spec.case_id}.csv"),
-                      report.to_csv())
+        reconcile.write_atomic(os.path.join(out_dir, f"report_{spec.case_id}.json"),
+                               json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
+        reconcile.write_atomic(os.path.join(out_dir, f"report_{spec.case_id}.csv"),
+                               report.to_csv())
     findings = safety_findings(trace)
     if findings:
         print(f"unresolved safety finding in: {', '.join(findings)}", file=sys.stderr)
@@ -154,7 +143,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
     out_dir = os.environ.get(OUT_DIR_ENV) or args.out
     if out_dir:
-        _write_atomic(os.path.join(out_dir, "summary.json"), text)
+        reconcile.write_atomic(os.path.join(out_dir, "summary.json"), text)
     sys.stdout.write(text)
     return 0
 
@@ -198,7 +187,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     }
     text = json.dumps(result, sort_keys=True, indent=2) + "\n"
     if args.out:
-        _write_atomic(args.out, text)
+        reconcile.write_atomic(args.out, text)
     sys.stdout.write(text)
     return 0
 

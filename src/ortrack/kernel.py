@@ -72,6 +72,12 @@ SENSOR_ROLES = {"entrance", "tray", "bin", "med"}
 
 _KIND_BY_NAME = {k.value: k for k in ItemKind}
 _SUB_BY_NAME = {s.value: s for s in SubLocation}
+_CAVITY = SubLocation.PATIENT_CAVITY.value
+
+#: Cart antenna -> (sub-location it covers, read kind, name of its sweep
+#: handler in ``protocol``, looked up at call time).
+_ANTENNAS = {"tray": (SubLocation.TOOL_TRAY, ReadKind.TRAY, "mtc_tray_sweep"),
+             "bin": (SubLocation.TRASH_BIN, ReadKind.BIN, "mtc_bin_sweep")}
 
 
 def stream_seed(seed: int, name: str) -> int:
@@ -381,9 +387,9 @@ class _Engine:
         self.room_sensors: dict[str, RoomSensorState] = {}
         self.mtcs: dict[str, MtcState] = {}  # keyed by room id
         self.case_states: dict[str, SurgeryCase] = {}
-        self.link_rngs: dict[str, random.Random] = {}
-        self.sensor_rngs: dict[str, random.Random] = {}
+        self.rngs: dict[str, random.Random] = {}  # named streams, made on first use
         self.outages: dict[str, list[tuple[float, float]]] = {}
+        self.completed_s: dict[str, int] = {}
         self._setup()
 
     # -- initialization
@@ -431,19 +437,10 @@ class _Engine:
     def _sensor_model(self, sensor_id: str) -> SensorModel:
         return self.scenario.sensors.get(sensor_id, SensorModel())
 
-    def _sensor_rng(self, sensor_id: str) -> random.Random:
-        rng = self.sensor_rngs.get(sensor_id)
+    def _rng(self, name: str) -> random.Random:
+        rng = self.rngs.get(name)
         if rng is None:
-            rng = rng_stream(self.scenario.seed, f"sensor:{sensor_id}")
-            self.sensor_rngs[sensor_id] = rng
-        return rng
-
-    def _link_rng(self, from_node: str, to_node: str) -> random.Random:
-        key = f"bus:{node_type(from_node)}->{node_type(to_node)}"
-        rng = self.link_rngs.get(key)
-        if rng is None:
-            rng = rng_stream(self.scenario.seed, key)
-            self.link_rngs[key] = rng
+            rng = self.rngs[name] = rng_stream(self.scenario.seed, name)
         return rng
 
     # -- trace helpers
@@ -460,14 +457,22 @@ class _Engine:
         for case_id, old, new in changes:
             self.trace.records.append({"t": now, "type": "phase", "case": case_id,
                                        "from": old.value, "to": new.value})
+            if new is CasePhase.COMPLETE:
+                self.completed_s[case_id] = now
+
+    def _sensor_down(self, exc: SensorDownError, case_id: str | None, now: int) -> None:
+        self._record_alert(Alert(time_s=now, severity=Severity.WARNING,
+                                 kind=AlertKind.SENSOR_DOWN, tags=frozenset(),
+                                 text=str(exc)),
+                           case_id, now)
 
     # -- message plumbing
 
     def _send(self, message: ProtocolMessage, now: int) -> None:
         message.msg_id = self.msg_seq
         self.msg_seq += 1
-        outcome = deliver(self.scenario.bus, message, now,
-                          self._link_rng(message.from_node, message.to_node))
+        link = f"{node_type(message.from_node)}->{node_type(message.to_node)}"
+        outcome = deliver(self.scenario.bus, message, now, self._rng(f"bus:{link}"))
         if not outcome.delivered:
             self.trace.records.append({"t": now, "type": "msg", "status": "dropped",
                                        "sent_at": now, "msg": message.to_json()})
@@ -484,19 +489,22 @@ class _Engine:
 
     # -- sensing hooks
 
-    def _entrance_read(self, site: str, tag: str, distance_m: float, now: int) -> None:
-        sensor_id = f"entrance:{site}"
-        model_ = self._sensor_model(sensor_id)
+    def _read(self, sensor_id: str, candidates: list[tuple[str, float]],
+              read_kind: ReadKind, case_id: str | None, now: int) -> list | None:
+        """One read cycle; None, with a SensorDown alert, if the reader is down."""
         try:
-            reads = sensing.read_tags(sensor_id, model_, [(tag, distance_m)],
-                                      self._sensor_rng(sensor_id), now_s=now,
-                                      read_kind=ReadKind.ROOM_ENTRANCE,
-                                      outages=self.outages.get(sensor_id, ()))
+            return sensing.read_tags(sensor_id, self._sensor_model(sensor_id), candidates,
+                                     self._rng(f"sensor:{sensor_id}"), now_s=now,
+                                     read_kind=read_kind,
+                                     outages=self.outages.get(sensor_id, ()))
         except SensorDownError as exc:
-            self._record_alert(Alert(time_s=now, severity=Severity.WARNING,
-                                     kind=AlertKind.SENSOR_DOWN, tags=frozenset(),
-                                     text=str(exc)),
-                               None, now)
+            self._sensor_down(exc, case_id, now)
+            return None
+
+    def _entrance_read(self, site: str, tag: str, distance_m: float, now: int) -> None:
+        reads = self._read(f"entrance:{site}", [(tag, distance_m)],
+                           ReadKind.ROOM_ENTRANCE, None, now)
+        if reads is None:
             return
         for message in room_sensor_on_reads(self.room_sensors[site], reads):
             self._send(message, now)
@@ -508,28 +516,16 @@ class _Engine:
         detected = self._antenna_read(room, which, now)
         if detected is None:
             return
-        handler = (protocol.mtc_tray_sweep if which == "tray"
-                   else protocol.mtc_bin_sweep)
+        handler = getattr(protocol, _ANTENNAS[which][2])
         self._emit(handler(mtc, detected, now), mtc.case.case_id, now)
 
     def _antenna_read(self, room: str, which: str, now: int) -> set[str] | None:
         """Read everything physically on the tray/bin antenna; None if it is down."""
-        sub = SubLocation.TOOL_TRAY if which == "tray" else SubLocation.TRASH_BIN
-        sensor_id = f"{which}:{room}"
-        model_ = self._sensor_model(sensor_id)
+        sub, read_kind, _ = _ANTENNAS[which]
         candidates = [(tag, 0.0) for tag in self.world.tags_at(Location(room, sub))]
-        try:
-            reads = sensing.read_tags(
-                sensor_id, model_, candidates, self._sensor_rng(sensor_id),
-                now_s=now, read_kind=ReadKind.TRAY if which == "tray" else ReadKind.BIN,
-                outages=self.outages.get(sensor_id, ()))
-        except SensorDownError as exc:
-            self._record_alert(Alert(time_s=now, severity=Severity.WARNING,
-                                     kind=AlertKind.SENSOR_DOWN, tags=frozenset(),
-                                     text=str(exc)),
-                               self.mtcs[room].case.case_id, now)
-            return None
-        return {r.tag_id for r in reads}
+        reads = self._read(f"{which}:{room}", candidates, read_kind,
+                           self.mtcs[room].case.case_id, now)
+        return None if reads is None else {r.tag_id for r in reads}
 
     # -- staff/world event handling
 
@@ -618,24 +614,18 @@ class _Engine:
             self._record_error(kind, str(exc), now)
 
     def _med_scan(self, room: str, case_id: str, now: int) -> None:
-        mtc = self.mtcs[room]
         sensor_id = f"med:{room}"
-        model_ = self._sensor_model(sensor_id)
+        try:
+            sensing.raise_if_down(sensor_id, self.outages.get(sensor_id, ()), now)
+        except SensorDownError as exc:
+            self._sensor_down(exc, case_id, now)
+            return
         cavity = [(tag, 0.0)
                   for tag in self.world.tags_at(Location(room, SubLocation.PATIENT_CAVITY))]
-        try:
-            for start, end in self.outages.get(sensor_id, ()):
-                if start <= now < end:
-                    raise SensorDownError(f"{sensor_id} down during [{start}, {end})")
-            scan = sensing.med_scan(ScanRegion.PATIENT_CAVITY, cavity,
-                                    mtc.scan_passes, model_,
-                                    self._sensor_rng(sensor_id))
-        except SensorDownError as exc:
-            self._record_alert(Alert(time_s=now, severity=Severity.WARNING,
-                                     kind=AlertKind.SENSOR_DOWN, tags=frozenset(),
-                                     text=str(exc)),
-                               case_id, now)
-            return
+        scan = sensing.med_scan(ScanRegion.PATIENT_CAVITY, cavity,
+                                self.mtcs[room].scan_passes,
+                                self._sensor_model(sensor_id),
+                                self._rng(f"sensor:{sensor_id}"))
         self._send(med_on_request(room, case_id, scan, now), now)
 
     def _on_scan_result(self, mtc: MtcState, message: ProtocolMessage, now: int) -> None:
@@ -674,11 +664,6 @@ class _Engine:
         for spec in self.scenario.cases:
             case = self.case_states[spec.case_id]
             mtc = self.mtcs[spec.room_id]
-            completed = None
-            for record in self.trace.records:
-                if (record["type"] == "phase" and record["case"] == spec.case_id
-                        and record["to"] == CasePhase.COMPLETE.value):
-                    completed = record["t"]
             self.trace.records.append({
                 "t": horizon, "type": "case", "case_id": spec.case_id,
                 "room_id": spec.room_id, "phase": case.phase.value,
@@ -687,7 +672,7 @@ class _Engine:
                             for tag, e in sorted(case.checklist.entries.items())},
                 "scans_done": mtc.scans_done, "rescans_used": mtc.rescans_used,
                 "outcomes": ([mtc.last_outcome] if mtc.last_outcome else []),
-                "completed_s": completed})
+                "completed_s": self.completed_s.get(spec.case_id)})
         return self.trace
 
 
@@ -736,51 +721,43 @@ def validate_trace(trace: Trace) -> list[str]:
 # Ground-truth helpers used by reports and batch statistics
 
 
-def cavity_occupancy(trace: Trace) -> dict[str, set[str]]:
-    """Final ground-truth cavity contents per room, replayed from the trace."""
-    cavity: dict[str, set[str]] = {}
-    for record in trace.records:
-        if record["type"] != "gt":
-            continue
-        tag = record["tag"]
-        for loc_key, add in (("from", False), ("to", True)):
-            loc = record[loc_key]
-            if loc["sub"] == SubLocation.PATIENT_CAVITY.value:
-                room = loc["site"]
-                members = cavity.setdefault(room, set())
-                if add:
-                    members.add(tag)
-                else:
-                    members.discard(tag)
-    return cavity
+def replay_cavity(trace: Trace) -> tuple[dict[str, set[str]], set[str]]:
+    """Replay ground-truth cavity contents from a trace.
 
-
-def _retained_at_phase(trace: Trace, phase: CasePhase) -> bool:
+    Returns the final contents per room and the phases some case entered
+    while its room's cavity really held an item.
+    """
     cavity: dict[str, set[str]] = {}
     room_by_case: dict[str, str] = {}
+    retained_at: set[str] = set()
     for record in trace.records:
-        if record["type"] == "meta":
+        kind = record["type"]
+        if kind == "gt":
+            tag = record["tag"]
+            src, dst = record["from"], record["to"]
+            if src["sub"] == _CAVITY:
+                cavity.setdefault(src["site"], set()).discard(tag)
+            if dst["sub"] == _CAVITY:
+                cavity.setdefault(dst["site"], set()).add(tag)
+        elif kind == "phase":
+            if cavity.get(room_by_case.get(record["case"])):
+                retained_at.add(record["to"])
+        elif kind == "meta":
             for case in record["cases"]:
                 room_by_case[case["case_id"]] = case["room_id"]
-        elif record["type"] == "gt":
-            tag = record["tag"]
-            for loc_key, add in (("from", False), ("to", True)):
-                loc = record[loc_key]
-                if loc["sub"] == SubLocation.PATIENT_CAVITY.value:
-                    members = cavity.setdefault(loc["site"], set())
-                    (members.add if add else members.discard)(tag)
-        elif record["type"] == "phase" and record["to"] == phase.value:
-            room = room_by_case.get(record["case"])
-            if cavity.get(room):
-                return True
-    return False
+    return cavity, retained_at
+
+
+def cavity_occupancy(trace: Trace) -> dict[str, set[str]]:
+    """Final ground-truth cavity contents per room, replayed from the trace."""
+    return replay_cavity(trace)[0]
 
 
 def reconciled_with_retained_item(trace: Trace) -> bool:
     """True if any case passed reconciliation while the cavity really held an item."""
-    return _retained_at_phase(trace, CasePhase.RECONCILED)
+    return CasePhase.RECONCILED.value in replay_cavity(trace)[1]
 
 
 def completed_with_retained_item(trace: Trace) -> bool:
     """True if any case completed while the cavity really held an item."""
-    return _retained_at_phase(trace, CasePhase.COMPLETE)
+    return CasePhase.COMPLETE.value in replay_cavity(trace)[1]

@@ -147,9 +147,6 @@ class WorldState:
         return [self.items[i].tag_id
                 for i, loc in self.placements.items() if loc == location]
 
-    def site_of_tag(self, tag_id: str) -> str:
-        return self.placements[self.item_by_tag[tag_id]].site
-
 
 def replay(items: list[EquipmentItem], log: list[GroundTruthEvent]) -> WorldState:
     """Rebuild a world from scratch by re-applying an event log."""

@@ -173,9 +173,6 @@ class MonitoringChecklist:
         return {t for t, e in self.entries.items()
                 if e.status is not TagStatus.REMOVED_FROM_OR}
 
-    def tags_with_status(self, status: TagStatus) -> set[str]:
-        return {t for t, e in self.entries.items() if e.status is status}
-
 
 @dataclass
 class SurgeryCase:
@@ -422,32 +419,28 @@ def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
     return out
 
 
-def mtc_tray_sweep(state: MtcState, detected: set[str], now: int) -> Outputs:
-    """Full tray antenna sweep: presence sets OnTray, absence demotes to InUse."""
+def _sweep(state: MtcState, detected: set[str], now: int, status: TagStatus) -> Outputs:
+    """Full antenna sweep: presence sets ``status``, absence demotes to InUse."""
     if state.case.phase is CasePhase.COMPLETE:
         raise StaleCaseError(f"case {state.case.case_id} already complete")
     out = Outputs()
     for tag in sorted(detected):
-        _add_or_reactivate(state, tag, TagStatus.ON_TRAY, now, out)
-        state.case.checklist.entries[tag].status = TagStatus.ON_TRAY
+        _add_or_reactivate(state, tag, status, now, out)
+        state.case.checklist.entries[tag].status = status
     for tag, entry in state.case.checklist.entries.items():
-        if entry.status is TagStatus.ON_TRAY and tag not in detected:
+        if entry.status is status and tag not in detected:
             entry.status = TagStatus.IN_USE
     return out
+
+
+def mtc_tray_sweep(state: MtcState, detected: set[str], now: int) -> Outputs:
+    """Full tray antenna sweep: presence sets OnTray, absence demotes to InUse."""
+    return _sweep(state, detected, now, TagStatus.ON_TRAY)
 
 
 def mtc_bin_sweep(state: MtcState, detected: set[str], now: int) -> Outputs:
     """Full trash-bin antenna sweep; discarded items stay on the count."""
-    if state.case.phase is CasePhase.COMPLETE:
-        raise StaleCaseError(f"case {state.case.case_id} already complete")
-    out = Outputs()
-    for tag in sorted(detected):
-        _add_or_reactivate(state, tag, TagStatus.DISCARDED, now, out)
-        state.case.checklist.entries[tag].status = TagStatus.DISCARDED
-    for tag, entry in state.case.checklist.entries.items():
-        if entry.status is TagStatus.DISCARDED and tag not in detected:
-            entry.status = TagStatus.IN_USE
-    return out
+    return _sweep(state, detected, now, TagStatus.DISCARDED)
 
 
 def announce_closing(state: MtcState, now: int) -> Outputs:

@@ -21,7 +21,6 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 from .protocol import (
     Alert,
@@ -94,7 +93,6 @@ def apply_scan_outcome(state: MtcState, scan: ScanResult, tray_reads: set[str],
                        bin_reads: set[str], now: int) -> tuple[Outputs, ReconciliationReport]:
     """One reconciliation pass: sweep, reconcile, and move the case lifecycle.
 
-    Shared by the synchronous closing loop and the event-driven kernel.
     On a count mismatch within budget the returned outputs carry a fresh
     scan request; past the budget a manual override is demanded and the
     phase stays at the cavity scan.
@@ -147,42 +145,6 @@ def apply_scan_outcome(state: MtcState, scan: ScanResult, tray_reads: set[str],
                 tags=report.missing,
                 text="re-scan budget exhausted; manual override required"))
     return out, report
-
-
-def closing_loop(state: MtcState,
-                 scan_fn: Callable[[], ScanResult],
-                 verify_fn: Callable[[], tuple[set[str], set[str]]],
-                 now: int = 0,
-                 max_rescans: int | None = None,
-                 on_rsb: Callable[[ReconciliationReport], bool] | None = None,
-                 ) -> tuple[MtcState, list[Alert]]:
-    """Run the closing re-scan loop synchronously until it settles.
-
-    ``scan_fn`` performs one cavity scan; ``verify_fn`` returns fresh tray
-    and bin read sets. ``on_rsb`` is the staff response to a retention
-    alert: it returns True once it removed something, enabling another
-    pass. Without it the case stays parked awaiting staff action.
-    """
-    if state.case.phase is not CasePhase.CLOSING_ANNOUNCED:
-        raise ValueError(f"closing loop requires an announced closing, "
-                         f"case is {state.case.phase.value}")
-    if max_rescans is not None:
-        state.max_rescans = max_rescans
-    alerts: list[Alert] = []
-    while True:
-        tray_reads, bin_reads = verify_fn()
-        out, report = apply_scan_outcome(state, scan_fn(), tray_reads, bin_reads, now)
-        alerts.extend(out.alerts)
-        if report.outcome is Outcome.CLEAN:
-            return state, alerts
-        if report.outcome is Outcome.RSB_SUSPECTED:
-            if on_rsb is None or not on_rsb(report):
-                return state, alerts
-            state.awaiting_staff_removal = False
-            continue
-        # count mismatch: apply_scan_outcome already consumed budget if any
-        if state.case.phase is CasePhase.CAVITY_SCAN:
-            return state, alerts  # budget exhausted, override demanded
 
 
 @dataclass(frozen=True)
@@ -294,20 +256,24 @@ def generate_report(trace, case_id: str) -> SurgeryReport:
 # History store
 
 
-def persist(trace, store_path: str) -> None:
-    """Write a trace atomically as newline-delimited JSON."""
-    data = trace.to_ndjson()
-    directory = os.path.dirname(os.path.abspath(store_path))
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and a rename, creating its directory."""
+    directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".trace-", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".out-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(data)
-        os.replace(tmp, store_path)
+            handle.write(text)
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def persist(trace, store_path: str) -> None:
+    """Write a trace atomically as newline-delimited JSON."""
+    write_atomic(store_path, trace.to_ndjson())
 
 
 def load(store_path: str):

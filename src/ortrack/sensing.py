@@ -44,7 +44,6 @@ class ReadKind(Enum):
 
 class ScanRegion(Enum):
     PATIENT_CAVITY = "PatientCavity"
-    ROOM_SPACE = "RoomSpace"
 
 
 @dataclass(frozen=True)
@@ -109,6 +108,13 @@ def detect_probability(distance_m: float, model: SensorModel) -> float:
     return model.p_detect if distance_m <= model.range_m else 0.0
 
 
+def raise_if_down(sensor_id: str, outages: list[tuple[float, float]], now_s: float) -> None:
+    """Raise SensorDownError if ``now_s`` falls inside a scheduled outage."""
+    for start, end in outages:
+        if start <= now_s < end:
+            raise SensorDownError(f"{sensor_id} down during [{start}, {end})")
+
+
 def read_tags(sensor_id: str,
               model: SensorModel,
               candidates: list[tuple[str, float]],
@@ -122,9 +128,7 @@ def read_tags(sensor_id: str,
     ``candidates`` pairs each tag with its distance to the reader.
     Raises SensorDownError if ``now_s`` falls inside a scheduled outage.
     """
-    for start, end in outages:
-        if start <= now_s < end:
-            raise SensorDownError(f"{sensor_id} down during [{start}, {end})")
+    raise_if_down(sensor_id, outages, now_s)
     events = []
     for tag_id, distance_m in candidates:
         if rng.random() < detect_probability(distance_m, model):

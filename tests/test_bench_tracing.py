@@ -1,0 +1,42 @@
+"""The benchmark's tracing hooks still resolve and leave outputs unchanged.
+
+``bench/tracing.py`` wraps ortrack functions by module attribute name. A
+rename, or a call that bypasses the module attribute, would break the
+benchmark's per-layer run; this test fails first.
+"""
+
+import os
+import sys
+
+from helpers import load_bundled
+from ortrack import kernel
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "bench"))
+import tracing  # noqa: E402
+
+#: Layers the engine calls directly while running ``cavity_retention``.
+ENGINE_CALLS = ("kernel.rng_stream", "kernel.deliver",
+                "sensing.read_tags", "sensing.med_scan", "model.WorldState.tags_at",
+                "protocol.room_sensor_on_reads", "protocol.cms_handle",
+                "protocol.mtc_handle", "protocol.mtc_tray_sweep",
+                "protocol.mtc_bin_sweep", "reconcile.apply_scan_outcome")
+
+
+def test_traced_run_matches_untraced_and_uninstall_restores():
+    scenario = load_bundled("cavity_retention")
+    originals = [(owner, attr, owner.__dict__[attr])
+                 for places in tracing.TARGETS.values() for owner, attr in places]
+    plain = kernel.run(scenario).to_ndjson()
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = kernel.run(scenario).to_ndjson()
+    finally:
+        tracer.uninstall()
+
+    assert traced == plain
+    called_by_run = {name for parent, name in tracer.edges if parent == "kernel.run"}
+    assert [name for name in ENGINE_CALLS if name not in called_by_run] == []
+    assert all(owner.__dict__[attr] is original for owner, attr, original in originals)

@@ -117,6 +117,15 @@ def test_montecarlo_writes_summary_file(tmp_path, capsys):
     assert on_disk == json.loads(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_montecarlo_rejects_runs_below_one(runs, capsys):
+    code = main(["montecarlo", scenario_path("cavity_retention"), "--runs", runs])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "runs must be >= 1" in captured.err
+
+
 def test_montecarlo_miss_rate_matches_binomial():
     # single-pass scan at p=0.8 against an unmonitored cavity item: each run
     # misses with probability 0.2; 100,000 runs pin the rate within 3 sigma

@@ -1,0 +1,68 @@
+"""Byte-level pins: golden traces and the Monte Carlo summary.
+
+A refactor must leave these digests alone. A change that alters a trace or
+a summary on purpose re-pins the affected digests here and names them in
+CHANGES.md.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+import pytest
+
+from helpers import load_bundled
+from ortrack import kernel
+from ortrack.cli import batch_summary
+
+#: sha256 of ``run(scenario).to_ndjson()`` per (golden, seed offset 0, 1, 2).
+TRACE_DIGESTS = {
+    "clean_case": (
+        "462217da0832023350d3efaa285934e1eecdb31423c7b857491e121530f15023",
+        "0404592c41c47af88957348417508b6866d051d7faf37176e148937eedf2d9f7",
+        "0f0b119e3ff52c0ed88199c2170d03505558504be5efd2b549243c439bfc81e4"),
+    "sponge_in_cavity": (
+        "4bad902304aacdeb3d923a6f2d3d525b587f0693e36e7016c9a142c14dd112a3",
+        "281e2a5a2ee965c8b1cd7df467ef0ec0d11a913ecb01336566bf2502777d721a",
+        "080f4b08596b253cbf4d5ba8d1948f08c8560034ff3bbe6414def4874a2ae92f"),
+    "sponge_in_cavity_recovered": (
+        "cf51a80e4e6588ab9a288dd3abb8cc3a79568949a19dc47d1b5356e2dd1ab2cc",
+        "040e5d06a41f6a0221220981573c1253fcf7da18911e9d1b6b58508f8d145844",
+        "3f0472ba68922ab58a7e383f054cfbd5597303affd5bae2bd0a717a784f0c33a"),
+    "pocket_carry": (
+        "1f81ae70e036d8dd91cdd5f1e7dd980c0adb312fcc0a787249a863afe4fb7166",
+        "1b3a5f3fa2a96776ad3ee9704283df6d05ed2a6d8ee508e8ceb3ee370d258a2d",
+        "9f4d3ae5f6dea0e375a9b9603de895dfefdcbd1af7b2c582ccec2bcbccbe0493"),
+    "new_equipment": (
+        "79fdd98010e0ac6213996ca7d95b214ead2f4ee55713af5c6969a16115135616",
+        "93d1b4f320652e189fedfa75c8ef6eb8d04dcae545e7dba3da3925333614244a",
+        "76a1c48ef1ab5e7d57f24b66232dce1f49ddf6cf820a70143d2e9315081538a9"),
+    "dropped_link": (
+        "855e71f669598116b3ca7c66d6c367ee9afb50caf0bf1bc835ee5ab2c1201805",
+        "f793e96c65260506a969295190d7c68be35676b13f1accf5c633728f1e3a7b67",
+        "9550470b25dd390e0983bffaf7648f0890bb87b735c5241b5cb6015ee5f4083b"),
+    "cavity_retention": (
+        "9ba16a2770508dce642738e3cab2a12382c6ad73f7a36e22ad7831ee9980837e",
+        "39dc0b25ca96438e0cdcdae87a9363e23a8c9c0990da6feabd8f10cdaf619812",
+        "c43377677dd795d411ffc877f176fdb0436bc485fbf0e0a85da824b660b16679"),
+}
+
+#: sha256 of the canonical JSON of ``batch_summary(cavity_retention, 1000, 0)``.
+BATCH_DIGEST = "9a032d3a042c66e01c18778d7d3fc8d473bf75aea859062bddc4eb338f05990b"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("offset", range(3))
+@pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
+def test_golden_trace_digest(name, offset):
+    scenario = load_bundled(name)
+    trace = kernel.run(dataclasses.replace(scenario, seed=scenario.seed + offset))
+    assert _sha256(trace.to_ndjson()) == TRACE_DIGESTS[name][offset]
+
+
+def test_montecarlo_summary_digest():
+    summary = batch_summary(load_bundled("cavity_retention"), 1000, 0)
+    assert _sha256(json.dumps(summary, sort_keys=True)) == BATCH_DIGEST

@@ -19,13 +19,14 @@ from ortrack.protocol import (
     SurgeryCase,
     TagBelief,
     TagStatus,
+    mtc_staff_rescan,
 )
 from ortrack.reconcile import (
     LocationBelief,
     Outcome,
     TraceIOError,
     UnknownTagError,
-    closing_loop,
+    apply_scan_outcome,
     generate_report,
     load,
     locate,
@@ -121,7 +122,7 @@ def test_reconcile_matches_independent_set_algebra(instance):
     assert (report.outcome is Outcome.RSB_SUSPECTED) == bool(report.cavity_detected)
 
 
-# -- synchronous closing loop
+# -- the closing re-scan loop, driven as the kernel drives it
 
 
 def make_mtc(tray_tags, cavity_tags, max_rescans=2):
@@ -135,25 +136,19 @@ def make_mtc(tray_tags, cavity_tags, max_rescans=2):
     return MtcState(case=case, scan_passes=1, max_rescans=max_rescans)
 
 
+def requests_rescan(out):
+    return any(m.payload["kind"] == "RequestCavityScan" for m in out.messages)
+
+
 def test_closing_loop_retention_then_staff_fix():
-    cavity = ["T-4"]
-    tray = {"T-1", "T-2"}
-
-    def scan_fn():
-        return scan_of(cavity)
-
-    def verify_fn():
-        return set(tray), set()
-
-    def staff_removes(report):
-        assert report.cavity_detected == frozenset({"T-4"})
-        cavity.clear()
-        tray.add("T-4")
-        return True
-
-    state = make_mtc(tray, {"T-4"})
-    state, alerts = closing_loop(state, scan_fn, verify_fn, on_rsb=staff_removes)
-    kinds = [a.kind for a in alerts]
+    state = make_mtc({"T-1", "T-2"}, {"T-4"})
+    first, report = apply_scan_outcome(state, scan_of(["T-4"]), {"T-1", "T-2"}, set(), 0)
+    assert report.cavity_detected == frozenset({"T-4"})
+    assert not requests_rescan(first)
+    staff = mtc_staff_rescan(state, 0)  # staff pulled T-4 out onto the tray
+    assert requests_rescan(staff)
+    second, _ = apply_scan_outcome(state, scan_of([]), {"T-1", "T-2", "T-4"}, set(), 0)
+    kinds = [a.kind for a in first.alerts + staff.alerts + second.alerts]
     assert kinds == [AlertKind.RSB_SUSPECTED]
     assert state.scans_done == 2
     assert state.case.phase is CasePhase.AWAITING_SPD
@@ -161,9 +156,9 @@ def test_closing_loop_retention_then_staff_fix():
 
 def test_closing_loop_clean_single_pass():
     state = make_mtc({"T-1"}, set())
-    state, alerts = closing_loop(state, lambda: scan_of([]),
-                                 lambda: ({"T-1"}, set()))
-    assert alerts == []
+    out, _ = apply_scan_outcome(state, scan_of([]), {"T-1"}, set(), 0)
+    assert out.alerts == []
+    assert not requests_rescan(out)
     assert state.scans_done == 1
     assert state.case.phase is CasePhase.AWAITING_SPD
 
@@ -171,8 +166,12 @@ def test_closing_loop_clean_single_pass():
 def test_closing_loop_persistent_mismatch_demands_override():
     # T-9 is on the checklist but never found anywhere
     state = make_mtc({"T-1", "T-9"}, set(), max_rescans=2)
-    state, alerts = closing_loop(state, lambda: scan_of([]),
-                                 lambda: ({"T-1"}, set()))
+    alerts = []
+    while True:  # each re-scan request comes back as another scan result
+        out, _ = apply_scan_outcome(state, scan_of([]), {"T-1"}, set(), 0)
+        alerts += out.alerts
+        if not requests_rescan(out):
+            break
     kinds = [a.kind for a in alerts]
     assert kinds == [AlertKind.COUNT_MISMATCH] * 3 + [AlertKind.MANUAL_OVERRIDE]
     assert state.scans_done == 3
@@ -181,9 +180,9 @@ def test_closing_loop_persistent_mismatch_demands_override():
 
 def test_closing_loop_retention_without_staff_parks_case():
     state = make_mtc({"T-1"}, {"T-4"})
-    state, alerts = closing_loop(state, lambda: scan_of(["T-4"]),
-                                 lambda: ({"T-1"}, set()))
-    assert [a.kind for a in alerts] == [AlertKind.RSB_SUSPECTED]
+    out, _ = apply_scan_outcome(state, scan_of(["T-4"]), {"T-1"}, set(), 0)
+    assert [a.kind for a in out.alerts] == [AlertKind.RSB_SUSPECTED]
+    assert not requests_rescan(out)
     assert state.case.phase is CasePhase.CLOSING_ANNOUNCED
     assert state.awaiting_staff_removal
 
