@@ -16,6 +16,7 @@ import hashlib
 import heapq
 import json
 import random
+import sys
 from dataclasses import dataclass, field
 
 from . import model, protocol, reconcile, sensing
@@ -64,15 +65,39 @@ class ValidationError(Exception):
 
 SCENARIO_KEYS = {"name", "seed", "horizon_s", "rooms", "items", "sensors",
                  "cases", "events", "bus"}
-
-EVENT_KINDS = {"move", "place_in_cavity", "remove_from_cavity", "discard",
-               "announce_closing", "spd_ack", "carry_out"}
+ITEM_KEYS = {"tag_id", "kind", "item_id", "sterile"}
+SENSOR_KEYS = {"range_m", "p_detect", "mtbf_s", "mttr_s"}
+CASE_KEYS = {"case_id", "room_id", "scan_passes", "max_rescans"}
+EVENT_KEYS = {"t", "kind", "tag", "case", "to_site", "to_sub", "distance_m"}
+BUS_KEYS = {"latency_s", "drop_rate", "links"}
+LINK_KEYS = {"latency_s", "drop_rate"}
 
 SENSOR_ROLES = {"entrance", "tray", "bin", "med"}
+
+#: Most outages a sensor may expect over the horizon, horizon_s / (mtbf_s +
+#: mttr_s); its whole failure schedule is drawn before the run starts.
+MAX_EXPECTED_OUTAGES = 10_000
 
 _KIND_BY_NAME = {k.value: k for k in ItemKind}
 _SUB_BY_NAME = {s.value: s for s in SubLocation}
 _CAVITY = SubLocation.PATIENT_CAVITY.value
+_NUMBER = (int, float)
+_MAX = sys.float_info.max
+_REQUIRED = object()
+
+#: Staff event kind -> (sub-locations the item may start from, sub-location it
+#: ends at, cause). An end of None is a site the event names.
+_OUT_OF_CAVITY = frozenset(SubLocation) - {SubLocation.NONE, SubLocation.PATIENT_CAVITY}
+_MOVE_RULES = {
+    "move": (frozenset(SubLocation), None, MoveCause.STAFF_MOVE),
+    "place_in_cavity": (_OUT_OF_CAVITY, SubLocation.PATIENT_CAVITY, MoveCause.PLACE_IN_CAVITY),
+    "remove_from_cavity": ({SubLocation.PATIENT_CAVITY}, SubLocation.TOOL_TRAY,
+                           MoveCause.REMOVE_FROM_CAVITY),
+    "discard": (_OUT_OF_CAVITY - {SubLocation.TRASH_BIN}, SubLocation.TRASH_BIN,
+                MoveCause.DISCARD),
+    "carry_out": (_OUT_OF_CAVITY, None, MoveCause.ROOM_TRANSIT),
+}
+EVENT_KINDS = {"announce_closing", "spd_ack", *_MOVE_RULES}
 
 #: Cart antenna -> (sub-location it covers, read kind, name of its sweep
 #: handler in ``protocol``, looked up at call time).
@@ -175,181 +200,173 @@ def _fail(message: str) -> None:
     raise ValidationError(message)
 
 
+def _reject_constant(name: str) -> None:
+    raise ParseError(f"{name} is not a JSON number")
+
+
+def _field(obj: dict, key: str, types, where: str, default=_REQUIRED,
+           lo: float = -_MAX, hi: float = _MAX, choices=None):
+    """One scenario field: of ``types`` (a bool is no number), in ``[lo, hi]``
+    if a number, in ``choices`` if given; ``default`` when the key is absent."""
+    if key not in obj:
+        if default is _REQUIRED:
+            _fail(f"{where}: missing {key}")
+        return default
+    value = obj[key]
+    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+        _fail(f"{where}.{key} must be {getattr(types, '__name__', 'number')}, "
+              f"got {value!r:.40}")
+    if isinstance(value, _NUMBER) and not lo <= value <= hi:
+        _fail(f"{where}.{key} = {value} is outside [{lo:g}, {hi:g}]")
+    if choices is not None and value not in choices:
+        _fail(f"{where}: unknown {key} {value!r}")
+    return value
+
+
+def _object(value, where: str, keys: set) -> dict:
+    """``value`` as a JSON object whose keys all belong to ``keys``."""
+    if not isinstance(value, dict):
+        _fail(f"{where} must be an object")
+    if not value.keys() <= keys:
+        _fail(f"{where}: unknown keys {sorted(value.keys() - keys)}")
+    return value
+
+
+def _entries(top: dict, key: str, keys: set):
+    """(where, object) for each entry of the top-level list ``key``."""
+    for idx, entry in enumerate(_field(top, key, list, "scenario")):
+        yield f"{key}[{idx}]", _object(entry, f"{key}[{idx}]", keys)
+
+
 def load_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError("scenario must be a JSON object")
-    keys = set(obj)
-    if keys != SCENARIO_KEYS:
-        missing = sorted(SCENARIO_KEYS - keys)
-        extra = sorted(keys - SCENARIO_KEYS)
-        detail = "; ".join(p for p in (
-            f"missing keys: {missing}" if missing else "",
-            f"unknown keys: {extra}" if extra else "") if p)
-        _fail(f"bad top-level keys ({detail})")
-
-    rooms = obj["rooms"]
-    if not isinstance(rooms, list) or not all(isinstance(r, str) for r in rooms):
+        top = json.loads(text, parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:  # bad JSON, too deep, or an int too long
+        raise ParseError(str(exc)) from exc
+    top = _object(top, "scenario", SCENARIO_KEYS)
+    rooms = _field(top, "rooms", list, "scenario")
+    if not all(isinstance(room, str) for room in rooms):
         _fail("rooms must be a list of room ids")
-    if len(set(rooms)) != len(rooms):
-        _fail("duplicate room id")
-    for room in rooms:
-        if room in FIXED_SITES:
-            _fail(f"room id {room} collides with a fixed site")
-
-    items = []
-    seen_tags: set[str] = set()
-    for idx, spec in enumerate(obj["items"]):
-        tag = spec.get("tag_id")
-        if not tag:
-            _fail(f"items[{idx}]: tag_id required")
-        if tag in seen_tags:
-            _fail(f"duplicate tag_id: {tag}")
-        seen_tags.add(tag)
-        kind = _KIND_BY_NAME.get(spec.get("kind"))
-        if kind is None:
-            _fail(f"items[{idx}]: unknown kind {spec.get('kind')!r}")
-        items.append(ItemSpec(tag_id=tag, kind=kind, item_id=spec.get("item_id"),
-                              sterile=spec.get("sterile", True)))
-
+    items = [ItemSpec(tag_id=_field(spec, "tag_id", str, where),
+                      kind=_KIND_BY_NAME[_field(spec, "kind", str, where,
+                                                choices=_KIND_BY_NAME)],
+                      item_id=_field(spec, "item_id", str, where, None),
+                      sterile=_field(spec, "sterile", bool, where, True))
+             for where, spec in _entries(top, "items", ITEM_KEYS)]
     sensors = {}
-    known_sites = set(rooms) | set(FIXED_SITES)
-    for sensor_id, cfg in obj["sensors"].items():
-        role, _, site = sensor_id.partition(":")
-        if role not in SENSOR_ROLES or site not in known_sites:
-            _fail(f"unknown sensor id: {sensor_id}")
-        if role in ("tray", "bin", "med") and site not in rooms:
-            _fail(f"{role} sensor only exists in an operating room: {sensor_id}")
+    for sensor_id, cfg in _field(top, "sensors", dict, "scenario").items():
+        where = f"sensors[{sensor_id!r}]"
+        cfg = _object(cfg, where, SENSOR_KEYS)
         try:
-            sensors[sensor_id] = SensorModel.from_json(cfg)
+            sensors[sensor_id] = SensorModel(**{key: _field(cfg, key, _NUMBER, where)
+                                                for key in cfg})
         except sensing.InvalidParamError as exc:
-            _fail(f"sensor {sensor_id}: {exc}")
-
-    cases = []
-    case_ids: set[str] = set()
-    rooms_with_case: set[str] = set()
-    for idx, spec in enumerate(obj["cases"]):
-        case_id, room_id = spec.get("case_id"), spec.get("room_id")
-        if not case_id or case_id in case_ids:
-            _fail(f"cases[{idx}]: missing or duplicate case_id")
-        if room_id not in rooms:
-            _fail(f"cases[{idx}]: unknown room {room_id!r}")
-        if room_id in rooms_with_case:
-            _fail(f"cases[{idx}]: room {room_id} already has a case")
-        case_ids.add(case_id)
-        rooms_with_case.add(room_id)
-        scan_passes = spec.get("scan_passes", sensing.DEFAULT_SCAN_PASSES)
-        max_rescans = spec.get("max_rescans", 2)
-        if scan_passes < 1:
-            _fail(f"cases[{idx}]: scan_passes must be >= 1")
-        if max_rescans < 0:
-            _fail(f"cases[{idx}]: max_rescans must be >= 0")
-        cases.append(CaseSpec(case_id=case_id, room_id=room_id,
-                              scan_passes=scan_passes, max_rescans=max_rescans))
-
-    horizon = obj["horizon_s"]
-    if not isinstance(horizon, int) or horizon <= 0:
-        _fail("horizon_s must be a positive integer")
-
-    events = []
-    for idx, ev in enumerate(obj["events"]):
-        kind = ev.get("kind")
-        if kind not in EVENT_KINDS:
-            _fail(f"events[{idx}]: unknown kind {kind!r}")
-        t = ev.get("t")
-        if not isinstance(t, int) or t < 0:
-            _fail(f"events[{idx}]: t must be a nonnegative integer")
-        events.append(StaffEvent(
-            time_s=t, kind=kind, tag=ev.get("tag"), case=ev.get("case"),
-            to_site=ev.get("to_site"), to_sub=ev.get("to_sub"),
-            distance_m=ev.get("distance_m", 0.0)))
-
-    bus_obj = obj["bus"]
+            _fail(f"{where}: {exc}")
+    cases = [CaseSpec(case_id=_field(spec, "case_id", str, where),
+                      room_id=_field(spec, "room_id", str, where),
+                      scan_passes=_field(spec, "scan_passes", int, where,
+                                         sensing.DEFAULT_SCAN_PASSES, lo=1),
+                      max_rescans=_field(spec, "max_rescans", int, where, 2, lo=0))
+             for where, spec in _entries(top, "cases", CASE_KEYS)]
+    events = [StaffEvent(time_s=_field(ev, "t", int, where, lo=0),
+                         kind=_field(ev, "kind", str, where, choices=EVENT_KINDS),
+                         tag=_field(ev, "tag", str, where, None),
+                         case=_field(ev, "case", str, where, None),
+                         to_site=_field(ev, "to_site", str, where, None),
+                         to_sub=_field(ev, "to_sub", str, where, None),
+                         distance_m=_field(ev, "distance_m", _NUMBER, where, 0.0, lo=0))
+              for where, ev in _entries(top, "events", EVENT_KEYS)]
+    bus = _object(_field(top, "bus", dict, "scenario"), "bus", BUS_KEYS)
     links = {}
-    for key, cfg in bus_obj.get("links", {}).items():
-        links[key] = LinkConfig(latency_s=cfg.get("latency_s"),
-                                drop_rate=cfg.get("drop_rate"))
-    bus = BusConfig(latency_s=bus_obj.get("latency_s", 1),
-                    drop_rate=bus_obj.get("drop_rate", 0.0),
-                    links=links)
-    if bus.latency_s < 0:
-        _fail("bus latency_s must be >= 0")
-    if not 0.0 <= bus.drop_rate <= 1.0:
-        _fail("bus drop_rate must be within [0, 1]")
-
-    scenario = Scenario(name=obj["name"], seed=obj["seed"], horizon_s=horizon,
-                        rooms=list(rooms), items=items, sensors=sensors,
-                        cases=cases, events=events, bus=bus)
+    for key, cfg in _field(bus, "links", dict, "bus", {}).items():
+        where = f"bus.links[{key!r}]"
+        src, _, dst = key.partition("->")
+        if src not in protocol.NODE_PRIORITY or dst not in protocol.NODE_PRIORITY:
+            _fail(f"{where}: a link is <from>-><to> over {sorted(protocol.NODE_PRIORITY)}")
+        cfg = _object(cfg, where, LINK_KEYS)
+        links[key] = LinkConfig(
+            latency_s=_field(cfg, "latency_s", int, where, None, lo=0),
+            drop_rate=_field(cfg, "drop_rate", _NUMBER, where, None, lo=0, hi=1))
+    scenario = Scenario(
+        name=_field(top, "name", str, "scenario"), seed=_field(top, "seed", int, "scenario"),
+        horizon_s=_field(top, "horizon_s", int, "scenario", lo=1), rooms=rooms,
+        items=items, sensors=sensors, cases=cases, events=events,
+        bus=BusConfig(latency_s=_field(bus, "latency_s", int, "bus", 1, lo=0),
+                      drop_rate=_field(bus, "drop_rate", _NUMBER, "bus", 0.0, lo=0, hi=1),
+                      links=links))
     validate_scenario(scenario)
     return scenario
 
 
-def validate_scenario(scenario: Scenario) -> None:
-    """Check cross-references, ordering and movement consistency."""
-    tags = {spec.tag_id for spec in scenario.items}
-    case_by_id = {spec.case_id: spec for spec in scenario.cases}
-    known_sites = set(scenario.rooms) | set(FIXED_SITES)
+def _unique(ids: list, what: str) -> None:
+    if len(set(ids)) != len(ids) or not all(ids):
+        _fail(f"empty or duplicate {what}: "
+              f"{[i for i in dict.fromkeys(ids) if not i or ids.count(i) > 1]!r:.60}")
 
+
+def validate_scenario(scenario: Scenario) -> None:
+    """Check ids, cross-references, outage counts, event order and every move."""
+    rooms, sites = scenario.rooms, [*FIXED_SITES, *scenario.rooms]
+    _unique(sites, "room id or fixed site")
+    _unique([spec.tag_id for spec in scenario.items], "tag_id")
+    _unique([f"item-{idx + 1}" if spec.item_id is None else spec.item_id
+             for idx, spec in enumerate(scenario.items)], "item_id")
+    _unique([spec.case_id for spec in scenario.cases], "case_id")
+    _unique([spec.room_id for spec in scenario.cases], "room with a case")
+    if unknown := {spec.room_id for spec in scenario.cases} - set(rooms):
+        _fail(f"cases name unknown rooms: {sorted(unknown)}")
+    for sensor_id, sensor in scenario.sensors.items():
+        role, _, site = sensor_id.partition(":")
+        if role not in SENSOR_ROLES or site not in (sites if role == "entrance" else rooms):
+            _fail(f"unknown sensor id: {sensor_id}")
+        if sensor.mtbf_s is not None and not (scenario.horizon_s / (
+                sensor.mtbf_s + sensor.mttr_s) <= MAX_EXPECTED_OUTAGES):
+            _fail(f"sensor {sensor_id}: more than {MAX_EXPECTED_OUTAGES} expected outages")
+
+    case_ids = {spec.case_id for spec in scenario.cases}
+    placements = {spec.tag_id: Location(EQUIPMENT_ROOM) for spec in scenario.items}
     last_t = 0
-    placements: dict[str, tuple[str, SubLocation]] = {
-        spec.tag_id: (EQUIPMENT_ROOM, SubLocation.NONE) for spec in scenario.items}
     for idx, ev in enumerate(scenario.events):
         if ev.time_s < last_t:
             _fail(f"events[{idx}]: events out of order")
         last_t = ev.time_s
         if ev.time_s > scenario.horizon_s:
             _fail(f"events[{idx}]: event after horizon")
-        if ev.kind in ("announce_closing", "spd_ack"):
-            if ev.case not in case_by_id:
+        if ev.kind not in _MOVE_RULES:
+            if ev.case not in case_ids:
                 _fail(f"events[{idx}]: unknown case: {ev.case}")
-            continue
-        if ev.tag not in tags:
+        elif ev.tag not in placements:
             _fail(f"events[{idx}]: unknown item: {ev.tag}")
-        site, sub = placements[ev.tag]
-        in_or = site in scenario.rooms
-        if ev.kind == "move":
-            to_site = ev.to_site
-            if to_site not in known_sites:
-                _fail(f"events[{idx}]: unknown site: {to_site}")
-            if to_site in scenario.rooms:
-                to_sub = _SUB_BY_NAME.get(ev.to_sub or "RoomSpace")
-                if to_sub is None or to_sub is SubLocation.NONE:
-                    _fail(f"events[{idx}]: bad sub-location {ev.to_sub!r}")
-            else:
-                if ev.to_sub not in (None, "None"):
-                    _fail(f"events[{idx}]: sub-location outside an operating room")
-                to_sub = SubLocation.NONE
-            if (to_site, to_sub) == (site, sub):
-                _fail(f"events[{idx}]: move to current location")
-            placements[ev.tag] = (to_site, to_sub)
-        elif ev.kind == "place_in_cavity":
-            if not in_or or sub is SubLocation.PATIENT_CAVITY:
-                _fail(f"events[{idx}]: {ev.tag} cannot enter the cavity from "
-                      f"{site}/{sub.value}")
-            placements[ev.tag] = (site, SubLocation.PATIENT_CAVITY)
-        elif ev.kind == "remove_from_cavity":
-            if not in_or or sub is not SubLocation.PATIENT_CAVITY:
-                _fail(f"events[{idx}]: {ev.tag} is not in a cavity")
-            placements[ev.tag] = (site, SubLocation.TOOL_TRAY)
-        elif ev.kind == "discard":
-            if not in_or or sub in (SubLocation.TRASH_BIN, SubLocation.PATIENT_CAVITY):
-                _fail(f"events[{idx}]: {ev.tag} cannot be discarded from "
-                      f"{site}/{sub.value}")
-            placements[ev.tag] = (site, SubLocation.TRASH_BIN)
-        elif ev.kind == "carry_out":
-            if not in_or or sub is SubLocation.PATIENT_CAVITY:
-                _fail(f"events[{idx}]: {ev.tag} cannot be carried out of "
-                      f"{site}/{sub.value}")
-            to_site = ev.to_site or EQUIPMENT_ROOM
-            if to_site not in known_sites or to_site == site:
-                _fail(f"events[{idx}]: bad carry_out destination {to_site!r}")
-            to_sub = (SubLocation.ROOM_SPACE if to_site in scenario.rooms
-                      else SubLocation.NONE)
-            placements[ev.tag] = (to_site, to_sub)
+        else:
+            try:
+                placements[ev.tag] = destination(ev, placements[ev.tag], rooms)[0]
+            except ValueError as exc:
+                _fail(f"events[{idx}]: {exc}")
+
+
+def destination(ev: StaffEvent, src: Location, rooms: list[str]) -> tuple[Location, MoveCause]:
+    """Where staff event ``ev`` moves an item now at ``src``; ValueError if it cannot."""
+    sources, sub, cause = _MOVE_RULES[ev.kind]
+    if src.sub not in sources:
+        raise ValueError(f"{ev.tag} is not in a cavity" if ev.kind == "remove_from_cavity"
+                         else f"{ev.tag} cannot {ev.kind} from {src.site}/{src.sub.value}")
+    if sub is not None:
+        return Location(src.site, sub), cause
+    site = ev.to_site or (EQUIPMENT_ROOM if ev.kind == "carry_out" else None)
+    if site in rooms:
+        sub = (_SUB_BY_NAME.get(ev.to_sub or "RoomSpace") if ev.kind == "move"
+               else SubLocation.ROOM_SPACE)
+        if sub in (None, SubLocation.NONE):
+            raise ValueError(f"bad sub-location {ev.to_sub!r}")
+    elif site not in FIXED_SITES:
+        raise ValueError(f"unknown site: {site}")
+    elif ev.kind == "move" and ev.to_sub not in (None, "None"):
+        raise ValueError("sub-location outside an operating room")
+    dst = Location(site, sub or SubLocation.NONE)
+    if dst == src or (ev.kind == "carry_out" and site == src.site):
+        raise ValueError(f"{ev.kind} of {ev.tag} to where it already is")
+    return dst, cause
 
 
 # --------------------------------------------------------------------------
@@ -550,7 +567,7 @@ class _Engine:
 
         item_id = self.world.item_by_tag[ev.tag]
         src = self.world.placements[item_id]
-        dst, cause = self._destination(ev, src)
+        dst, cause = destination(ev, src, self.scenario.rooms)
         gt = model.GroundTruthEvent(time_s=now, item_id=item_id, src=src,
                                     dst=dst, cause=cause)
         self.world.apply_ground_truth(gt)
@@ -569,24 +586,6 @@ class _Engine:
             mtc = self.mtcs.get(src.site)
             if mtc is not None:
                 self._emit(mtc_staff_rescan(mtc, now), mtc.case.case_id, now)
-
-    @staticmethod
-    def _destination(ev: StaffEvent, src: Location) -> tuple[Location, MoveCause]:
-        if ev.kind == "move":
-            sub = (_SUB_BY_NAME[ev.to_sub or "RoomSpace"]
-                   if ev.to_site not in FIXED_SITES else SubLocation.NONE)
-            return Location(ev.to_site, sub), MoveCause.STAFF_MOVE
-        if ev.kind == "place_in_cavity":
-            return Location(src.site, SubLocation.PATIENT_CAVITY), MoveCause.PLACE_IN_CAVITY
-        if ev.kind == "remove_from_cavity":
-            return Location(src.site, SubLocation.TOOL_TRAY), MoveCause.REMOVE_FROM_CAVITY
-        if ev.kind == "discard":
-            return Location(src.site, SubLocation.TRASH_BIN), MoveCause.DISCARD
-        if ev.kind == "carry_out":
-            to_site = ev.to_site or EQUIPMENT_ROOM
-            sub = SubLocation.ROOM_SPACE if to_site not in FIXED_SITES else SubLocation.NONE
-            return Location(to_site, sub), MoveCause.ROOM_TRANSIT
-        raise ValueError(f"unhandled staff event kind {ev.kind!r}")
 
     # -- message delivery
 
@@ -610,7 +609,7 @@ class _Engine:
                     self._emit(mtc_handle(mtc, message), mtc.case.case_id, now)
             else:
                 self._record_error("deliver", f"no handler for node {target}", now)
-        except (StaleCaseError, InvalidPhaseError, UnknownCaseError, ValueError) as exc:
+        except (StaleCaseError, InvalidPhaseError, UnknownCaseError) as exc:
             self._record_error(kind, str(exc), now)
 
     def _med_scan(self, room: str, case_id: str, now: int) -> None:

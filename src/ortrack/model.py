@@ -68,10 +68,6 @@ class Location:
     def to_json(self) -> dict:
         return {"site": self.site, "sub": self.sub.value}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Location":
-        return cls(site=obj["site"], sub=SubLocation(obj.get("sub", "None")))
-
 
 @dataclass(frozen=True)
 class EquipmentItem:

@@ -27,6 +27,7 @@ from .protocol import (
     AlertKind,
     CasePhase,
     CmsState,
+    InvalidPhaseError,
     MtcState,
     Outputs,
     ProtocolMessage,
@@ -101,7 +102,7 @@ def apply_scan_outcome(state: MtcState, scan: ScanResult, tray_reads: set[str],
     if state.case.phase is CasePhase.CLOSING_ANNOUNCED:
         out.phase_changes.append(state.case.advance(CasePhase.CAVITY_SCAN))
     elif state.case.phase is not CasePhase.CAVITY_SCAN:
-        raise ValueError(f"scan result in phase {state.case.phase.value}")
+        raise InvalidPhaseError(f"scan result in phase {state.case.phase.value}")
 
     out.extend(mtc_tray_sweep(state, set(tray_reads), now))
     out.extend(mtc_bin_sweep(state, set(bin_reads), now))

@@ -64,17 +64,10 @@ class SensorModel:
                 f"range_m must be within [{RANGE_MIN_M}, {RANGE_MAX_M}] m, got {self.range_m}")
         if not 0.0 < self.p_detect <= 1.0:
             raise InvalidParamError(f"p_detect must be in (0, 1], got {self.p_detect}")
-        if self.mtbf_s is not None and self.mtbf_s <= 0:
+        if self.mtbf_s is not None and not self.mtbf_s > 0:
             raise InvalidParamError(f"mtbf_s must be positive, got {self.mtbf_s}")
-        if self.mttr_s < 0:
+        if not self.mttr_s >= 0:
             raise InvalidParamError(f"mttr_s must be nonnegative, got {self.mttr_s}")
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SensorModel":
-        return cls(range_m=obj.get("range_m", DEFAULT_RANGE_M),
-                   p_detect=obj.get("p_detect", DEFAULT_P_DETECT),
-                   mtbf_s=obj.get("mtbf_s"),
-                   mttr_s=obj.get("mttr_s", 0.0))
 
 
 @dataclass(frozen=True)

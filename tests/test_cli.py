@@ -82,6 +82,21 @@ def test_validate_ok_and_bad(tmp_path):
     assert main(["validate", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("old, new", [
+    pytest.param('"items": [', '"items": [1, ', id="item-not-object"),
+    pytest.param('"med:OR-1": {"p_detect": 1.0}', '"med:OR-1": {"p_detect": 1.0, "mtbf_s": NaN}',
+                 id="mtbf-nan"),
+])
+def test_validate_malformed_field_is_a_scenario_error(tmp_path, capsys, old, new):
+    text = SCENARIOS.joinpath("clean_case.json").read_text()
+    assert old in text
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace(old, new))
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:") and "Traceback" not in err
+
+
 # -- montecarlo
 
 

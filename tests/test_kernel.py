@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from helpers import load_bundled, random_scenario
+from helpers import load_bundled, random_scenario, scenario_text
 from ortrack import kernel
 from ortrack.kernel import (
     BusConfig,
@@ -89,6 +89,93 @@ def test_unknown_case_rejected():
 def test_room_cannot_shadow_fixed_site():
     with pytest.raises(ValidationError, match="fixed site"):
         load_scenario(scenario_json(rooms=["SPD"]))
+
+
+def mutated(*changes):
+    """clean_case's JSON text with each (path, value) change applied."""
+    obj = json.loads(scenario_text("clean_case"))
+    for path, value in changes:
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return json.dumps(obj)
+
+
+NAN, INF = float("nan"), float("inf")
+LINK = ("bus", "links")
+
+# Malformed inputs, one row per kind of fault: each must be rejected at
+# load, never crash the loader or reach the run and break or hang it.
+BAD_INPUTS = [
+    ("items-entry-not-object", [(("items", 0), 1)], ValidationError),
+    ("cases-entry-not-object", [(("cases", 0), "C-1")], ValidationError),
+    ("events-entry-not-object", [(("events", 0), [10, "move"])], ValidationError),
+    ("sensors-list", [(("sensors",), [])], ValidationError),
+    ("bus-list", [(("bus",), [])], ValidationError),
+    ("link-not-object", [(LINK, {"RS->CMS": 3})], ValidationError),
+    ("scan_passes-string", [(("cases", 0, "scan_passes"), "2")], ValidationError),
+    ("scan_passes-float", [(("cases", 0, "scan_passes"), 1.5)], ValidationError),
+    ("max_rescans-float", [(("cases", 0, "max_rescans"), 1.5)], ValidationError),
+    ("bus-latency-string", [(("bus", "latency_s"), "1")], ValidationError),
+    ("p_detect-string", [(("sensors", "med:OR-1", "p_detect"), "x")], ValidationError),
+    ("link-drop_rate-above-one", [(LINK, {"CMS->MTC": {"drop_rate": 2.0}})], ValidationError),
+    ("link-unknown-nodes", [(LINK, {"FOO->BAR": {"drop_rate": 0.5}})], ValidationError),
+    ("link-negative-latency", [(LINK, {"RS->CMS": {"latency_s": -5}})], ValidationError),
+    ("distance-negative", [(("events", 0, "distance_m"), -1)], ValidationError),
+    ("horizon-bool", [(("horizon_s",), True), (("events",), [])], ValidationError),
+    ("t-bool", [(("events", 0, "t"), True)], ValidationError),
+    ("seed-string", [(("seed",), "abc")], ValidationError),
+    ("name-number", [(("name",), 5)], ValidationError),
+    ("sterile-string", [(("items", 0, "sterile"), "no")], ValidationError),
+    ("item_id-number", [(("items", 0, "item_id"), 5)], ValidationError),
+    ("item_id-duplicate", [(("items", 0, "item_id"), "X"), (("items", 1, "item_id"), "X")],
+     ValidationError),
+    ("tag_id-list", [(("items", 0, "tag_id"), ["T-1"])], ValidationError),
+    ("case_id-list", [(("cases", 0, "case_id"), ["C-1"])], ValidationError),
+    ("to_site-list", [(("events", 0, "to_site"), ["OR-1"])], ValidationError),
+    ("kind-list", [(("events", 0, "kind"), ["move"])], ValidationError),
+    ("event-unknown-key", [(("events", 0, "colour"), "red")], ValidationError),
+    ("outages-over-cap", [(("horizon_s",), 1_000_000),
+                          (("sensors", "med:OR-1", "mtbf_s"), 1e-3)], ValidationError),
+    ("mtbf-nan", [(("sensors", "med:OR-1", "mtbf_s"), NAN)], ParseError),
+    ("mtbf-infinity", [(("sensors", "med:OR-1", "mtbf_s"), INF)], ParseError),
+    ("mttr-nan", [(("sensors", "med:OR-1", "mttr_s"), NAN)], ParseError),
+    ("distance-infinity", [(("events", 0, "distance_m"), INF)], ParseError),
+    ("drop_rate-nan", [(("bus", "drop_rate"), NAN)], ParseError),
+]
+
+
+@pytest.mark.parametrize("changes, error", [pytest.param(c, e, id=name)
+                                            for name, c, e in BAD_INPUTS])
+def test_bad_input_rejected(changes, error):
+    with pytest.raises(error):
+        load_scenario(mutated(*changes))
+
+
+@pytest.mark.parametrize("text, error", [
+    pytest.param("[" * 100_000, ParseError, id="nested-too-deep"),
+    pytest.param("9" * 5_000, ParseError, id="integer-too-long"),
+    pytest.param(mutated((("events", 0, "distance_m"), 12.5)).replace("12.5", "1e400"),
+                 ValidationError, id="float-overflows-to-infinity"),
+])
+def test_edge_of_json_rejected(text, error):
+    with pytest.raises(error):
+        load_scenario(text)
+
+
+def test_clean_case_mutation_baseline_loads():
+    # the table above fails only through its own change
+    assert load_scenario(mutated()).name == "clean-case"
+
+
+def test_engine_bug_is_not_recorded_as_an_error(monkeypatch):
+    def broken(state, message):
+        raise ValueError("engine bug")
+
+    monkeypatch.setattr(kernel, "cms_handle", broken)
+    with pytest.raises(ValueError, match="engine bug"):
+        run(load_bundled("clean_case"))
 
 
 # -- delivery

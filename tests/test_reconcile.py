@@ -14,6 +14,7 @@ from ortrack.protocol import (
     CasePhase,
     ChecklistEntry,
     CmsState,
+    InvalidPhaseError,
     MonitoringChecklist,
     MtcState,
     SurgeryCase,
@@ -185,6 +186,13 @@ def test_closing_loop_retention_without_staff_parks_case():
     assert not requests_rescan(out)
     assert state.case.phase is CasePhase.CLOSING_ANNOUNCED
     assert state.awaiting_staff_removal
+
+
+def test_scan_result_outside_closing_is_a_phase_error():
+    state = make_mtc({"T-1"}, set())
+    state.case.phase = CasePhase.IN_PROGRESS
+    with pytest.raises(InvalidPhaseError, match="scan result in phase"):
+        apply_scan_outcome(state, scan_of([]), {"T-1"}, set(), 0)
 
 
 # -- location queries

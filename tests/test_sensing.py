@@ -46,6 +46,12 @@ def test_range_bounds_enforced():
         SensorModel(p_detect=0.0)
 
 
+@pytest.mark.parametrize("param", ["range_m", "p_detect", "mtbf_s", "mttr_s"])
+def test_nan_parameter_rejected(param):
+    with pytest.raises(InvalidParamError):
+        SensorModel(**{param: math.nan})
+
+
 @given(st.floats(0, 3), st.floats(0, 3))
 def test_detect_probability_nonincreasing(d1, d2):
     model = SensorModel(range_m=0.8, p_detect=0.9)
