@@ -41,42 +41,30 @@ def _load_scenario_file(path: str, seed: int | None) -> kernel.Scenario:
     return scenario
 
 
-def _fold(trace: kernel.Trace) -> tuple[dict[str, int], dict[str, int], list[str]]:
-    """One pass over the records: alert counts, outcome counts, safety findings."""
-    alert_counts: dict[str, int] = {}
-    outcome_counts: dict[str, int] = {}
-    critical_cases = set()
-    cases = []
-    for record in trace.records:
-        if record["type"] == "alert":
-            kind = record["kind"]
-            alert_counts[kind] = alert_counts.get(kind, 0) + 1
-            if kind in CRITICAL_KINDS:
-                critical_cases.add(record.get("case"))
-        elif record["type"] == "case":
-            outcome = record["outcomes"][-1] if record["outcomes"] else "NeverReconciled"
-            outcome_counts[outcome] = outcome_counts.get(outcome, 0) + 1
-            cases.append(record)
-    findings = [r["case_id"] for r in cases
-                if r["case_id"] in critical_cases and r["phase"] not in SAFE_PHASES]
-    return alert_counts, outcome_counts, findings
-
-
-def safety_findings(trace: kernel.Trace) -> list[str]:
+def safety_findings(reading: kernel.TraceReading) -> list[str]:
     """Cases with a critical finding that never reached reconciliation."""
-    return _fold(trace)[2]
+    return [case_id for case_id, record in reading.cases.items()
+            if record["phase"] not in SAFE_PHASES
+            and any(alert["kind"] in CRITICAL_KINDS for alert in reading.alerts.get(case_id, ()))]
 
 
 def run_summary(trace: kernel.Trace) -> dict:
     """Order-independent statistics for one run."""
-    alert_counts, outcome_counts, findings = _fold(trace)
-    retained_at = kernel.replay_cavity(trace)[1]
+    reading = kernel.read_trace(trace)
+    alert_counts: dict[str, int] = {}
+    for alerts in reading.alerts.values():
+        for alert in alerts:
+            alert_counts[alert["kind"]] = alert_counts.get(alert["kind"], 0) + 1
+    outcome_counts: dict[str, int] = {}
+    for record in reading.cases.values():
+        outcome = record["outcomes"][-1] if record["outcomes"] else "NeverReconciled"
+        outcome_counts[outcome] = outcome_counts.get(outcome, 0) + 1
     return {
         "alert_counts": alert_counts,
         "outcome_counts": outcome_counts,
-        "retained_at_reconcile": CasePhase.RECONCILED.value in retained_at,
-        "retained_at_complete": CasePhase.COMPLETE.value in retained_at,
-        "safety_findings": findings,
+        "retained_at_reconcile": CasePhase.RECONCILED.value in reading.retained_at,
+        "retained_at_complete": CasePhase.COMPLETE.value in reading.retained_at,
+        "safety_findings": safety_findings(reading),
     }
 
 
@@ -123,13 +111,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trace = kernel.run(scenario)
     out_dir = _out_dir(args.out)
     reconcile.persist(trace, os.path.join(out_dir, "trace.ndjson"))
+    reading = kernel.read_trace(trace)
     for spec in scenario.cases:
-        report = reconcile.generate_report(trace, spec.case_id)
+        report = reconcile.generate_report(reading, spec.case_id)
         reconcile.write_atomic(os.path.join(out_dir, f"report_{spec.case_id}.json"),
                                json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
         reconcile.write_atomic(os.path.join(out_dir, f"report_{spec.case_id}.csv"),
                                report.to_csv())
-    findings = safety_findings(trace)
+    findings = safety_findings(reading)
     if findings:
         print(f"unresolved safety finding in: {', '.join(findings)}", file=sys.stderr)
         return 2

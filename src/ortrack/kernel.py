@@ -1,4 +1,4 @@
-"""Deterministic discrete-event scheduler, scenario loader and trace emitter.
+"""Deterministic discrete-event scheduler, scenario loader, trace emitter and reader.
 
 A run is a pure function of (scenario, seed): one logical seed is split
 into independent named streams (one per sensor, one per bus link), so
@@ -84,6 +84,7 @@ _CAVITY = SubLocation.PATIENT_CAVITY.value
 _NUMBER = (int, float)
 _MAX = sys.float_info.max
 _REQUIRED = object()
+_DEFAULT_SENSOR = SensorModel()  # frozen, so every unconfigured reader shares it
 
 #: Staff event kind -> (sub-locations the item may start from, sub-location it
 #: ends at, cause). An end of None is a site the event names.
@@ -189,7 +190,17 @@ class Trace:
 
     @classmethod
     def from_ndjson(cls, text: str) -> "Trace":
-        return cls(records=[json.loads(line) for line in text.splitlines() if line])
+        """Parse NDJSON text; a torn record (no final newline, a line that is
+        not JSON, a blank line) raises ``reconcile.TraceIOError``."""
+        if text and not text.endswith("\n"):
+            raise reconcile.TraceIOError("truncated record")
+        records = []
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise reconcile.TraceIOError(f"truncated record at line {lineno}") from exc
+        return cls(records=records)
 
 
 # --------------------------------------------------------------------------
@@ -452,7 +463,7 @@ class _Engine:
         self.seq += 1
 
     def _sensor_model(self, sensor_id: str) -> SensorModel:
-        return self.scenario.sensors.get(sensor_id, SensorModel())
+        return self.scenario.sensors.get(sensor_id, _DEFAULT_SENSOR)
 
     def _rng(self, name: str) -> random.Random:
         rng = self.rngs.get(name)
@@ -717,46 +728,74 @@ def validate_trace(trace: Trace) -> list[str]:
 
 
 # --------------------------------------------------------------------------
-# Ground-truth helpers used by reports and batch statistics
+# Trace reading: the one pass that reports, summaries and findings project from
 
 
-def replay_cavity(trace: Trace) -> tuple[dict[str, set[str]], set[str]]:
-    """Replay ground-truth cavity contents from a trace.
+@dataclass
+class TraceReading:
+    """What post-run consumers read from a trace, collected in one pass.
 
-    Returns the final contents per room and the phases some case entered
-    while its room's cavity really held an item.
+    ``alerts`` holds the alert records per case id (None for no case);
+    ``scan_passes`` the passes of each case's delivered cavity scans;
+    ``first_seen`` the first tick each tag is named in a move, message or
+    alert; ``cavity`` the ground-truth cavity contents per room; and
+    ``retained_at`` the phases some case entered while its room's cavity
+    really held an item.
     """
-    cavity: dict[str, set[str]] = {}
-    room_by_case: dict[str, str] = {}
-    retained_at: set[str] = set()
+
+    meta: dict | None = None
+    cases: dict[str, dict] = field(default_factory=dict)
+    alerts: dict[str | None, list[dict]] = field(default_factory=dict)
+    scan_passes: dict[str, int] = field(default_factory=dict)
+    first_seen: dict[str, int] = field(default_factory=dict)
+    cavity: dict[str, set[str]] = field(default_factory=dict)
+    retained_at: set[str] = field(default_factory=set)
+
+
+def read_trace(trace: Trace) -> TraceReading:
+    """Walk the records once, in order, and collect a ``TraceReading``."""
+    reading = TraceReading()
+    seen, cavity, room_by_case = reading.first_seen.setdefault, reading.cavity, {}
     for record in trace.records:
-        kind = record["type"]
-        if kind == "gt":
-            tag = record["tag"]
-            src, dst = record["from"], record["to"]
+        kind, t = record["type"], record["t"]
+        if kind == "msg":
+            payload = record["msg"]["payload"]
+            if "tag" in payload:
+                seen(payload["tag"], t)
+            if "scan" in payload:
+                for tag in payload["scan"]["detected"]:
+                    seen(tag, t)
+                if record["status"] == "delivered" and payload["kind"] == "CavityScanResult":
+                    case = payload["case"]
+                    reading.scan_passes[case] = (reading.scan_passes.get(case, 0)
+                                                 + payload["scan"]["passes"])
+        elif kind == "gt":
+            tag, src, dst = record["tag"], record["from"], record["to"]
+            seen(tag, t)
             if src["sub"] == _CAVITY:
                 cavity.setdefault(src["site"], set()).discard(tag)
             if dst["sub"] == _CAVITY:
                 cavity.setdefault(dst["site"], set()).add(tag)
+        elif kind == "alert":
+            for tag in record["tags"]:
+                seen(tag, t)
+            reading.alerts.setdefault(record["case"], []).append(record)
         elif kind == "phase":
             if cavity.get(room_by_case.get(record["case"])):
-                retained_at.add(record["to"])
+                reading.retained_at.add(record["to"])
+        elif kind == "case":
+            reading.cases[record["case_id"]] = record
         elif kind == "meta":
-            for case in record["cases"]:
-                room_by_case[case["case_id"]] = case["room_id"]
-    return cavity, retained_at
-
-
-def cavity_occupancy(trace: Trace) -> dict[str, set[str]]:
-    """Final ground-truth cavity contents per room, replayed from the trace."""
-    return replay_cavity(trace)[0]
+            reading.meta = record
+            room_by_case = {case["case_id"]: case["room_id"] for case in record["cases"]}
+    return reading
 
 
 def reconciled_with_retained_item(trace: Trace) -> bool:
     """True if any case passed reconciliation while the cavity really held an item."""
-    return CasePhase.RECONCILED.value in replay_cavity(trace)[1]
+    return CasePhase.RECONCILED.value in read_trace(trace).retained_at
 
 
 def completed_with_retained_item(trace: Trace) -> bool:
     """True if any case completed while the cavity really held an item."""
-    return CasePhase.COMPLETE.value in replay_cavity(trace)[1]
+    return CasePhase.COMPLETE.value in read_trace(trace).retained_at

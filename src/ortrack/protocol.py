@@ -376,12 +376,8 @@ def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
     now = msg.time_s
 
     if kind == "NewEquipmentInOR":
-        entry = state.case.checklist.entries.get(payload["tag"])
-        already_active = entry is not None and entry.status is not TagStatus.REMOVED_FROM_OR
-        if already_active:
-            entry.last_seen_s = now  # idempotent: no duplicate alert
-        else:
-            _add_or_reactivate(state, payload["tag"], TagStatus.IN_USE, now, out)
+        # idempotent: a tag already on the checklist raises no second alert
+        if _add_or_reactivate(state, payload["tag"], TagStatus.IN_USE, now, out):
             out.alerts.append(Alert(
                 time_s=now, severity=Severity.INFO, kind=AlertKind.NEW_EQUIPMENT_DETECTED,
                 tags=frozenset([payload["tag"]]),

@@ -16,7 +16,6 @@ a manual override; the case can never quietly complete either way.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -197,58 +196,23 @@ class SurgeryReport:
         return "\n".join(lines) + "\n"
 
 
-def _record_tags(record: dict) -> set[str]:
-    if record["type"] == "alert":
-        return set(record.get("tags", ()))
-    if record["type"] == "msg":
-        payload = record["msg"]["payload"]
-        tags = set()
-        if "tag" in payload:
-            tags.add(payload["tag"])
-        if "scan" in payload:
-            tags.update(payload["scan"]["detected"])
-        return tags
-    if record["type"] == "gt":
-        return {record["tag"]}
-    return set()
-
-
-def generate_report(trace, case_id: str) -> SurgeryReport:
-    """Deterministic per-case summary projected from a trace."""
-    meta = None
-    case_record = None
-    alerts = []
-    scan_passes = 0
-    first_seen: dict[str, int] = {}
-    for record in trace.records:
-        if record["type"] == "meta":
-            meta = record
-        elif record["type"] == "case" and record["case_id"] == case_id:
-            case_record = record
-        elif record["type"] == "alert" and record.get("case") == case_id:
-            alerts.append({"t": record["t"], "severity": record["severity"],
-                           "kind": record["kind"], "tags": record["tags"],
-                           "text": record["text"]})
-        if record["type"] == "msg" and record["status"] == "delivered":
-            payload = record["msg"]["payload"]
-            if payload.get("kind") == "CavityScanResult" and payload.get("case") == case_id:
-                scan_passes += payload["scan"]["passes"]
-        for tag in _record_tags(record):
-            first_seen.setdefault(tag, record["t"])
+def generate_report(reading, case_id: str) -> SurgeryReport:
+    """Deterministic per-case summary projected from a ``kernel.TraceReading``."""
+    case_record = reading.cases.get(case_id)
     if case_record is None:
         raise UnknownCaseError(f"unknown case: {case_id}")
+    meta = reading.meta
     kinds = {item["tag"]: item["kind"] for item in meta["items"]} if meta else {}
-    items = []
-    for tag in sorted(case_record["entries"]):
-        entry = case_record["entries"][tag]
-        items.append({"tag_id": tag, "kind": kinds.get(tag, "?"),
-                      "first_seen_s": first_seen.get(tag, entry["last_seen_s"]),
-                      "last_seen_s": entry["last_seen_s"],
-                      "final_status": entry["status"]})
+    items = [{"tag_id": tag, "kind": kinds.get(tag, "?"),
+              "first_seen_s": reading.first_seen.get(tag, entry["last_seen_s"]),
+              "last_seen_s": entry["last_seen_s"], "final_status": entry["status"]}
+             for tag, entry in sorted(case_record["entries"].items())]
+    alerts = [{key: alert[key] for key in ("t", "severity", "kind", "tags", "text")}
+              for alert in reading.alerts.get(case_id, ())]
     completed = case_record.get("completed_s")
     duration = completed if completed is not None else (meta["horizon_s"] if meta else 0)
     return SurgeryReport(case_id=case_id, items=items, alerts=alerts,
-                         scan_passes=scan_passes, duration_s=duration,
+                         scan_passes=reading.scan_passes.get(case_id, 0), duration_s=duration,
                          final_phase=case_record["phase"],
                          outcomes=list(case_record.get("outcomes", ())))
 
@@ -286,12 +250,4 @@ def load(store_path: str):
             data = handle.read()
     except OSError as exc:
         raise TraceIOError(str(exc)) from exc
-    if data and not data.endswith("\n"):
-        raise TraceIOError("truncated record")
-    records = []
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise TraceIOError(f"truncated record at line {lineno}") from exc
-    return Trace(records=records)
+    return Trace.from_ndjson(data)

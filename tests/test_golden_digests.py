@@ -1,4 +1,4 @@
-"""Byte-level pins: golden traces and the Monte Carlo summary.
+"""Byte-level pins: golden traces, reports, run summaries and the Monte Carlo summary.
 
 A refactor must leave these digests alone. A change that alters a trace or
 a summary on purpose re-pins the affected digests here and names them in
@@ -8,12 +8,13 @@ CHANGES.md.
 import dataclasses
 import hashlib
 import json
+import os
 
 import pytest
 
 from helpers import load_bundled
 from ortrack import kernel
-from ortrack.cli import batch_summary
+from ortrack.cli import batch_summary, main, run_summary
 
 #: sha256 of ``run(scenario).to_ndjson()`` per (golden, seed offset 0, 1, 2).
 TRACE_DIGESTS = {
@@ -50,6 +51,40 @@ TRACE_DIGESTS = {
 #: sha256 of the canonical JSON of ``batch_summary(cavity_retention, 1000, 0)``.
 BATCH_DIGEST = "9a032d3a042c66e01c18778d7d3fc8d473bf75aea859062bddc4eb338f05990b"
 
+#: Per golden at its own seed: sha256 of the ``simulate`` report JSON files and
+#: of the CSV files (each set concatenated in case order), and of the canonical
+#: JSON of ``run_summary``.
+REPORT_DIGESTS = {
+    "clean_case": (
+        "c895a4389985ca33c54211974e91c4038a69164d67272cdb8d43c9ddebca579b",
+        "c6c7cbce3888a6a28dd90517622cd8e9cc0f7e18f70728d38d91e3be346b1298",
+        "4192a36af463299df31b438f5254dcc3c01773db7bc27f44c0bb161b8f989a3b"),
+    "sponge_in_cavity": (
+        "692988dbe2a10363c9e99727241fae69ef8b1ce066479e9d9ce074a090e5bfc9",
+        "00719767cf2554549a9ddb02e02a5646611cdf325ceb3fa493b9d4f41659e329",
+        "3c73a5acf4df02ec1aa5b03fbbaf18c132a73b8697e2454870865ef6dc17d9d5"),
+    "sponge_in_cavity_recovered": (
+        "cd03b6e8f264bc87f046b9e19aa9b46c3284d429163238a4f3c21cbfa90e2ef1",
+        "7ed3b088181cd6483ddb5eaadd6b8856eedf3e8f575f62675e0575296e5ca328",
+        "676d7fb75ba160a98cdbd96e3a7dbff5aaf8d21f49d73750596f09e8899b9fa3"),
+    "pocket_carry": (
+        "15877eb526507db8136390fdce0cd5e2db0043558eb0f7cd7415ddc0f2d8cfc3",
+        "dd150ea7ae583ec1c1ce050f60777af2b0c566f07a9f32d97b76e893a2705eca",
+        "5174f08e61eac261dd2f4d178a1238f3a2dd487c5ba2d5e662d7792cffb0185b"),
+    "new_equipment": (
+        "33b93441c87cd77f068dcf5a27332771e57d76425fea001f2baa84671f27a5a8",
+        "fb9ce3fdfef52d62c87f50f92ab9ec9edc0bee5712ba1a17da000341f6d343aa",
+        "c948dc9adecd0937593e1a4170bd0bba7bc063364bbd8f4e733ad4f2502223fd"),
+    "dropped_link": (
+        "c9c9e3c5179f3cc9b7456e73e887490b3bd2969d6d27fb88123dbcf6f52684f0",
+        "2bdfc32e5b996f31c79fd10a8f08cee32ffb99a60ec57be5b8588f168a8db2b2",
+        "5e23b8798c9be6a04103f871f2e703e61903f957ae449ef9741f8f8767c2dba2"),
+    "cavity_retention": (
+        "257f2f14d09eae3d863d7a9ddfd3a9048c79727ab98b51bae9bf7bf5e2277f2a",
+        "90bfa06d6d64dc4ecd11736db66a480a1ba389ff58be7dff3b695577a72a5580",
+        "3c73a5acf4df02ec1aa5b03fbbaf18c132a73b8697e2454870865ef6dc17d9d5"),
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -66,3 +101,18 @@ def test_golden_trace_digest(name, offset):
 def test_montecarlo_summary_digest():
     summary = batch_summary(load_bundled("cavity_retention"), 1000, 0)
     assert _sha256(json.dumps(summary, sort_keys=True)) == BATCH_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_golden_report_and_summary_digests(name, tmp_path):
+    scenario = load_bundled(name)
+    json_digest, csv_digest, summary_digest = REPORT_DIGESTS[name]
+    summary = run_summary(kernel.run(scenario))
+    assert _sha256(json.dumps(summary, sort_keys=True)) == summary_digest
+    path = os.path.join(os.path.dirname(kernel.__file__), "data", "scenarios", f"{name}.json")
+    code = main(["simulate", path, "--out", str(tmp_path)])
+    assert code == (2 if summary["safety_findings"] else 0)
+    for suffix, digest in (("json", json_digest), ("csv", csv_digest)):
+        text = "".join((tmp_path / f"report_{spec.case_id}.{suffix}").read_text()
+                       for spec in scenario.cases)
+        assert _sha256(text) == digest, suffix

@@ -22,6 +22,7 @@ from ortrack.kernel import (
     validate_trace,
 )
 from ortrack.protocol import ProtocolMessage
+from ortrack.reconcile import TraceIOError
 
 MINIMAL = {
     "name": "minimal", "seed": 1, "horizon_s": 50, "rooms": ["OR-1"],
@@ -258,6 +259,13 @@ def test_trace_round_trips_through_ndjson():
     assert Trace.from_ndjson(trace.to_ndjson()) == trace
 
 
+def test_from_ndjson_rejects_torn_and_blank_lines():
+    text = run(load_bundled("clean_case")).to_ndjson()
+    for torn in (text[:-1], text + "\n", text.replace("\n", "\n{", 1)):
+        with pytest.raises(TraceIOError, match="truncated record"):
+            Trace.from_ndjson(torn)
+
+
 def test_dropped_link_diverges_from_zero_loss_replay():
     lossy = load_bundled("dropped_link")
     lossless = dataclasses.replace(lossy, bus=BusConfig(latency_s=1, drop_rate=0.0))
@@ -300,9 +308,23 @@ def test_adding_a_sensor_does_not_perturb_other_streams():
 
 def test_final_cavity_occupancy_from_trace():
     trace = run(load_bundled("sponge_in_cavity"))
-    assert kernel.cavity_occupancy(trace) == {"OR-1": {"T-4"}}
+    assert kernel.read_trace(trace).cavity == {"OR-1": {"T-4"}}
     trace = run(load_bundled("sponge_in_cavity_recovered"))
-    assert kernel.cavity_occupancy(trace) == {"OR-1": set()}
+    assert kernel.read_trace(trace).cavity == {"OR-1": set()}
+
+
+def test_read_trace_first_seen_counts_every_record_naming_a_tag():
+    scan = {"kind": "CavityScanResult", "case": "C-1", "scan": {"detected": ["C"], "passes": 2}}
+    reading = kernel.read_trace(Trace(records=[
+        {"t": 1, "type": "msg", "status": "dropped", "msg": {"payload": {"kind": "K", "tag": "A"}}},
+        {"t": 2, "type": "alert", "case": None, "kind": "K", "tags": ["B", "A"]},
+        {"t": 3, "type": "msg", "status": "delivered", "msg": {"payload": scan}},
+        {"t": 4, "type": "gt", "tag": "D", "from": {"site": "SPD", "sub": "None"},
+         "to": {"site": "OR-1", "sub": "ToolTray"}}]))
+    assert reading.first_seen == {"A": 1, "B": 2, "C": 3, "D": 4}
+    assert reading.scan_passes == {"C-1": 2}
+    assert reading.alerts == {None: [{"t": 2, "type": "alert", "case": None, "kind": "K",
+                                      "tags": ["B", "A"]}]}
 
 
 def test_belief_matches_ground_truth_under_perfect_sensing():

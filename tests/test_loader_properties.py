@@ -2,7 +2,8 @@
 
 Any JSON text given to ``load_scenario`` ends in a ``Scenario``, a
 ``ParseError`` or a ``ValidationError``. A scenario that loads runs to its
-horizon, and ``validate_trace`` accepts the trace it produces.
+horizon, ``validate_trace`` accepts the trace it produces, and
+``read_trace`` replays the same final cavity contents as the engine holds.
 """
 
 import json
@@ -12,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import scenario_text
-from ortrack.kernel import ParseError, ValidationError, load_scenario, run, validate_trace
+from ortrack.kernel import (
+    ParseError,
+    ValidationError,
+    load_scenario,
+    read_trace,
+    run,
+    validate_trace,
+)
+from ortrack.model import Location, SubLocation
 from ortrack.protocol import NODE_PRIORITY
 
 GOLDENS = sorted(path.name.removesuffix(".json") for path in
@@ -156,3 +165,17 @@ def test_generated_scenario_text_runs_to_a_valid_trace(generated):
         if record["type"] == "gt":
             at[record["tag"]] = (record["to"]["site"], record["to"]["sub"])
     assert at == final
+
+
+@given(scenario_documents())
+@settings(max_examples=100, deadline=None)
+def test_read_trace_cavity_matches_final_world_state(generated):
+    scenario = load_scenario(json.dumps(generated[0]))
+    final = {}
+    trace = run(scenario, observer=lambda time_s, world, engine: final.update(world=world))
+    cavity = read_trace(trace).cavity
+    assert set(cavity) <= set(scenario.rooms)
+    for room in scenario.rooms:
+        truth = (set(final["world"].tags_at(Location(room, SubLocation.PATIENT_CAVITY)))
+                 if final else set())
+        assert cavity.get(room, set()) == truth, room

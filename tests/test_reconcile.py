@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import load_bundled
 from ortrack import kernel
-from ortrack.kernel import run
+from ortrack.kernel import read_trace, run
 from ortrack.protocol import (
     AlertKind,
     CasePhase,
@@ -241,7 +241,7 @@ def test_locate_agrees_with_ground_truth_under_perfect_sensing():
 
 def test_report_for_recovered_retention_case():
     trace = run(load_bundled("sponge_in_cavity_recovered"))
-    report = generate_report(trace, "C-1")
+    report = generate_report(read_trace(trace), "C-1")
     criticals = [a for a in report.alerts if a["severity"] == "Critical"]
     assert len(criticals) == 1 and criticals[0]["kind"] == "RsbSuspected"
     t4 = next(row for row in report.items if row["tag_id"] == "T-4")
@@ -255,7 +255,7 @@ def test_report_empty_case():
         "name": "empty-case", "seed": 1, "horizon_s": 77, "rooms": ["OR-1"],
         "items": [], "sensors": {}, "cases": [{"case_id": "C-1", "room_id": "OR-1"}],
         "events": [], "bus": {"latency_s": 1, "drop_rate": 0.0}}))
-    report = generate_report(run(scenario), "C-1")
+    report = generate_report(read_trace(run(scenario)), "C-1")
     assert report.items == []
     assert report.duration_s == 77
 
@@ -263,15 +263,15 @@ def test_report_empty_case():
 def test_report_unknown_case():
     trace = run(load_bundled("clean_case"))
     with pytest.raises(Exception, match="unknown case"):
-        generate_report(trace, "C-404")
+        generate_report(read_trace(trace), "C-404")
 
 
 def test_report_regenerates_identically_from_store(tmp_path):
     trace = run(load_bundled("sponge_in_cavity_recovered"))
     path = tmp_path / "trace.ndjson"
     persist(trace, str(path))
-    live = generate_report(trace, "C-1")
-    stored = generate_report(load(str(path)), "C-1")
+    live = generate_report(read_trace(trace), "C-1")
+    stored = generate_report(read_trace(load(str(path))), "C-1")
     assert json.dumps(live.to_json(), sort_keys=True) == \
         json.dumps(stored.to_json(), sort_keys=True)
     assert live.to_csv() == stored.to_csv()
@@ -279,7 +279,7 @@ def test_report_regenerates_identically_from_store(tmp_path):
 
 def test_report_csv_shape():
     trace = run(load_bundled("clean_case"))
-    csv_text = generate_report(trace, "C-1").to_csv()
+    csv_text = generate_report(read_trace(trace), "C-1").to_csv()
     lines = csv_text.strip().splitlines()
     assert lines[0] == "tag_id,kind,first_seen_s,last_seen_s,final_status"
     assert len(lines) == 4  # header + three items
