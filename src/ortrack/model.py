@@ -8,6 +8,7 @@ counts and real contents diverge.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -100,6 +101,10 @@ class WorldState:
     so location exclusivity and conservation hold by construction. The
     event log is append-only; replaying it from a fresh world reproduces
     ``placements`` exactly.
+
+    ``at`` indexes each location's items as sorted ``(creation index, tag)``
+    pairs: tags stay in creation order even after an item leaves and comes
+    back, and sensing draws its random numbers in that order.
     """
 
     clock_s: int = 0
@@ -107,6 +112,8 @@ class WorldState:
     item_by_tag: dict[str, str] = field(default_factory=dict)
     placements: dict[str, Location] = field(default_factory=dict)
     log: list[GroundTruthEvent] = field(default_factory=list)
+    at: dict[Location, list[tuple[int, str]]] = field(default_factory=dict, init=False)
+    _entry: dict[str, tuple[int, str]] = field(default_factory=dict, init=False, repr=False)
 
     def create_item(self, kind: ItemKind, tag_id: str, item_id: str | None = None,
                     sterile: bool = True) -> EquipmentItem:
@@ -118,6 +125,8 @@ class WorldState:
         if item_id in self.items:
             raise DuplicateTagError(f"item id already registered: {item_id}")
         item = EquipmentItem(item_id=item_id, tag_id=tag_id, kind=kind, sterile=sterile)
+        entry = self._entry[item_id] = (len(self.items), tag_id)
+        self.at.setdefault(Location(EQUIPMENT_ROOM), []).append(entry)
         self.items[item_id] = item
         self.item_by_tag[tag_id] = item_id
         self.placements[item_id] = Location(EQUIPMENT_ROOM)
@@ -134,14 +143,16 @@ class WorldState:
         if event.time_s < self.clock_s:
             raise InconsistentMoveError(
                 f"event at t={event.time_s} is before clock t={self.clock_s}")
+        entry, old = self._entry[event.item_id], self.at[current]
+        del old[bisect_left(old, entry)]
+        insort(self.at.setdefault(event.dst, []), entry)
         self.placements[event.item_id] = event.dst
         self.clock_s = event.time_s
         self.log.append(event)
 
     def tags_at(self, location: Location) -> list[str]:
-        """Tags of all items currently at exactly ``location``, in creation order."""
-        return [self.items[i].tag_id
-                for i, loc in self.placements.items() if loc == location]
+        """Tags of all items at exactly ``location``, in creation order (one lookup)."""
+        return [tag for _, tag in self.at.get(location, ())]
 
 
 def replay(items: list[EquipmentItem], log: list[GroundTruthEvent]) -> WorldState:

@@ -420,10 +420,15 @@ def _sweep(state: MtcState, detected: set[str], now: int, status: TagStatus) -> 
     if state.case.phase is CasePhase.COMPLETE:
         raise StaleCaseError(f"case {state.case.case_id} already complete")
     out = Outputs()
+    entries = state.case.checklist.entries
     for tag in sorted(detected):
-        _add_or_reactivate(state, tag, status, now, out)
-        state.case.checklist.entries[tag].status = status
-    for tag, entry in state.case.checklist.entries.items():
+        entry = entries.get(tag)
+        if entry is None or entry.status is TagStatus.REMOVED_FROM_OR:
+            _add_or_reactivate(state, tag, status, now, out)
+        else:  # already active: _add_or_reactivate's no-op branch, inline
+            entry.last_seen_s = now
+            entry.status = status
+    for tag, entry in entries.items():
         if entry.status is status and tag not in detected:
             entry.status = TagStatus.IN_USE
     return out

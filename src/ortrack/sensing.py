@@ -118,15 +118,19 @@ def read_tags(sensor_id: str,
               ) -> list[TagReadEvent]:
     """One read cycle: each in-range candidate is seen independently.
 
-    ``candidates`` pairs each tag with its distance to the reader.
-    Raises SensorDownError if ``now_s`` falls inside a scheduled outage.
+    ``candidates`` pairs each tag with its distance to the reader; each one
+    takes one draw, in order, in range or not. Raises SensorDownError if
+    ``now_s`` falls inside a scheduled outage.
     """
     raise_if_down(sensor_id, outages, now_s)
+    draw, p_detect, range_m = rng.random, model.p_detect, model.range_m
     events = []
     for tag_id, distance_m in candidates:
-        if rng.random() < detect_probability(distance_m, model):
+        if draw() < p_detect and 0 <= distance_m <= range_m:
             events.append(TagReadEvent(time_s=now_s, sensor_id=sensor_id,
                                        tag_id=tag_id, read_kind=read_kind))
+        elif distance_m < 0:
+            raise InvalidParamError(f"distance_m must be nonnegative, got {distance_m}")
     return events
 
 

@@ -75,8 +75,9 @@ def test_sub_location_only_in_operating_room():
     assert Location("OR-3", SubLocation.TRASH_BIN).sub is SubLocation.TRASH_BIN
 
 
-# A little walk machine for the replay property: at each step some item
-# moves to a random location different from its current one.
+# A little walk machine for the replay and index properties: at each step
+# some item moves to a random spot, or back to where it was before its last
+# move, so items leave locations and come back to them.
 
 _SPOTS = [Location(EQUIPMENT_ROOM), Location("SPD"),
           Location("OR-1", SubLocation.TOOL_TRAY),
@@ -85,36 +86,50 @@ _SPOTS = [Location(EQUIPMENT_ROOM), Location("SPD"),
           Location("OR-1", SubLocation.STAFF_CARRIED),
           Location("OR-1", SubLocation.ROOM_SPACE)]
 
+_WALKS = (st.integers(1, 6),
+          st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40))
 
-def _walk(n_items: int, steps: list[tuple[int, int]]) -> WorldState:
+
+def _scan(world: WorldState, location: Location) -> list[str]:
+    """``tags_at`` as a scan of every placement: the index must agree with it."""
+    return [world.items[i].tag_id for i, loc in world.placements.items() if loc == location]
+
+
+def _walk(n_items: int, steps: list[tuple[int, int]], after_step=None) -> WorldState:
     world = WorldState()
     for i in range(n_items):
         world.create_item(ItemKind.INSTRUMENT, f"T-{i}")
+    previous: dict[str, Location] = {}
     clock = 0
     for item_idx, spot_idx in steps:
         item = world.items[f"item-{(item_idx % n_items) + 1}"]
         src = world.placements[item.item_id]
-        dst = _SPOTS[spot_idx % len(_SPOTS)]
+        if spot_idx < len(_SPOTS):
+            dst = _SPOTS[spot_idx]
+        else:
+            dst = previous.get(item.item_id, _SPOTS[0])
         if dst == src:
             continue
         clock += 1
         world.apply_ground_truth(GroundTruthEvent(
             time_s=clock, item_id=item.item_id, src=src, dst=dst,
             cause=MoveCause.STAFF_MOVE))
+        previous[item.item_id] = src
+        if after_step is not None:
+            after_step(world, item.item_id)
     return world
 
 
-@given(st.integers(1, 4),
-       st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40))
+@given(*_WALKS)
 @settings(max_examples=200)
 def test_replay_reproduces_placements(n_items, steps):
     world = _walk(n_items, steps)
     replayed = replay(list(world.items.values()), world.log)
     assert replayed.placements == world.placements
+    assert [replayed.tags_at(s) for s in _SPOTS] == [world.tags_at(s) for s in _SPOTS]
 
 
-@given(st.integers(1, 4),
-       st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40))
+@given(*_WALKS)
 @settings(max_examples=200)
 def test_conservation_of_items(n_items, steps):
     world = _walk(n_items, steps)
@@ -124,3 +139,45 @@ def test_conservation_of_items(n_items, steps):
     for loc in world.placements.values():
         counts[loc] = counts.get(loc, 0) + 1
     assert sum(counts.values()) == n_items
+
+
+@given(*_WALKS)
+@settings(max_examples=200)
+def test_tags_at_index_matches_scan_and_survives_rejected_moves(n_items, steps):
+    def check(world: WorldState, item_id: str) -> None:
+        before = [world.tags_at(s) for s in _SPOTS]
+        assert before == [_scan(world, s) for s in _SPOTS]
+        src = world.placements[item_id]
+        wrong_src = next(s for s in _SPOTS if s != src)
+        dst = next(s for s in _SPOTS if s not in (src, wrong_src))
+        for bad in (GroundTruthEvent(time_s=world.clock_s, item_id=item_id,
+                                     src=wrong_src, dst=dst, cause=MoveCause.STAFF_MOVE),
+                    GroundTruthEvent(time_s=world.clock_s - 1, item_id=item_id,
+                                     src=src, dst=dst, cause=MoveCause.STAFF_MOVE)):
+            with pytest.raises(InconsistentMoveError):
+                world.apply_ground_truth(bad)
+            assert [world.tags_at(s) for s in _SPOTS] == before
+
+    world = _walk(n_items, steps, after_step=check)
+    assert [world.tags_at(s) for s in _SPOTS] == [_scan(world, s) for s in _SPOTS]
+
+
+def test_tags_at_cost_does_not_grow_with_item_count(monkeypatch):
+    """One read of a location compares locations a constant number of times."""
+    world = WorldState()
+    for i in range(10_000):
+        world.create_item(ItemKind.CONSUMABLE, f"T-{i}")
+    tray = Location("OR-1", SubLocation.TOOL_TRAY)
+    world.apply_ground_truth(GroundTruthEvent(
+        time_s=1, item_id="item-5000", src=Location(EQUIPMENT_ROOM), dst=tray,
+        cause=MoveCause.STAFF_MOVE))
+    calls = []
+    original = Location.__eq__
+
+    def counting_eq(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Location, "__eq__", counting_eq)
+    assert world.tags_at(Location("OR-1", SubLocation.TOOL_TRAY)) == ["T-4999"]
+    assert len(calls) <= 2

@@ -89,6 +89,22 @@ def test_read_tags_deterministic_per_seed():
     assert a == b
 
 
+def test_read_tags_draws_once_per_candidate_in_range_or_not():
+    model = SensorModel(range_m=0.9, p_detect=0.8)
+    cands = [(f"T-{i}", d) for i, d in enumerate([0.0, 2.5, 0.9, 0.91, 1.0, 0.3] * 20)]
+    rng, twin = random.Random(7), random.Random(7)
+    events = read_tags("s", model, cands, rng)
+    draws = [twin.random() for _ in cands]
+    assert rng.getstate() == twin.getstate()
+    assert [e.tag_id for e in events] == [
+        tag for (tag, d), r in zip(cands, draws) if d <= 0.9 and r < 0.8]
+
+
+def test_read_tags_rejects_negative_distance():
+    with pytest.raises(InvalidParamError):
+        read_tags("s", SensorModel(), [("T-1", 0.0), ("T-2", -0.1)], random.Random(1))
+
+
 def test_read_tags_raises_when_down():
     with pytest.raises(SensorDownError):
         read_tags("s", SensorModel(), [("T-1", 0.0)], random.Random(1),
