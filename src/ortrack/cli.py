@@ -149,21 +149,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     weights = decision.qfd_weights(qfd)
     top = decision.select_top_k(weights, min(args.top_k, len(weights)))
 
-    concepts, criteria, values = decision.load_matrix_csv(scores_text, "concept")
-    if criteria != qfd.characteristics:
-        raise decision.DimensionMismatchError(
-            "score columns do not match the correlation characteristics")
-    matrix = decision.PughMatrix(
-        concepts=concepts, criteria=criteria, mode=decision.PughMode.WEIGHTED,
-        scores=dict(zip(concepts, values)),
-        weights=[weights[c] for c in criteria])
-    ranking = decision.pugh_rank(matrix)
+    ranking = decision.pugh_rank(decision.weighted_matrix_from_csv(scores_text, weights))
 
     plot = None
     if args.qualitative:
         with open(args.qualitative) as handle:
-            q_concepts, _, q_values = decision.load_matrix_csv(handle.read(), "concept")
-        qualitative = {c: sum(row) for c, row in zip(q_concepts, q_values)}
+            qualitative = decision.qualitative_totals_from_csv(handle.read())
         plot = [[c, x, y] for c, x, y
                 in decision.two_axis_plot_data(dict(ranking), qualitative)]
 

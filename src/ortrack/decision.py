@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -264,6 +265,13 @@ def risk_score(item: RiskItem) -> tuple[int, str]:
 # CSV ingestion
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise DimensionMismatchError(f"expected a finite number, got {text.strip()!r}")
+    return value
+
+
 def load_needs_csv(text: str) -> list[tuple[str, float]]:
     """Rows of (need, importance); header required."""
     reader = csv.reader(io.StringIO(text))
@@ -274,7 +282,9 @@ def load_needs_csv(text: str) -> list[tuple[str, float]]:
     for row in reader:
         if not row or not row[0].strip():
             continue
-        needs.append((row[0].strip(), float(row[1])))
+        if len(row) < 2:
+            raise DimensionMismatchError(f"need {row[0].strip()!r} has no importance")
+        needs.append((row[0].strip(), _finite(row[1])))
     return needs
 
 
@@ -294,7 +304,7 @@ def load_matrix_csv(text: str, corner: str) -> tuple[list[str], list[str], list[
                 f"{corner} CSV row {row[0]!r} has {len(row) - 1} values, "
                 f"expected {len(columns)}")
         rows.append(row[0].strip())
-        values.append([float(v) for v in row[1:]])
+        values.append([_finite(v) for v in row[1:]])
     return rows, columns, values
 
 
@@ -307,7 +317,8 @@ def qfd_from_csv(needs_text: str, correlation_text: str) -> QfdInput:
         raise DimensionMismatchError(
             "correlation rows do not match the declared needs")
     ordered_needs = [(name, by_name[name]) for name in row_names]
-    correlation = [[int(v) for v in row] for row in values]
+    # a fractional entry stays a float, so QfdInput rejects it as off the scale
+    correlation = [[int(v) if v.is_integer() else v for v in row] for row in values]
     return QfdInput(needs=ordered_needs, characteristics=characteristics,
                     correlation=correlation)
 
@@ -331,16 +342,26 @@ def load_example_qfd() -> QfdInput:
                         _data_text("concept_eval/correlation.csv"))
 
 
-def load_example_scores() -> PughMatrix:
-    """Weighted-mode matrix for the three finalist concepts."""
-    concepts, criteria, values = load_matrix_csv(
-        _data_text("concept_eval/scores.csv"), "concept")
-    weights_by_name = qfd_weights(load_example_qfd())
-    if criteria != list(weights_by_name):
+def weighted_matrix_from_csv(scores_text: str, weights: dict[str, float]) -> PughMatrix:
+    """Weighted-mode matrix from a concepts-by-characteristics scores file."""
+    concepts, criteria, values = load_matrix_csv(scores_text, "concept")
+    if criteria != list(weights):
         raise DimensionMismatchError("score columns do not match the QFD characteristics")
     return PughMatrix(concepts=concepts, criteria=criteria, mode=PughMode.WEIGHTED,
                       scores=dict(zip(concepts, values)),
-                      weights=[weights_by_name[c] for c in criteria])
+                      weights=[weights[c] for c in criteria])
+
+
+def qualitative_totals_from_csv(text: str) -> dict[str, float]:
+    """Equal-weight qualitative totals: each concept's row sum."""
+    concepts, _criteria, values = load_matrix_csv(text, "concept")
+    return {c: sum(row) for c, row in zip(concepts, values)}
+
+
+def load_example_scores() -> PughMatrix:
+    """Weighted-mode matrix for the three finalist concepts."""
+    return weighted_matrix_from_csv(_data_text("concept_eval/scores.csv"),
+                                    qfd_weights(load_example_qfd()))
 
 
 def load_example_screening() -> PughMatrix:
@@ -354,9 +375,7 @@ def load_example_screening() -> PughMatrix:
 
 def load_example_qualitative() -> dict[str, float]:
     """Equal-weight qualitative totals for the finalist concepts."""
-    concepts, _criteria, values = load_matrix_csv(
-        _data_text("concept_eval/qualitative.csv"), "concept")
-    return {c: sum(row) for c, row in zip(concepts, values)}
+    return qualitative_totals_from_csv(_data_text("concept_eval/qualitative.csv"))
 
 
 def load_example_morphology() -> MorphMatrix:

@@ -52,7 +52,7 @@ from .protocol import (
     room_sensor_on_reads,
     spd_acknowledge,
 )
-from .sensing import ReadKind, ScanRegion, ScanResult, SensorDownError, SensorModel
+from .sensing import ScanRegion, ScanResult, SensorDownError, SensorModel
 
 
 class ParseError(Exception):
@@ -100,10 +100,10 @@ _MOVE_RULES = {
 }
 EVENT_KINDS = {"announce_closing", "spd_ack", *_MOVE_RULES}
 
-#: Cart antenna -> (sub-location it covers, read kind, name of its sweep
-#: handler in ``protocol``, looked up at call time).
-_ANTENNAS = {"tray": (SubLocation.TOOL_TRAY, ReadKind.TRAY, "mtc_tray_sweep"),
-             "bin": (SubLocation.TRASH_BIN, ReadKind.BIN, "mtc_bin_sweep")}
+#: Cart antenna -> (sub-location it covers, name of its sweep handler in
+#: ``protocol``, looked up at call time).
+_ANTENNAS = {"tray": (SubLocation.TOOL_TRAY, "mtc_tray_sweep"),
+             "bin": (SubLocation.TRASH_BIN, "mtc_bin_sweep")}
 
 
 def stream_seed(seed: int, name: str) -> int:
@@ -517,24 +517,22 @@ class _Engine:
 
     # -- sensing hooks
 
-    def _read(self, sensor_id: str, candidates: list[tuple[str, float]],
-              read_kind: ReadKind, case_id: str | None, now: int) -> list | None:
-        """One read cycle; None, with a SensorDown alert, if the reader is down."""
+    def _read(self, sensor_id: str, candidates: list[str], case_id: str | None,
+              now: int, distance_m: float = 0.0) -> list[str] | None:
+        """The tags one read cycle saw; None, with a SensorDown alert, if the reader is down."""
         try:
             return sensing.read_tags(sensor_id, self._sensor_model(sensor_id), candidates,
-                                     self._rng(f"sensor:{sensor_id}"), now_s=now,
-                                     read_kind=read_kind,
-                                     outages=self.outages.get(sensor_id, ()))
+                                     self._rng(f"sensor:{sensor_id}"), now,
+                                     self.outages.get(sensor_id, ()), distance_m)
         except SensorDownError as exc:
             self._sensor_down(exc, case_id, now)
             return None
 
     def _entrance_read(self, site: str, tag: str, distance_m: float, now: int) -> None:
-        reads = self._read(f"entrance:{site}", [(tag, distance_m)],
-                           ReadKind.ROOM_ENTRANCE, None, now)
+        reads = self._read(f"entrance:{site}", [tag], None, now, distance_m)
         if reads is None:
             return
-        for message in room_sensor_on_reads(self.room_sensors[site], reads):
+        for message in room_sensor_on_reads(self.room_sensors[site], reads, now):
             self._send(message, now)
 
     def _sweep(self, room: str, which: str, now: int) -> None:
@@ -544,16 +542,15 @@ class _Engine:
         detected = self._antenna_read(room, which, now)
         if detected is None:
             return
-        handler = getattr(protocol, _ANTENNAS[which][2])
+        handler = getattr(protocol, _ANTENNAS[which][1])
         self._emit(handler(mtc, detected, now), mtc.case.case_id, now)
 
     def _antenna_read(self, room: str, which: str, now: int) -> set[str] | None:
         """Read everything physically on the tray/bin antenna; None if it is down."""
-        sub, read_kind, _ = _ANTENNAS[which]
-        candidates = [(tag, 0.0) for tag in self.world.tags_at(Location(room, sub))]
-        reads = self._read(f"{which}:{room}", candidates, read_kind,
+        reads = self._read(f"{which}:{room}",
+                           self.world.tags_at(Location(room, _ANTENNAS[which][0])),
                            self.mtcs[room].case.case_id, now)
-        return None if reads is None else {r.tag_id for r in reads}
+        return None if reads is None else set(reads)
 
     # -- staff/world event handling
 
@@ -630,8 +627,7 @@ class _Engine:
         except SensorDownError as exc:
             self._sensor_down(exc, case_id, now)
             return
-        cavity = [(tag, 0.0)
-                  for tag in self.world.tags_at(Location(room, SubLocation.PATIENT_CAVITY))]
+        cavity = self.world.tags_at(Location(room, SubLocation.PATIENT_CAVITY))
         scan = sensing.med_scan(ScanRegion.PATIENT_CAVITY, cavity,
                                 self.mtcs[room].scan_passes,
                                 self._sensor_model(sensor_id),
@@ -789,13 +785,3 @@ def read_trace(trace: Trace) -> TraceReading:
             reading.meta = record
             room_by_case = {case["case_id"]: case["room_id"] for case in record["cases"]}
     return reading
-
-
-def reconciled_with_retained_item(trace: Trace) -> bool:
-    """True if any case passed reconciliation while the cavity really held an item."""
-    return CasePhase.RECONCILED.value in read_trace(trace).retained_at
-
-
-def completed_with_retained_item(trace: Trace) -> bool:
-    """True if any case completed while the cavity really held an item."""
-    return CasePhase.COMPLETE.value in read_trace(trace).retained_at

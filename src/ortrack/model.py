@@ -98,9 +98,7 @@ class WorldState:
     """Mutable ground truth owned by the simulation kernel.
 
     ``placements`` maps every registered item to exactly one location,
-    so location exclusivity and conservation hold by construction. The
-    event log is append-only; replaying it from a fresh world reproduces
-    ``placements`` exactly.
+    so location exclusivity and conservation hold by construction.
 
     ``at`` indexes each location's items as sorted ``(creation index, tag)``
     pairs: tags stay in creation order even after an item leaves and comes
@@ -111,7 +109,6 @@ class WorldState:
     items: dict[str, EquipmentItem] = field(default_factory=dict)
     item_by_tag: dict[str, str] = field(default_factory=dict)
     placements: dict[str, Location] = field(default_factory=dict)
-    log: list[GroundTruthEvent] = field(default_factory=list)
     at: dict[Location, list[tuple[int, str]]] = field(default_factory=dict, init=False)
     _entry: dict[str, tuple[int, str]] = field(default_factory=dict, init=False, repr=False)
 
@@ -133,7 +130,7 @@ class WorldState:
         return item
 
     def apply_ground_truth(self, event: GroundTruthEvent) -> None:
-        """Move an item, validating against current placement, and log it."""
+        """Move an item, validating against current placement."""
         current = self.placements.get(event.item_id)
         if current is None:
             raise InconsistentMoveError(f"unknown item: {event.item_id}")
@@ -148,18 +145,7 @@ class WorldState:
         insort(self.at.setdefault(event.dst, []), entry)
         self.placements[event.item_id] = event.dst
         self.clock_s = event.time_s
-        self.log.append(event)
 
     def tags_at(self, location: Location) -> list[str]:
         """Tags of all items at exactly ``location``, in creation order (one lookup)."""
         return [tag for _, tag in self.at.get(location, ())]
-
-
-def replay(items: list[EquipmentItem], log: list[GroundTruthEvent]) -> WorldState:
-    """Rebuild a world from scratch by re-applying an event log."""
-    world = WorldState()
-    for item in items:
-        world.create_item(item.kind, item.tag_id, item.item_id, item.sterile)
-    for event in log:
-        world.apply_ground_truth(event)
-    return world

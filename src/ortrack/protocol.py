@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .sensing import ScanResult, TagReadEvent
+from .sensing import ScanResult
 
 CMS_NODE = "CMS"
 SPD_NODE = "SPD"
@@ -211,24 +211,24 @@ class RoomSensorState:
         return f"RS:{self.room_id}"
 
 
-def room_sensor_on_reads(state: RoomSensorState,
-                         reads: list[TagReadEvent]) -> list[ProtocolMessage]:
-    """Turn entrance reads into crossing reports for the central service.
+def room_sensor_on_reads(state: RoomSensorState, tags: list[str],
+                         now: int) -> list[ProtocolMessage]:
+    """Turn the tags an entrance read saw at ``now`` into crossing reports.
 
     Direction is inferred from the believed side of the entrance: a read of
     a tag believed outside means it came in, and vice versa.
     """
     messages = []
-    for read in reads:
-        if read.tag_id in state.believed_inside:
+    for tag in tags:
+        if tag in state.believed_inside:
             direction = "out"
-            state.believed_inside.discard(read.tag_id)
+            state.believed_inside.discard(tag)
         else:
             direction = "in"
-            state.believed_inside.add(read.tag_id)
+            state.believed_inside.add(tag)
         messages.append(ProtocolMessage(
-            time_s=read.time_s, from_node=state.node_id, to_node=CMS_NODE,
-            payload={"kind": "RoomCrossing", "tag": read.tag_id,
+            time_s=now, from_node=state.node_id, to_node=CMS_NODE,
+            payload={"kind": "RoomCrossing", "tag": tag,
                      "room": state.room_id, "direction": direction}))
     return messages
 

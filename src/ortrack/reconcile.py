@@ -62,14 +62,6 @@ class ReconciliationReport:
     cavity_detected: frozenset[str]
     outcome: Outcome
 
-    def to_json(self) -> dict:
-        return {"case_id": self.case_id,
-                "expected": sorted(self.expected),
-                "accounted": sorted(self.accounted),
-                "missing": sorted(self.missing),
-                "cavity_detected": sorted(self.cavity_detected),
-                "outcome": self.outcome.value}
-
 
 def reconcile(checklist, tray_reads: set[str], bin_reads: set[str],
               scan: ScanResult) -> ReconciliationReport:

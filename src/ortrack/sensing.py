@@ -3,8 +3,14 @@
 All functions are pure given an explicit random stream, so independent
 Monte Carlo runs can share nothing. The detection model is a step
 function: a constant per-read success probability inside the detection
-radius, zero outside. Reader outages are drawn from an exponential
-failure process and last a fixed repair time.
+radius, zero outside; ``detect_probability`` is its only statement.
+Reader outages are drawn from an exponential failure process and last a
+fixed repair time.
+
+A read answers one question per tag: seen or missed. ``read_tags`` and
+``med_scan`` take tag ids that all sit at one distance from the reader and
+return the tags seen; each candidate takes its draws in order, whether it
+is in range or not.
 """
 
 from __future__ import annotations
@@ -35,13 +41,6 @@ class SensorDownError(Exception):
     """A read was attempted during a reader outage."""
 
 
-class ReadKind(Enum):
-    ROOM_ENTRANCE = "RoomEntrance"
-    TRAY = "Tray"
-    BIN = "Bin"
-    MED_SCAN = "MedScan"
-
-
 class ScanRegion(Enum):
     PATIENT_CAVITY = "PatientCavity"
 
@@ -68,14 +67,6 @@ class SensorModel:
             raise InvalidParamError(f"mtbf_s must be positive, got {self.mtbf_s}")
         if not self.mttr_s >= 0:
             raise InvalidParamError(f"mttr_s must be nonnegative, got {self.mttr_s}")
-
-
-@dataclass(frozen=True)
-class TagReadEvent:
-    time_s: int
-    sensor_id: str
-    tag_id: str
-    read_kind: ReadKind
 
 
 @dataclass(frozen=True)
@@ -110,35 +101,29 @@ def raise_if_down(sensor_id: str, outages: list[tuple[float, float]], now_s: flo
 
 def read_tags(sensor_id: str,
               model: SensorModel,
-              candidates: list[tuple[str, float]],
+              candidates: list[str],
               rng: random.Random,
               now_s: int = 0,
-              read_kind: ReadKind = ReadKind.ROOM_ENTRANCE,
               outages: list[tuple[float, float]] = (),
-              ) -> list[TagReadEvent]:
-    """One read cycle: each in-range candidate is seen independently.
+              distance_m: float = 0.0,
+              ) -> list[str]:
+    """One read cycle: the tags seen, in candidate order.
 
-    ``candidates`` pairs each tag with its distance to the reader; each one
-    takes one draw, in order, in range or not. Raises SensorDownError if
-    ``now_s`` falls inside a scheduled outage.
+    Every candidate is ``distance_m`` from the reader and takes one draw,
+    in order, in range or not. Raises SensorDownError if ``now_s`` falls
+    inside a scheduled outage.
     """
     raise_if_down(sensor_id, outages, now_s)
-    draw, p_detect, range_m = rng.random, model.p_detect, model.range_m
-    events = []
-    for tag_id, distance_m in candidates:
-        if draw() < p_detect and 0 <= distance_m <= range_m:
-            events.append(TagReadEvent(time_s=now_s, sensor_id=sensor_id,
-                                       tag_id=tag_id, read_kind=read_kind))
-        elif distance_m < 0:
-            raise InvalidParamError(f"distance_m must be nonnegative, got {distance_m}")
-    return events
+    draw, p = rng.random, detect_probability(distance_m, model)
+    return [tag_id for tag_id in candidates if draw() < p]
 
 
 def med_scan(region: ScanRegion,
-             candidates: list[tuple[str, float]],
+             candidates: list[str],
              passes: int,
              model: SensorModel,
-             rng: random.Random) -> ScanResult:
+             rng: random.Random,
+             distance_m: float = 0.0) -> ScanResult:
     """Sweep a region with the handheld detector.
 
     A tag is detected iff at least one of ``passes`` independent reads
@@ -148,16 +133,11 @@ def med_scan(region: ScanRegion,
     """
     if passes < 1:
         raise InvalidParamError("passes must be >= 1")
-    detected = set()
-    for tag_id, distance_m in candidates:
-        p = detect_probability(distance_m, model)
-        hit = False
-        for _ in range(passes):
-            if rng.random() < p:
-                hit = True
-        if hit:
-            detected.add(tag_id)
-    return ScanResult(region=region, detected=frozenset(detected), passes=passes)
+    draw, p = rng.random, detect_probability(distance_m, model)
+    # the list takes every pass's draw before any() looks at it
+    detected = frozenset(tag_id for tag_id in candidates
+                         if any([draw() < p for _ in range(passes)]))
+    return ScanResult(region=region, detected=detected, passes=passes)
 
 
 def availability(mtbf_s: float, mttr_s: float) -> float:

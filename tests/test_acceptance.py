@@ -57,8 +57,9 @@ def test_1_rsb_safety_under_perfect_sensing():
         for seed in range(1000):
             scenario = random_scenario(seed, p_detect=1.0, drop_rate=0.0)
             trace = run(scenario)
-            assert not kernel.completed_with_retained_item(trace), f"seed {seed}"
-            assert not kernel.reconciled_with_retained_item(trace), f"seed {seed}"
+            retained_at = kernel.read_trace(trace).retained_at
+            assert CasePhase.COMPLETE.value not in retained_at, f"seed {seed}"
+            assert CasePhase.RECONCILED.value not in retained_at, f"seed {seed}"
             for record in trace.records:
                 if record["type"] == "phase" and record["to"] == "Complete":
                     completes += 1
@@ -80,7 +81,7 @@ def test_2_scan_miss_rate_calibration():
             for k in (1, 2, 3):
                 expected = (1 - p) ** k
                 model = SensorModel(p_detect=p)
-                candidates = [(f"T-{i}", 0.0) for i in range(n)]
+                candidates = [f"T-{i}" for i in range(n)]
                 scan = med_scan(ScanRegion.PATIENT_CAVITY, candidates, k, model, rng)
                 miss = (n - len(scan.detected)) / n
                 sigma = math.sqrt(expected * (1 - expected) / n)

@@ -1,8 +1,10 @@
-"""The benchmark's tracing hooks still resolve and leave outputs unchanged.
+"""The benchmark's tracing hooks still resolve, count and leave outputs unchanged.
 
-``bench/tracing.py`` wraps ortrack functions by module attribute name. A
-rename, or a call that bypasses the module attribute, would break the
-benchmark's per-layer run; this test fails first.
+``bench/tracing.py`` wraps ortrack functions by module attribute name and
+counts read candidates and hits from their arguments and results. A rename,
+a call that bypasses the module attribute, or a read that changes its
+arguments or its draws would break the benchmark's per-layer run; these
+tests fail first.
 """
 
 import os
@@ -40,3 +42,20 @@ def test_traced_run_matches_untraced_and_uninstall_restores():
     called_by_run = {name for parent, name in tracer.edges if parent == "kernel.run"}
     assert [name for name in ENGINE_CALLS if name not in called_by_run] == []
     assert all(owner.__dict__[attr] is original for owner, attr, original in originals)
+
+
+def test_traced_run_counts_reads():
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        kernel.run(load_bundled("cavity_retention"))
+    finally:
+        tracer.uninstall()
+
+    def calls(name):
+        return sum(edge[0] for (_, callee), edge in tracer.edges.items() if callee == name)
+
+    counts = tracer.counts
+    assert (calls("sensing.read_tags"), counts["sensing.read_tags.candidates"],
+            counts["sensing.read_tags.hits"], counts["sensing.read_tags.down"]) == (14, 9, 7, 0)
+    assert (calls("sensing.med_scan"), counts["sensing.med_scan.detected"]) == (1, 1)

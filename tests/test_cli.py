@@ -201,6 +201,32 @@ def test_eval_mismatched_columns_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("needs, correlation, scores", [
+    pytest.param("need,importance\nsafety\n", "need,c1\nsafety,9\n", "concept,c1\nsolo,4\n",
+                 id="needs-row-without-importance"),
+    pytest.param("need,importance\nsafety,5\n", "need,c1\nsafety,9.7\n", "concept,c1\nsolo,4\n",
+                 id="fractional-correlation"),
+    pytest.param("need,importance\nsafety,nan\n", "need,c1\nsafety,9\n", "concept,c1\nsolo,4\n",
+                 id="nan-importance"),
+    pytest.param("need,importance\nsafety,inf\n", "need,c1\nsafety,9\n", "concept,c1\nsolo,4\n",
+                 id="inf-importance"),
+    pytest.param("need,importance\nsafety,5\n", "need,c1\nsafety,9\n", "concept,c1\nsolo,nan\n",
+                 id="nan-score"),
+    pytest.param("need,importance\nsafety,5\n", "need,c1\nsafety,9\n", "concept,c1\nsolo,inf\n",
+                 id="inf-score"),
+])
+def test_eval_malformed_csv_is_an_input_error(tmp_path, capsys, needs, correlation, scores):
+    paths = []
+    for name, text in (("needs", needs), ("correlation", correlation), ("scores", scores)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        paths.append(str(path))
+    assert main(["eval", *paths]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and "Traceback" not in captured.err
+
+
 def test_eval_reproducible(tmp_path, capsys):
     args = ["eval", concept_path("needs.csv"), concept_path("correlation.csv"),
             concept_path("scores.csv")]

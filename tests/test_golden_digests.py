@@ -1,4 +1,4 @@
-"""Byte-level pins: golden traces, reports, run summaries and the Monte Carlo summary.
+"""Byte-level pins: golden traces, reports, run summaries, the Monte Carlo and eval outputs.
 
 A refactor must leave these digests alone. A change that alters a trace or
 a summary on purpose re-pins the affected digests here and names them in
@@ -85,6 +85,10 @@ REPORT_DIGESTS = {
         "3c73a5acf4df02ec1aa5b03fbbaf18c132a73b8697e2454870865ef6dc17d9d5"),
 }
 
+#: sha256 of ``eval``'s stdout on the bundled needs, correlation, scores and
+#: qualitative CSVs.
+EVAL_DIGEST = "833c0b067511c94540033cd2fea6c1402b2387d7b997f9f355dc58933e73a6ec"
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -116,3 +120,11 @@ def test_golden_report_and_summary_digests(name, tmp_path):
         text = "".join((tmp_path / f"report_{spec.case_id}.{suffix}").read_text()
                        for spec in scenario.cases)
         assert _sha256(text) == digest, suffix
+
+
+def test_eval_output_digest(capsys):
+    concepts = os.path.join(os.path.dirname(kernel.__file__), "data", "concept_eval")
+    paths = [os.path.join(concepts, f"{name}.csv")
+             for name in ("needs", "correlation", "scores", "qualitative")]
+    assert main(["eval", *paths[:3], "--qualitative", paths[3]]) == 0
+    assert _sha256(capsys.readouterr().out) == EVAL_DIGEST

@@ -1,9 +1,11 @@
-"""Ground-truth world: registration, movement, replay round trip."""
+"""Ground-truth world: registration, movement, rebuilding it from a trace."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import load_bundled, random_scenario
+from ortrack.kernel import run
 from ortrack.model import (
     EQUIPMENT_ROOM,
     DuplicateTagError,
@@ -14,8 +16,10 @@ from ortrack.model import (
     MoveCause,
     SubLocation,
     WorldState,
-    replay,
 )
+
+GOLDENS = ("clean_case", "sponge_in_cavity", "sponge_in_cavity_recovered",
+           "pocket_carry", "new_equipment", "dropped_link", "cavity_retention")
 
 
 def test_create_item_starts_in_equipment_room():
@@ -75,7 +79,7 @@ def test_sub_location_only_in_operating_room():
     assert Location("OR-3", SubLocation.TRASH_BIN).sub is SubLocation.TRASH_BIN
 
 
-# A little walk machine for the replay and index properties: at each step
+# A little walk machine for the index properties: at each step
 # some item moves to a random spot, or back to where it was before its last
 # move, so items leave locations and come back to them.
 
@@ -120,13 +124,37 @@ def _walk(n_items: int, steps: list[tuple[int, int]], after_step=None) -> WorldS
     return world
 
 
-@given(*_WALKS)
-@settings(max_examples=200)
-def test_replay_reproduces_placements(n_items, steps):
-    world = _walk(n_items, steps)
-    replayed = replay(list(world.items.values()), world.log)
-    assert replayed.placements == world.placements
-    assert [replayed.tags_at(s) for s in _SPOTS] == [world.tags_at(s) for s in _SPOTS]
+def _location(obj: dict) -> Location:
+    return Location(obj["site"], SubLocation(obj["sub"]))
+
+
+def _rebuild(trace) -> WorldState:
+    """A fresh world given the trace's ``meta`` items, then moved by its ``gt`` records."""
+    world = WorldState()
+    for record in trace.records:
+        if record["type"] == "meta":
+            for item in record["items"]:
+                world.create_item(ItemKind(item["kind"]), item["tag"], item["item_id"])
+        elif record["type"] == "gt":
+            world.apply_ground_truth(GroundTruthEvent(
+                time_s=record["t"], item_id=world.item_by_tag[record["tag"]],
+                src=_location(record["from"]), dst=_location(record["to"]),
+                cause=MoveCause(record["cause"])))
+    return world
+
+
+def test_trace_rebuilds_final_world():
+    """The trace is the move log: replaying it gives the engine's final world."""
+    scenarios = [load_bundled(name) for name in GOLDENS] + [random_scenario(s)
+                                                            for s in range(50)]
+    for scenario in scenarios:
+        final = {}
+        trace = run(scenario, observer=lambda time_s, world, engine: final.update(world=world))
+        assert final, scenario.name
+        world, rebuilt = final["world"], _rebuild(trace)
+        assert rebuilt.placements == world.placements, scenario.name
+        for location in set(world.at) | set(rebuilt.at):
+            assert rebuilt.tags_at(location) == world.tags_at(location), scenario.name
 
 
 @given(*_WALKS)

@@ -26,14 +26,6 @@ from ortrack.protocol import (
     room_sensor_on_reads,
     spd_acknowledge,
 )
-from ortrack.sensing import ReadKind, TagReadEvent
-
-
-def read(tag, t=0, room="OR-1"):
-    return TagReadEvent(time_s=t, sensor_id=f"entrance:{room}", tag_id=tag,
-                        read_kind=ReadKind.ROOM_ENTRANCE)
-
-
 def crossing(tag, direction, room="OR-1", t=0):
     return ProtocolMessage(time_s=t, from_node=f"RS:{room}", to_node="CMS",
                            payload={"kind": "RoomCrossing", "tag": tag,
@@ -57,14 +49,15 @@ def fresh_mtc(case="C-1", room="OR-1"):
 
 def test_toggle_infers_in_then_out():
     sensor = RoomSensorState(room_id="OR-1")
-    first = room_sensor_on_reads(sensor, [read("T-5", t=1)])
-    second = room_sensor_on_reads(sensor, [read("T-5", t=9)])
+    first = room_sensor_on_reads(sensor, ["T-5"], 1)
+    second = room_sensor_on_reads(sensor, ["T-5"], 9)
     assert first[0].payload["direction"] == "in"
     assert second[0].payload["direction"] == "out"
+    assert (first[0].time_s, second[0].time_s) == (1, 9)
 
 
 def test_no_reads_no_messages():
-    assert room_sensor_on_reads(RoomSensorState(room_id="OR-1"), []) == []
+    assert room_sensor_on_reads(RoomSensorState(room_id="OR-1"), [], 0) == []
 
 
 # -- central service

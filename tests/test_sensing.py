@@ -61,10 +61,8 @@ def test_detect_probability_nonincreasing(d1, d2):
 
 def test_read_tags_certainty():
     model = SensorModel(p_detect=1.0)
-    cands = [(f"T-{i}", 0.5) for i in range(5)]
-    events = read_tags("s", model, cands, random.Random(1), now_s=42)
-    assert [e.tag_id for e in events] == [t for t, _ in cands]
-    assert all(e.time_s == 42 for e in events)
+    cands = [f"T-{i}" for i in range(5)]
+    assert read_tags("s", model, cands, random.Random(1), now_s=42, distance_m=0.5) == cands
 
 
 def test_read_tags_empty():
@@ -74,16 +72,16 @@ def test_read_tags_empty():
 def test_read_tags_binomial_fraction():
     # 10,000 in-range reads at p=0.9: detected fraction within 3 sigma
     model = SensorModel(p_detect=0.9)
-    cands = [(f"T-{i}", 0.0) for i in range(10_000)]
-    events = read_tags("s", model, cands, random.Random(11))
-    fraction = len(events) / 10_000
+    cands = [f"T-{i}" for i in range(10_000)]
+    seen = read_tags("s", model, cands, random.Random(11))
+    fraction = len(seen) / 10_000
     sigma = math.sqrt(0.9 * 0.1 / 10_000)
     assert abs(fraction - 0.9) <= 3 * sigma
 
 
 def test_read_tags_deterministic_per_seed():
     model = SensorModel(p_detect=0.7)
-    cands = [(f"T-{i}", 0.0) for i in range(100)]
+    cands = [f"T-{i}" for i in range(100)]
     a = read_tags("s", model, cands, random.Random(5))
     b = read_tags("s", model, cands, random.Random(5))
     assert a == b
@@ -91,28 +89,28 @@ def test_read_tags_deterministic_per_seed():
 
 def test_read_tags_draws_once_per_candidate_in_range_or_not():
     model = SensorModel(range_m=0.9, p_detect=0.8)
-    cands = [(f"T-{i}", d) for i, d in enumerate([0.0, 2.5, 0.9, 0.91, 1.0, 0.3] * 20)]
+    cands = [f"T-{i}" for i in range(20)]
     rng, twin = random.Random(7), random.Random(7)
-    events = read_tags("s", model, cands, rng)
-    draws = [twin.random() for _ in cands]
-    assert rng.getstate() == twin.getstate()
-    assert [e.tag_id for e in events] == [
-        tag for (tag, d), r in zip(cands, draws) if d <= 0.9 and r < 0.8]
+    for distance in (0.0, 2.5, 0.9, 0.91, 1.0, 0.3):
+        seen = read_tags("s", model, cands, rng, distance_m=distance)
+        draws = [twin.random() for _ in cands]
+        assert rng.getstate() == twin.getstate()
+        assert seen == [tag for tag, r in zip(cands, draws) if distance <= 0.9 and r < 0.8]
 
 
 def test_read_tags_rejects_negative_distance():
     with pytest.raises(InvalidParamError):
-        read_tags("s", SensorModel(), [("T-1", 0.0), ("T-2", -0.1)], random.Random(1))
+        read_tags("s", SensorModel(), ["T-1", "T-2"], random.Random(1), distance_m=-0.1)
 
 
 def test_read_tags_raises_when_down():
     with pytest.raises(SensorDownError):
-        read_tags("s", SensorModel(), [("T-1", 0.0)], random.Random(1),
+        read_tags("s", SensorModel(), ["T-1"], random.Random(1),
                   now_s=50, outages=[(40, 60)])
 
 
 def test_med_scan_certainty_single_pass():
-    scan = med_scan(ScanRegion.PATIENT_CAVITY, [("T-7", 0.0)], 1,
+    scan = med_scan(ScanRegion.PATIENT_CAVITY, ["T-7"], 1,
                     SensorModel(p_detect=1.0), random.Random(1))
     assert scan.detected == frozenset({"T-7"})
     assert scan.passes == 1
@@ -125,13 +123,25 @@ def test_med_scan_empty_region():
         assert scan.detected == frozenset()
 
 
+def test_med_scan_draws_every_pass_in_range_or_not_even_after_a_hit():
+    model = SensorModel(range_m=0.9, p_detect=0.8)
+    cands = [f"T-{i}" for i in range(50)]
+    rng, twin = random.Random(9), random.Random(9)
+    for distance in (0.0, 2.5):
+        scan = med_scan(ScanRegion.PATIENT_CAVITY, cands, 3, model, rng, distance_m=distance)
+        draws = [[twin.random() for _ in range(3)] for _ in cands]
+        assert rng.getstate() == twin.getstate()
+        assert scan.detected == {tag for tag, row in zip(cands, draws)
+                                 if distance <= 0.9 and min(row) < 0.8}
+
+
 def test_med_scan_miss_rate_three_passes():
     # miss probability (1 - 0.8)^3 = 0.008, cross-checked by Monte Carlo
     expected = (1 - 0.8) ** 3
     assert expected == pytest.approx(0.008)
     n = 1_000_000
     model = SensorModel(p_detect=0.8)
-    cands = [(f"T-{i}", 0.0) for i in range(n)]
+    cands = [f"T-{i}" for i in range(n)]
     scan = med_scan(ScanRegion.PATIENT_CAVITY, cands, 3, model, random.Random(3))
     missed = n - len(scan.detected)
     sigma = math.sqrt(expected * (1 - expected) / n)
