@@ -138,8 +138,8 @@ def qfd_weights(qfd: QfdInput) -> dict[str, float]:
 
 def select_top_k(weights: dict[str, float], k: int) -> list[str]:
     """Top-k characteristic names by weight; ties keep declaration order."""
-    if k > len(weights):
-        raise DimensionMismatchError(f"k={k} exceeds {len(weights)} characteristics")
+    if not 1 <= k <= len(weights):
+        raise DimensionMismatchError(f"k={k} is not in 1..{len(weights)} characteristics")
     ordered = sorted(weights, key=lambda name: -weights[name])
     return ordered[:k]
 
@@ -278,14 +278,17 @@ def load_needs_csv(text: str) -> list[tuple[str, float]]:
     header = next(reader, None)
     if header is None or [h.strip().lower() for h in header[:2]] != ["need", "importance"]:
         raise DimensionMismatchError("needs CSV must start with 'need,importance'")
-    needs = []
+    needs: dict[str, float] = {}
     for row in reader:
         if not row or not row[0].strip():
             continue
+        name = row[0].strip()
         if len(row) < 2:
-            raise DimensionMismatchError(f"need {row[0].strip()!r} has no importance")
-        needs.append((row[0].strip(), _finite(row[1])))
-    return needs
+            raise DimensionMismatchError(f"need {name!r} has no importance")
+        if name in needs:
+            raise DimensionMismatchError(f"need {name!r} appears twice")
+        needs[name] = _finite(row[1])
+    return list(needs.items())
 
 
 def load_matrix_csv(text: str, corner: str) -> tuple[list[str], list[str], list[list[float]]]:
@@ -303,7 +306,10 @@ def load_matrix_csv(text: str, corner: str) -> tuple[list[str], list[str], list[
             raise DimensionMismatchError(
                 f"{corner} CSV row {row[0]!r} has {len(row) - 1} values, "
                 f"expected {len(columns)}")
-        rows.append(row[0].strip())
+        name = row[0].strip()
+        if name in rows:
+            raise DimensionMismatchError(f"{corner} CSV row {name!r} appears twice")
+        rows.append(name)
         values.append([_finite(v) for v in row[1:]])
     return rows, columns, values
 

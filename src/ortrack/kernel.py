@@ -41,7 +41,6 @@ from .protocol import (
     RoomSensorState,
     Severity,
     StaleCaseError,
-    SurgeryCase,
     UnknownCaseError,
     cms_handle,
     med_on_request,
@@ -162,7 +161,7 @@ class CaseSpec:
     case_id: str
     room_id: str
     scan_passes: int = sensing.DEFAULT_SCAN_PASSES
-    max_rescans: int = 2
+    max_rescans: int = protocol.DEFAULT_MAX_RESCANS
 
 
 @dataclass
@@ -278,7 +277,8 @@ def load_scenario(text: str) -> Scenario:
                       room_id=_field(spec, "room_id", str, where),
                       scan_passes=_field(spec, "scan_passes", int, where,
                                          sensing.DEFAULT_SCAN_PASSES, lo=1),
-                      max_rescans=_field(spec, "max_rescans", int, where, 2, lo=0))
+                      max_rescans=_field(spec, "max_rescans", int, where,
+                                         protocol.DEFAULT_MAX_RESCANS, lo=0))
              for where, spec in _entries(top, "cases", CASE_KEYS)]
     events = [StaffEvent(time_s=_field(ev, "t", int, where, lo=0),
                          kind=_field(ev, "kind", str, where, choices=EVENT_KINDS),
@@ -414,10 +414,9 @@ class _Engine:
         self.cms = CmsState()
         self.room_sensors: dict[str, RoomSensorState] = {}
         self.mtcs: dict[str, MtcState] = {}  # keyed by room id
-        self.case_states: dict[str, SurgeryCase] = {}
+        self.mtcs_by_case: dict[str, MtcState] = {}  # the same carts, keyed by case id
         self.rngs: dict[str, random.Random] = {}  # named streams, made on first use
         self.outages: dict[str, list[tuple[float, float]]] = {}
-        self.completed_s: dict[str, int] = {}
         self._setup()
 
     # -- initialization
@@ -436,11 +435,9 @@ class _Engine:
                 state.believed_inside = {s.tag_id for s in scenario.items}
             self.room_sensors[site] = state
         for spec in scenario.cases:
-            case = SurgeryCase(case_id=spec.case_id, room_id=spec.room_id)
-            self.case_states[spec.case_id] = case
-            self.mtcs[spec.room_id] = MtcState(case=case,
-                                               scan_passes=spec.scan_passes,
-                                               max_rescans=spec.max_rescans)
+            self.mtcs[spec.room_id] = self.mtcs_by_case[spec.case_id] = MtcState(
+                case_id=spec.case_id, room_id=spec.room_id,
+                scan_passes=spec.scan_passes, max_rescans=spec.max_rescans)
             self.cms.register_case(spec.case_id, spec.room_id)
         for sensor_id, model_ in scenario.sensors.items():
             if model_.mtbf_s is not None:
@@ -486,12 +483,11 @@ class _Engine:
             self.trace.records.append({"t": now, "type": "phase", "case": case_id,
                                        "from": old.value, "to": new.value})
             if new is CasePhase.COMPLETE:
-                self.completed_s[case_id] = now
+                self.mtcs_by_case[case_id].completed_s = now
 
     def _sensor_down(self, exc: SensorDownError, case_id: str | None, now: int) -> None:
-        self._record_alert(Alert(time_s=now, severity=Severity.WARNING,
-                                 kind=AlertKind.SENSOR_DOWN, tags=frozenset(),
-                                 text=str(exc)),
+        self._record_alert(Alert(severity=Severity.WARNING, kind=AlertKind.SENSOR_DOWN,
+                                 tags=frozenset(), text=str(exc)),
                            case_id, now)
 
     # -- message plumbing
@@ -537,39 +533,37 @@ class _Engine:
 
     def _sweep(self, room: str, which: str, now: int) -> None:
         mtc = self.mtcs.get(room)
-        if mtc is None or mtc.case.phase is CasePhase.COMPLETE:
+        if mtc is None or mtc.phase is CasePhase.COMPLETE:
             return
         detected = self._antenna_read(room, which, now)
         if detected is None:
             return
         handler = getattr(protocol, _ANTENNAS[which][1])
-        self._emit(handler(mtc, detected, now), mtc.case.case_id, now)
+        self._emit(handler(mtc, detected, now), mtc.case_id, now)
 
     def _antenna_read(self, room: str, which: str, now: int) -> set[str] | None:
         """Read everything physically on the tray/bin antenna; None if it is down."""
         reads = self._read(f"{which}:{room}",
                            self.world.tags_at(Location(room, _ANTENNAS[which][0])),
-                           self.mtcs[room].case.case_id, now)
+                           self.mtcs[room].case_id, now)
         return None if reads is None else set(reads)
 
     # -- staff/world event handling
 
     def _on_staff(self, ev: StaffEvent, now: int) -> None:
         if ev.kind == "announce_closing":
-            case = self.case_states[ev.case]
-            mtc = self.mtcs[case.room_id]
             try:
-                self._emit(protocol.announce_closing(mtc, now), ev.case, now)
+                self._emit(protocol.announce_closing(self.mtcs_by_case[ev.case], now),
+                           ev.case, now)
             except InvalidPhaseError as exc:
                 self._record_error("announce_closing", str(exc), now)
             return
         if ev.kind == "spd_ack":
             try:
-                message = spd_acknowledge(ev.case, self.case_states)
+                message = spd_acknowledge(ev.case, self.mtcs_by_case, now)
             except (InvalidPhaseError, UnknownCaseError) as exc:
                 self._record_error("spd_ack", str(exc), now)
                 return
-            message.time_s = now
             self._send(message, now)
             return
 
@@ -593,7 +587,7 @@ class _Engine:
         if ev.kind == "remove_from_cavity":
             mtc = self.mtcs.get(src.site)
             if mtc is not None:
-                self._emit(mtc_staff_rescan(mtc, now), mtc.case.case_id, now)
+                self._emit(mtc_staff_rescan(mtc, now), mtc.case_id, now)
 
     # -- message delivery
 
@@ -614,7 +608,7 @@ class _Engine:
                 if kind == "CavityScanResult":
                     self._on_scan_result(mtc, message, now)
                 else:
-                    self._emit(mtc_handle(mtc, message), mtc.case.case_id, now)
+                    self._emit(mtc_handle(mtc, message), mtc.case_id, now)
             else:
                 self._record_error("deliver", f"no handler for node {target}", now)
         except (StaleCaseError, InvalidPhaseError, UnknownCaseError) as exc:
@@ -635,19 +629,19 @@ class _Engine:
         self._send(med_on_request(room, case_id, scan, now), now)
 
     def _on_scan_result(self, mtc: MtcState, message: ProtocolMessage, now: int) -> None:
-        if mtc.case.phase is CasePhase.COMPLETE:
-            raise StaleCaseError(f"case {mtc.case.case_id} already complete")
+        if mtc.phase is CasePhase.COMPLETE:
+            raise StaleCaseError(f"case {mtc.case_id} already complete")
         payload = message.payload
         scan = ScanResult(region=ScanRegion(payload["scan"]["region"]),
                           detected=frozenset(payload["scan"]["detected"]),
                           passes=payload["scan"]["passes"])
-        room = mtc.case.room_id
+        room = mtc.room_id
         tray = self._antenna_read(room, "tray", now)
         bin_ = self._antenna_read(room, "bin", now)
         if tray is None or bin_ is None:
             return  # antenna down; a later request will retry
         outputs, _report = reconcile.apply_scan_outcome(mtc, scan, tray, bin_, now)
-        self._emit(outputs, mtc.case.case_id, now)
+        self._emit(outputs, mtc.case_id, now)
 
     # -- main loop
 
@@ -667,18 +661,16 @@ class _Engine:
             if observer is not None:
                 observer(time_s, self.world, self)
         self.world.clock_s = horizon
-        for spec in self.scenario.cases:
-            case = self.case_states[spec.case_id]
-            mtc = self.mtcs[spec.room_id]
+        for mtc in self.mtcs_by_case.values():
             self.trace.records.append({
-                "t": horizon, "type": "case", "case_id": spec.case_id,
-                "room_id": spec.room_id, "phase": case.phase.value,
-                "spd_acked": case.spd_acked,
+                "t": horizon, "type": "case", "case_id": mtc.case_id,
+                "room_id": mtc.room_id, "phase": mtc.phase.value,
+                "spd_acked": mtc.spd_acked,
                 "entries": {tag: {"status": e.status.value, "last_seen_s": e.last_seen_s}
-                            for tag, e in sorted(case.checklist.entries.items())},
+                            for tag, e in sorted(mtc.entries.items())},
                 "scans_done": mtc.scans_done, "rescans_used": mtc.rescans_used,
                 "outcomes": ([mtc.last_outcome] if mtc.last_outcome else []),
-                "completed_s": self.completed_s.get(spec.case_id)})
+                "completed_s": mtc.completed_s})
         return self.trace
 
 

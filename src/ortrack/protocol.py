@@ -9,9 +9,9 @@ Node responsibilities:
 * The central service (``CMS``) keeps a room-level location belief for
   every registered tag plus a mirror of each case's checklist, and decides
   when a crossing means new equipment arrived or tracked equipment left.
-* The tool cart (``MTC:<room>``) owns the per-case monitoring checklist and
-  the case lifecycle. Tray and bin antennas report full sweeps; everything
-  else arrives as messages.
+* The tool cart (``MTC:<room>``) is one ``MtcState`` holding its case's
+  lifecycle, the monitoring checklist and the scan counters. Tray and bin
+  antennas report full sweeps; everything else arrives as messages.
 * The handheld detector (``MED:<room>``) performs cavity scans on request.
 * ``SPD`` acknowledges readiness to receive contaminated instruments; a
   case cannot complete without that acknowledgment.
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .sensing import ScanResult
+from .sensing import DEFAULT_SCAN_PASSES, ScanResult
 
 CMS_NODE = "CMS"
 SPD_NODE = "SPD"
@@ -107,7 +107,6 @@ class UnknownCaseError(Exception):
 class Alert:
     """Staff-facing notification. Retention and count findings are always critical."""
 
-    time_s: int
     severity: Severity
     kind: AlertKind
     tags: frozenset[str]
@@ -161,42 +160,6 @@ class ChecklistEntry:
     last_seen_s: int
 
 
-@dataclass
-class MonitoringChecklist:
-    """The cart's believed per-surgery inventory, keyed by tag."""
-
-    case_id: str
-    entries: dict[str, ChecklistEntry] = field(default_factory=dict)
-
-    def active_tags(self) -> set[str]:
-        """Tags counted toward reconciliation (everything not removed from the OR)."""
-        return {t for t, e in self.entries.items()
-                if e.status is not TagStatus.REMOVED_FROM_OR}
-
-
-@dataclass
-class SurgeryCase:
-    case_id: str
-    room_id: str
-    phase: CasePhase = CasePhase.SETUP
-    checklist: MonitoringChecklist = None  # type: ignore[assignment]
-    spd_acked: bool = False
-
-    def __post_init__(self) -> None:
-        if self.checklist is None:
-            self.checklist = MonitoringChecklist(case_id=self.case_id)
-
-    def advance(self, to: CasePhase) -> tuple[str, CasePhase, CasePhase]:
-        if to not in PHASE_GRAPH[self.phase]:
-            raise InvalidPhaseError(
-                f"{self.case_id}: illegal transition {self.phase.value} -> {to.value}")
-        if to is CasePhase.COMPLETE and not self.spd_acked:
-            raise InvalidPhaseError(f"{self.case_id}: cannot complete without SPD ack")
-        change = (self.case_id, self.phase, to)
-        self.phase = to
-        return change
-
-
 # --------------------------------------------------------------------------
 # Room sensor
 
@@ -239,8 +202,14 @@ def room_sensor_on_reads(state: RoomSensorState, tags: list[str],
 
 @dataclass
 class TagBelief:
-    site: str | None  # None = seen leaving, not yet seen arriving
-    last_seen_s: int
+    """Last believed room of a tag; ``site`` None means never seen or in transit."""
+
+    site: str | None
+    last_seen_s: int | None  # None = never read
+
+    @property
+    def known(self) -> bool:
+        return self.last_seen_s is not None
 
 
 @dataclass
@@ -274,7 +243,7 @@ def cms_handle(state: CmsState, msg: ProtocolMessage) -> Outputs:
         tag, room, direction = payload["tag"], payload["room"], payload["direction"]
         if tag not in state.registered_tags:
             out.alerts.append(Alert(
-                time_s=msg.time_s, severity=Severity.WARNING, kind=AlertKind.UNKNOWN_TAG,
+                severity=Severity.WARNING, kind=AlertKind.UNKNOWN_TAG,
                 tags=frozenset([tag]), text=f"unregistered tag {tag} read at {room}"))
             return out
         state.belief[tag] = TagBelief(site=room if direction == "in" else None,
@@ -320,47 +289,71 @@ def cms_handle(state: CmsState, msg: ProtocolMessage) -> Outputs:
 # Mobile tool cart
 
 
+#: Re-scans a count mismatch may request before a manual override is demanded.
+DEFAULT_MAX_RESCANS = 2
+
+
 @dataclass
 class MtcState:
-    """Checklist authority and case lifecycle owner for one operating room."""
+    """The cart of one operating room: its case's lifecycle, checklist and scan counters."""
 
-    case: SurgeryCase
-    scan_passes: int = 2
-    max_rescans: int = 2
+    case_id: str
+    room_id: str
+    phase: CasePhase = CasePhase.SETUP
+    spd_acked: bool = False
+    entries: dict[str, ChecklistEntry] = field(default_factory=dict)
+    scan_passes: int = DEFAULT_SCAN_PASSES
+    max_rescans: int = DEFAULT_MAX_RESCANS
     rescans_used: int = 0
     awaiting_staff_removal: bool = False
     scans_done: int = 0
     last_outcome: str | None = None
+    completed_s: int | None = None  # tick the case completed; stamped by the kernel
 
     @property
     def node_id(self) -> str:
-        return f"MTC:{self.case.room_id}"
+        return f"MTC:{self.room_id}"
 
     @property
     def med_node(self) -> str:
-        return f"MED:{self.case.room_id}"
+        return f"MED:{self.room_id}"
+
+    def active_tags(self) -> set[str]:
+        """Tags counted toward reconciliation (everything not removed from the OR)."""
+        return {t for t, e in self.entries.items()
+                if e.status is not TagStatus.REMOVED_FROM_OR}
+
+    def advance(self, to: CasePhase) -> tuple[str, CasePhase, CasePhase]:
+        if to not in PHASE_GRAPH[self.phase]:
+            raise InvalidPhaseError(
+                f"{self.case_id}: illegal transition {self.phase.value} -> {to.value}")
+        if to is CasePhase.COMPLETE and not self.spd_acked:
+            raise InvalidPhaseError(f"{self.case_id}: cannot complete without SPD ack")
+        change = (self.case_id, self.phase, to)
+        self.phase = to
+        return change
 
 
 def _checklist_update(state: MtcState, action: str, tag: str, now: int) -> ProtocolMessage:
     return ProtocolMessage(
         time_s=now, from_node=state.node_id, to_node=CMS_NODE,
-        payload={"kind": "ChecklistUpdate", "case": state.case.case_id,
+        payload={"kind": "ChecklistUpdate", "case": state.case_id,
                  "action": action, "tag": tag})
 
 
 def _ensure_in_progress(state: MtcState, out: Outputs) -> None:
-    if state.case.phase is CasePhase.SETUP:
-        out.phase_changes.append(state.case.advance(CasePhase.IN_PROGRESS))
+    if state.phase is CasePhase.SETUP:
+        out.phase_changes.append(state.advance(CasePhase.IN_PROGRESS))
 
 
 def _add_or_reactivate(state: MtcState, tag: str, status: TagStatus, now: int,
                        out: Outputs) -> bool:
     """Put a tag on the active checklist; returns False if already active."""
-    entry = state.case.checklist.entries.get(tag)
+    entry = state.entries.get(tag)
     if entry is not None and entry.status is not TagStatus.REMOVED_FROM_OR:
         entry.last_seen_s = now
         return False
-    state.case.checklist.entries[tag] = ChecklistEntry(status=status, last_seen_s=now)
+    state.entries[tag] = ChecklistEntry(status=status, last_seen_s=now)
     out.messages.append(_checklist_update(state, "add", tag, now))
     _ensure_in_progress(state, out)
     return True
@@ -368,8 +361,8 @@ def _add_or_reactivate(state: MtcState, tag: str, status: TagStatus, now: int,
 
 def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
     """Apply one message from the central service to the cart's checklist."""
-    if state.case.phase is CasePhase.COMPLETE:
-        raise StaleCaseError(f"case {state.case.case_id} already complete")
+    if state.phase is CasePhase.COMPLETE:
+        raise StaleCaseError(f"case {state.case_id} already complete")
     out = Outputs()
     payload = msg.payload
     kind = payload["kind"]
@@ -379,36 +372,35 @@ def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
         # idempotent: a tag already on the checklist raises no second alert
         if _add_or_reactivate(state, payload["tag"], TagStatus.IN_USE, now, out):
             out.alerts.append(Alert(
-                time_s=now, severity=Severity.INFO, kind=AlertKind.NEW_EQUIPMENT_DETECTED,
+                severity=Severity.INFO, kind=AlertKind.NEW_EQUIPMENT_DETECTED,
                 tags=frozenset([payload["tag"]]),
-                text=f"new equipment {payload['tag']} detected in {state.case.room_id}, "
+                text=f"new equipment {payload['tag']} detected in {state.room_id}, "
                      f"added to monitoring checklist"))
 
     elif kind == "EquipmentLeftOR":
-        entry = state.case.checklist.entries.get(payload["tag"])
+        entry = state.entries.get(payload["tag"])
         if entry is not None and entry.status is not TagStatus.REMOVED_FROM_OR:
             entry.status = TagStatus.REMOVED_FROM_OR
             entry.last_seen_s = now
             out.messages.append(_checklist_update(state, "remove", payload["tag"], now))
             # Removing items mid-reconciliation can mask a retained item.
             severity = (Severity.WARNING
-                        if state.case.phase in (CasePhase.CLOSING_ANNOUNCED,
-                                                CasePhase.CAVITY_SCAN)
+                        if state.phase in (CasePhase.CLOSING_ANNOUNCED, CasePhase.CAVITY_SCAN)
                         else Severity.INFO)
             out.alerts.append(Alert(
-                time_s=now, severity=severity, kind=AlertKind.EQUIPMENT_LEFT_OR,
+                severity=severity, kind=AlertKind.EQUIPMENT_LEFT_OR,
                 tags=frozenset([payload["tag"]]),
-                text=f"{payload['tag']} left {state.case.room_id}, "
+                text=f"{payload['tag']} left {state.room_id}, "
                      f"removed from monitoring checklist"))
 
     elif kind == "SpdReadyAck":
-        if state.case.phase not in (CasePhase.RECONCILED, CasePhase.AWAITING_SPD):
+        if state.phase not in (CasePhase.RECONCILED, CasePhase.AWAITING_SPD):
             raise InvalidPhaseError(
-                f"SPD ack for {state.case.case_id} in phase {state.case.phase.value}")
-        state.case.spd_acked = True
-        if state.case.phase is CasePhase.RECONCILED:
-            out.phase_changes.append(state.case.advance(CasePhase.AWAITING_SPD))
-        out.phase_changes.append(state.case.advance(CasePhase.COMPLETE))
+                f"SPD ack for {state.case_id} in phase {state.phase.value}")
+        state.spd_acked = True
+        if state.phase is CasePhase.RECONCILED:
+            out.phase_changes.append(state.advance(CasePhase.AWAITING_SPD))
+        out.phase_changes.append(state.advance(CasePhase.COMPLETE))
 
     else:
         raise ValueError(f"MTC cannot handle payload kind {kind!r}")
@@ -417,10 +409,10 @@ def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
 
 def _sweep(state: MtcState, detected: set[str], now: int, status: TagStatus) -> Outputs:
     """Full antenna sweep: presence sets ``status``, absence demotes to InUse."""
-    if state.case.phase is CasePhase.COMPLETE:
-        raise StaleCaseError(f"case {state.case.case_id} already complete")
+    if state.phase is CasePhase.COMPLETE:
+        raise StaleCaseError(f"case {state.case_id} already complete")
     out = Outputs()
-    entries = state.case.checklist.entries
+    entries = state.entries
     for tag in sorted(detected):
         entry = entries.get(tag)
         if entry is None or entry.status is TagStatus.REMOVED_FROM_OR:
@@ -446,28 +438,28 @@ def mtc_bin_sweep(state: MtcState, detected: set[str], now: int) -> Outputs:
 
 def announce_closing(state: MtcState, now: int) -> Outputs:
     """Staff announced closing: request a cavity scan from the detector."""
-    if state.case.phase is not CasePhase.IN_PROGRESS:
+    if state.phase is not CasePhase.IN_PROGRESS:
         raise InvalidPhaseError(
-            f"cannot announce closing in phase {state.case.phase.value}")
+            f"cannot announce closing in phase {state.phase.value}")
     out = Outputs()
-    out.phase_changes.append(state.case.advance(CasePhase.CLOSING_ANNOUNCED))
+    out.phase_changes.append(state.advance(CasePhase.CLOSING_ANNOUNCED))
     out.messages.append(ProtocolMessage(
         time_s=now, from_node=state.node_id, to_node=CMS_NODE,
-        payload={"kind": "ClosingAnnounced", "case": state.case.case_id}))
+        payload={"kind": "ClosingAnnounced", "case": state.case_id}))
     out.messages.append(ProtocolMessage(
         time_s=now, from_node=state.node_id, to_node=state.med_node,
-        payload={"kind": "RequestCavityScan", "case": state.case.case_id}))
+        payload={"kind": "RequestCavityScan", "case": state.case_id}))
     return out
 
 
 def mtc_staff_rescan(state: MtcState, now: int) -> Outputs:
     """Staff acted after a retention alert and asked for a verification re-scan."""
     out = Outputs()
-    if state.awaiting_staff_removal and state.case.phase is CasePhase.CLOSING_ANNOUNCED:
+    if state.awaiting_staff_removal and state.phase is CasePhase.CLOSING_ANNOUNCED:
         state.awaiting_staff_removal = False
         out.messages.append(ProtocolMessage(
             time_s=now, from_node=state.node_id, to_node=state.med_node,
-            payload={"kind": "RequestCavityScan", "case": state.case.case_id}))
+            payload={"kind": "RequestCavityScan", "case": state.case_id}))
     return out
 
 
@@ -486,14 +478,14 @@ def med_on_request(room_id: str, case_id: str, scan: ScanResult, now: int) -> Pr
 # Sterile processing department
 
 
-def spd_acknowledge(case_id: str, cases: dict[str, SurgeryCase]) -> ProtocolMessage:
-    """SPD confirms readiness; only valid once the case is reconciled."""
-    case = cases.get(case_id)
-    if case is None:
+def spd_acknowledge(case_id: str, carts: dict[str, MtcState], now: int) -> ProtocolMessage:
+    """SPD confirms readiness at ``now``; only valid once the case is reconciled."""
+    cart = carts.get(case_id)
+    if cart is None:
         raise UnknownCaseError(f"unknown case: {case_id}")
-    if case.phase not in (CasePhase.RECONCILED, CasePhase.AWAITING_SPD):
+    if cart.phase not in (CasePhase.RECONCILED, CasePhase.AWAITING_SPD):
         raise InvalidPhaseError(
-            f"SPD ack for {case_id} in phase {case.phase.value}")
+            f"SPD ack for {case_id} in phase {cart.phase.value}")
     return ProtocolMessage(
-        time_s=0, from_node=SPD_NODE, to_node=CMS_NODE,
+        time_s=now, from_node=SPD_NODE, to_node=CMS_NODE,
         payload={"kind": "SpdReadyAck", "case": case_id})

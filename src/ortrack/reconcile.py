@@ -31,6 +31,7 @@ from .protocol import (
     Outputs,
     ProtocolMessage,
     Severity,
+    TagBelief,
     TagStatus,
     UnknownCaseError,
     mtc_bin_sweep,
@@ -63,10 +64,10 @@ class ReconciliationReport:
     outcome: Outcome
 
 
-def reconcile(checklist, tray_reads: set[str], bin_reads: set[str],
+def reconcile(state: MtcState, tray_reads: set[str], bin_reads: set[str],
               scan: ScanResult) -> ReconciliationReport:
-    """Compare expected against re-verified items; pure set arithmetic."""
-    expected = frozenset(checklist.active_tags())
+    """Compare the cart's expected items against re-verified ones; pure set arithmetic."""
+    expected = frozenset(state.active_tags())
     accounted = frozenset((set(tray_reads) | set(bin_reads)) & expected)
     missing = expected - accounted
     cavity = frozenset(scan.detected)
@@ -76,7 +77,7 @@ def reconcile(checklist, tray_reads: set[str], bin_reads: set[str],
         outcome = Outcome.COUNT_MISMATCH
     else:
         outcome = Outcome.CLEAN
-    return ReconciliationReport(case_id=checklist.case_id, expected=expected,
+    return ReconciliationReport(case_id=state.case_id, expected=expected,
                                 accounted=accounted, missing=missing,
                                 cavity_detected=cavity, outcome=outcome)
 
@@ -90,75 +91,60 @@ def apply_scan_outcome(state: MtcState, scan: ScanResult, tray_reads: set[str],
     phase stays at the cavity scan.
     """
     out = Outputs()
-    if state.case.phase is CasePhase.CLOSING_ANNOUNCED:
-        out.phase_changes.append(state.case.advance(CasePhase.CAVITY_SCAN))
-    elif state.case.phase is not CasePhase.CAVITY_SCAN:
-        raise InvalidPhaseError(f"scan result in phase {state.case.phase.value}")
+    if state.phase is CasePhase.CLOSING_ANNOUNCED:
+        out.phase_changes.append(state.advance(CasePhase.CAVITY_SCAN))
+    elif state.phase is not CasePhase.CAVITY_SCAN:
+        raise InvalidPhaseError(f"scan result in phase {state.phase.value}")
 
     out.extend(mtc_tray_sweep(state, set(tray_reads), now))
     out.extend(mtc_bin_sweep(state, set(bin_reads), now))
-    report = reconcile(state.case.checklist, tray_reads, bin_reads, scan)
+    report = reconcile(state, tray_reads, bin_reads, scan)
     state.scans_done += 1
     state.last_outcome = report.outcome.value
 
     if report.outcome is Outcome.CLEAN:
         state.awaiting_staff_removal = False
-        out.phase_changes.append(state.case.advance(CasePhase.RECONCILED))
-        out.phase_changes.append(state.case.advance(CasePhase.AWAITING_SPD))
+        out.phase_changes.append(state.advance(CasePhase.RECONCILED))
+        out.phase_changes.append(state.advance(CasePhase.AWAITING_SPD))
 
     elif report.outcome is Outcome.RSB_SUSPECTED:
         for tag in report.cavity_detected:
-            entry = state.case.checklist.entries.get(tag)
+            entry = state.entries.get(tag)
             if entry is not None and entry.status is not TagStatus.REMOVED_FROM_OR:
                 entry.status = TagStatus.IN_CAVITY_BELIEF
                 entry.last_seen_s = now
         out.alerts.append(Alert(
-            time_s=now, severity=Severity.CRITICAL, kind=AlertKind.RSB_SUSPECTED,
+            severity=Severity.CRITICAL, kind=AlertKind.RSB_SUSPECTED,
             tags=report.cavity_detected,
             text=f"cavity scan detected {sorted(report.cavity_detected)}; "
                  f"remove before closing"))
         state.awaiting_staff_removal = True
-        out.phase_changes.append(state.case.advance(CasePhase.CLOSING_ANNOUNCED))
+        out.phase_changes.append(state.advance(CasePhase.CLOSING_ANNOUNCED))
 
     else:  # count mismatch
         out.alerts.append(Alert(
-            time_s=now, severity=Severity.CRITICAL, kind=AlertKind.COUNT_MISMATCH,
+            severity=Severity.CRITICAL, kind=AlertKind.COUNT_MISMATCH,
             tags=report.missing,
             text=f"{len(report.missing)} item(s) unaccounted: {sorted(report.missing)}"))
         if state.rescans_used < state.max_rescans:
             state.rescans_used += 1
-            out.phase_changes.append(state.case.advance(CasePhase.CLOSING_ANNOUNCED))
+            out.phase_changes.append(state.advance(CasePhase.CLOSING_ANNOUNCED))
             out.messages.append(ProtocolMessage(
                 time_s=now, from_node=state.node_id, to_node=state.med_node,
-                payload={"kind": "RequestCavityScan", "case": state.case.case_id}))
+                payload={"kind": "RequestCavityScan", "case": state.case_id}))
         else:
             out.alerts.append(Alert(
-                time_s=now, severity=Severity.CRITICAL, kind=AlertKind.MANUAL_OVERRIDE,
+                severity=Severity.CRITICAL, kind=AlertKind.MANUAL_OVERRIDE,
                 tags=report.missing,
                 text="re-scan budget exhausted; manual override required"))
     return out, report
 
 
-@dataclass(frozen=True)
-class LocationBelief:
-    """Last believed room for a tag; ``site`` None means never seen or in transit."""
-
-    site: str | None
-    last_seen_s: int | None
-
-    @property
-    def known(self) -> bool:
-        return self.last_seen_s is not None
-
-
-def locate(tag_id: str, cms: CmsState) -> LocationBelief:
+def locate(tag_id: str, cms: CmsState) -> TagBelief:
     """Room-level location query against the central service's belief."""
     if tag_id not in cms.registered_tags:
         raise UnknownTagError(f"unknown tag: {tag_id}")
-    belief = cms.belief.get(tag_id)
-    if belief is None:
-        return LocationBelief(site=None, last_seen_s=None)
-    return LocationBelief(site=belief.site, last_seen_s=belief.last_seen_s)
+    return cms.belief.get(tag_id) or TagBelief(site=None, last_seen_s=None)
 
 
 # --------------------------------------------------------------------------

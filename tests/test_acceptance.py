@@ -26,7 +26,7 @@ from ortrack.decision import (
 )
 from ortrack.kernel import BusConfig, CaseSpec, ItemSpec, Scenario, StaffEvent, run
 from ortrack.model import ItemKind
-from ortrack.protocol import CasePhase, InvalidPhaseError, SurgeryCase
+from ortrack.protocol import CasePhase, InvalidPhaseError, MtcState
 from ortrack.reconcile import persist
 from ortrack.sensing import (
     DEFAULT_RANGE_M,
@@ -126,10 +126,9 @@ def _final_checklist(events):
     scenario = Scenario(name="enum", seed=1, horizon_s=10 * len(events) + 10,
                         rooms=["OR-1"], items=_ITEMS, sensors=_SENSORS,
                         cases=_CASES, events=list(events), bus=_BUS)
-    engine = kernel._Engine(scenario)
-    engine.run()
-    entries = engine.mtcs["OR-1"].case.checklist.entries
-    return {tag: entry.status.value for tag, entry in entries.items()}
+    record = kernel.run(scenario).records[-1]
+    assert record["type"] == "case"
+    return {tag: entry["status"] for tag, entry in record["entries"].items()}
 
 
 def test_3_exhaustive_small_instance_oracle():
@@ -214,7 +213,7 @@ def test_6_simulated_behaviors():
                            if r["type"] == "phase" and r["to"] == "Complete")
         assert ack_at <= complete_at
 
-        unacked = SurgeryCase(case_id="C", room_id="OR-1")
+        unacked = MtcState(case_id="C", room_id="OR-1")
         unacked.phase = CasePhase.AWAITING_SPD
         with pytest.raises(InvalidPhaseError):
             unacked.advance(CasePhase.COMPLETE)

@@ -201,30 +201,62 @@ def test_eval_mismatched_columns_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("needs, correlation, scores", [
-    pytest.param("need,importance\nsafety\n", "need,c1\nsafety,9\n", "concept,c1\nsolo,4\n",
-                 id="needs-row-without-importance"),
-    pytest.param("need,importance\nsafety,5\n", "need,c1\nsafety,9.7\n", "concept,c1\nsolo,4\n",
-                 id="fractional-correlation"),
-    pytest.param("need,importance\nsafety,nan\n", "need,c1\nsafety,9\n", "concept,c1\nsolo,4\n",
-                 id="nan-importance"),
-    pytest.param("need,importance\nsafety,inf\n", "need,c1\nsafety,9\n", "concept,c1\nsolo,4\n",
-                 id="inf-importance"),
-    pytest.param("need,importance\nsafety,5\n", "need,c1\nsafety,9\n", "concept,c1\nsolo,nan\n",
-                 id="nan-score"),
-    pytest.param("need,importance\nsafety,5\n", "need,c1\nsafety,9\n", "concept,c1\nsolo,inf\n",
-                 id="inf-score"),
-])
-def test_eval_malformed_csv_is_an_input_error(tmp_path, capsys, needs, correlation, scores):
+_OK_NEEDS, _OK_CORR, _OK_SCORES = ("need,importance\nsafety,5\n", "need,c1\nsafety,9\n",
+                                   "concept,c1\nsolo,4\n")
+
+
+def _eval_inputs(tmp_path, needs, correlation, scores):
+    """Write the three required ``eval`` CSVs and return their paths."""
     paths = []
     for name, text in (("needs", needs), ("correlation", correlation), ("scores", scores)):
         path = tmp_path / f"{name}.csv"
         path.write_text(text)
         paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("needs, correlation, scores, qualitative", [
+    pytest.param("need,importance\nsafety\n", "need,c1\nsafety,9\n", "concept,c1\nsolo,4\n",
+                 None, id="needs-row-without-importance"),
+    pytest.param("need,importance\nsafety,5\n", "need,c1\nsafety,9.7\n", "concept,c1\nsolo,4\n",
+                 None, id="fractional-correlation"),
+    pytest.param("need,importance\nsafety,nan\n", "need,c1\nsafety,9\n", "concept,c1\nsolo,4\n",
+                 None, id="nan-importance"),
+    pytest.param("need,importance\nsafety,inf\n", "need,c1\nsafety,9\n", "concept,c1\nsolo,4\n",
+                 None, id="inf-importance"),
+    pytest.param("need,importance\nsafety,5\n", "need,c1\nsafety,9\n", "concept,c1\nsolo,nan\n",
+                 None, id="nan-score"),
+    pytest.param("need,importance\nsafety,5\n", "need,c1\nsafety,9\n", "concept,c1\nsolo,inf\n",
+                 None, id="inf-score"),
+    pytest.param("need,importance\nsafety,5\nsafety,3\n", "need,c1\nsafety,9\n",
+                 _OK_SCORES, None, id="repeated-need"),
+    pytest.param(_OK_NEEDS, "need,c1,c2\nsafety,9,0\nsafety,0,3\n", "concept,c1,c2\nsolo,4,2\n",
+                 None, id="repeated-correlation-row"),
+    pytest.param(_OK_NEEDS, _OK_CORR, "concept,c1\nX,4\nX,2\n", None,
+                 id="repeated-score-row"),
+    pytest.param(_OK_NEEDS, _OK_CORR, "concept,c1\nX,4\nY,2\n",
+                 "concept,q1\nX,1\nY,2\nX,3\n", id="repeated-qualitative-row"),
+])
+def test_eval_malformed_csv_is_an_input_error(tmp_path, capsys, needs, correlation, scores,
+                                              qualitative):
+    paths = _eval_inputs(tmp_path, needs, correlation, scores)
+    if qualitative is not None:
+        path = tmp_path / "qualitative.csv"
+        path.write_text(qualitative)
+        paths += ["--qualitative", str(path)]
     assert main(["eval", *paths]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("top_k", ["0", "-1"])
+def test_eval_top_k_below_one_is_an_input_error(tmp_path, capsys, top_k):
+    paths = _eval_inputs(tmp_path, _OK_NEEDS, _OK_CORR, _OK_SCORES)
+    assert main(["eval", *paths, "--top-k", top_k]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
 
 
 def test_eval_reproducible(tmp_path, capsys):

@@ -88,6 +88,12 @@ def test_top_k_beyond_length_rejected():
         select_top_k({"a": 1.0}, 2)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_top_k_below_one_rejected(k):
+    with pytest.raises(DimensionMismatchError):
+        select_top_k({"a": 1.0, "b": 0.5}, k)
+
+
 @given(st.lists(st.floats(0, 1), min_size=1, max_size=10), st.data())
 @settings(max_examples=300)
 def test_top_k_prefix_property(values, data):

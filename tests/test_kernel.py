@@ -339,7 +339,7 @@ def test_belief_matches_ground_truth_under_perfect_sensing():
             for room, mtc in engine.mtcs.items():
                 truth = {world.items[i].tag_id
                          for i, loc in world.placements.items() if loc.site == room}
-                assert mtc.case.checklist.active_tags() == truth, \
+                assert mtc.active_tags() == truth, \
                     f"seed {seed} t={time_s}"
                 checked += 1
 

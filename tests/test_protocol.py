@@ -16,7 +16,6 @@ from ortrack.protocol import (
     RoomSensorState,
     Severity,
     StaleCaseError,
-    SurgeryCase,
     TagStatus,
     UnknownCaseError,
     announce_closing,
@@ -41,7 +40,7 @@ def fresh_cms(tags=("T-1", "T-2", "T-3", "T-9"), room="OR-1", case="C-1"):
 
 
 def fresh_mtc(case="C-1", room="OR-1"):
-    return MtcState(case=SurgeryCase(case_id=case, room_id=room))
+    return MtcState(case_id=case, room_id=room)
 
 
 # -- room sensor toggle
@@ -118,19 +117,19 @@ def left_or(tag, t=0, case="C-1"):
 def test_mtc_adds_new_equipment_with_info_alert():
     mtc = fresh_mtc()
     out = mtc_handle(mtc, new_equipment("T-9", t=22))
-    entry = mtc.case.checklist.entries["T-9"]
+    entry = mtc.entries["T-9"]
     assert entry.status is TagStatus.IN_USE and entry.last_seen_s == 22
     assert out.alerts[0].kind is AlertKind.NEW_EQUIPMENT_DETECTED
     assert out.alerts[0].severity is Severity.INFO
-    assert mtc.case.phase is CasePhase.IN_PROGRESS  # first add starts the case
+    assert mtc.phase is CasePhase.IN_PROGRESS  # first add starts the case
 
 
 def test_mtc_removal_excluded_from_count():
     mtc = fresh_mtc()
     mtc_handle(mtc, new_equipment("T-3"))
     out = mtc_handle(mtc, left_or("T-3", t=31))
-    assert mtc.case.checklist.entries["T-3"].status is TagStatus.REMOVED_FROM_OR
-    assert mtc.case.checklist.active_tags() == set()
+    assert mtc.entries["T-3"].status is TagStatus.REMOVED_FROM_OR
+    assert mtc.active_tags() == set()
     assert out.alerts[0].kind is AlertKind.EQUIPMENT_LEFT_OR
 
 
@@ -145,18 +144,18 @@ def test_mtc_removal_mid_reconciliation_is_warning():
 def test_mtc_tray_sweep_idempotent():
     mtc = fresh_mtc()
     mtc_tray_sweep(mtc, {"T-2"}, now=5)
-    before = copy.deepcopy(mtc.case.checklist.entries)
+    before = copy.deepcopy(mtc.entries)
     out = mtc_tray_sweep(mtc, {"T-2"}, now=6)
     assert out.alerts == [] and out.messages == []
-    assert mtc.case.checklist.entries["T-2"].status is before["T-2"].status
+    assert mtc.entries["T-2"].status is before["T-2"].status
 
 
 def test_mtc_tray_absence_demotes_to_in_use():
     mtc = fresh_mtc()
     mtc_tray_sweep(mtc, {"T-1", "T-2"}, now=5)
     mtc_tray_sweep(mtc, {"T-2"}, now=6)
-    assert mtc.case.checklist.entries["T-1"].status is TagStatus.IN_USE
-    assert mtc.case.checklist.entries["T-2"].status is TagStatus.ON_TRAY
+    assert mtc.entries["T-1"].status is TagStatus.IN_USE
+    assert mtc.entries["T-2"].status is TagStatus.ON_TRAY
 
 
 def test_mtc_duplicate_new_equipment_is_noop():
@@ -164,12 +163,12 @@ def test_mtc_duplicate_new_equipment_is_noop():
     mtc_tray_sweep(mtc, {"T-2"}, now=5)
     out = mtc_handle(mtc, new_equipment("T-2", t=7))
     assert out.alerts == []
-    assert mtc.case.checklist.entries["T-2"].status is TagStatus.ON_TRAY
+    assert mtc.entries["T-2"].status is TagStatus.ON_TRAY
 
 
 def test_mtc_stale_case_rejected():
     mtc = fresh_mtc()
-    mtc.case.phase = CasePhase.COMPLETE
+    mtc.phase = CasePhase.COMPLETE
     with pytest.raises(StaleCaseError):
         mtc_handle(mtc, new_equipment("T-1"))
 
@@ -181,7 +180,7 @@ def test_announce_closing_requests_scan():
     mtc = fresh_mtc()
     mtc_handle(mtc, new_equipment("T-1"))
     out = announce_closing(mtc, now=50)
-    assert mtc.case.phase is CasePhase.CLOSING_ANNOUNCED
+    assert mtc.phase is CasePhase.CLOSING_ANNOUNCED
     kinds = [m.payload["kind"] for m in out.messages]
     assert "RequestCavityScan" in kinds
     assert out.messages[-1].to_node == "MED:OR-1"
@@ -205,63 +204,64 @@ def test_double_announce_rejected():
 
 
 def _reconciled_case():
-    case = SurgeryCase(case_id="C-1", room_id="OR-1")
-    case.phase = CasePhase.RECONCILED
-    return case
+    mtc = fresh_mtc()
+    mtc.phase = CasePhase.RECONCILED
+    return mtc
 
 
 def test_spd_ack_goes_to_cms():
-    cases = {"C-1": _reconciled_case()}
-    msg = spd_acknowledge("C-1", cases)
+    carts = {"C-1": _reconciled_case()}
+    msg = spd_acknowledge("C-1", carts, 70)
     assert msg.from_node == "SPD" and msg.to_node == "CMS"
     assert msg.payload == {"kind": "SpdReadyAck", "case": "C-1"}
+    assert msg.time_s == 70
 
 
 def test_spd_ack_before_reconciliation_rejected():
-    cases = {"C-1": SurgeryCase(case_id="C-1", room_id="OR-1")}
+    carts = {"C-1": fresh_mtc()}
     with pytest.raises(InvalidPhaseError):
-        spd_acknowledge("C-1", cases)
+        spd_acknowledge("C-1", carts, 0)
 
 
 def test_spd_ack_unknown_case():
     with pytest.raises(UnknownCaseError):
-        spd_acknowledge("C-404", {})
+        spd_acknowledge("C-404", {}, 0)
 
 
 def test_ack_completes_case_via_cart():
     mtc = fresh_mtc()
-    mtc.case.phase = CasePhase.AWAITING_SPD
+    mtc.phase = CasePhase.AWAITING_SPD
     ack = ProtocolMessage(time_s=60, from_node="CMS", to_node="MTC:OR-1",
                           payload={"kind": "SpdReadyAck", "case": "C-1"})
     out = mtc_handle(mtc, ack)
-    assert mtc.case.spd_acked
-    assert mtc.case.phase is CasePhase.COMPLETE
+    assert mtc.spd_acked
+    assert mtc.phase is CasePhase.COMPLETE
     assert out.phase_changes[-1][2] is CasePhase.COMPLETE
 
 
 def test_complete_requires_ack():
-    case = SurgeryCase(case_id="C-1", room_id="OR-1")
-    case.phase = CasePhase.AWAITING_SPD
+    mtc = fresh_mtc()
+    mtc.phase = CasePhase.AWAITING_SPD
     with pytest.raises(InvalidPhaseError):
-        case.advance(CasePhase.COMPLETE)
+        mtc.advance(CasePhase.COMPLETE)
 
 
 def test_no_phase_skipping():
-    case = SurgeryCase(case_id="C-1", room_id="OR-1")
+    mtc = fresh_mtc()
     with pytest.raises(InvalidPhaseError):
-        case.advance(CasePhase.CAVITY_SCAN)
+        mtc.advance(CasePhase.CAVITY_SCAN)
     with pytest.raises(InvalidPhaseError):
-        case.advance(CasePhase.COMPLETE)
+        mtc.advance(CasePhase.COMPLETE)
 
 
 # -- alert invariant and handler determinism
 
 
 def test_retention_alerts_always_critical():
-    alert = Alert(time_s=0, severity=Severity.INFO, kind=AlertKind.RSB_SUSPECTED,
+    alert = Alert(severity=Severity.INFO, kind=AlertKind.RSB_SUSPECTED,
                   tags=frozenset({"T-1"}), text="x")
     assert alert.severity is Severity.CRITICAL
-    alert = Alert(time_s=0, severity=Severity.INFO, kind=AlertKind.COUNT_MISMATCH,
+    alert = Alert(severity=Severity.INFO, kind=AlertKind.COUNT_MISMATCH,
                   tags=frozenset(), text="x")
     assert alert.severity is Severity.CRITICAL
 
@@ -278,7 +278,7 @@ def test_handlers_deterministic_on_equal_states():
     mtc1, mtc2 = fresh_mtc(), fresh_mtc()
     out1 = mtc_handle(mtc1, new_equipment("T-9"))
     out2 = mtc_handle(mtc2, new_equipment("T-9"))
-    assert mtc1.case.checklist.entries == mtc2.case.checklist.entries
+    assert mtc1.entries == mtc2.entries
     assert [a.kind for a in out1.alerts] == [a.kind for a in out2.alerts]
 
 
@@ -287,5 +287,5 @@ def test_checklist_entry_uniqueness():
     mtc_handle(mtc, new_equipment("T-1"))
     mtc_tray_sweep(mtc, {"T-1"}, now=2)
     mtc_handle(mtc, new_equipment("T-1", t=3))
-    assert list(mtc.case.checklist.entries) == ["T-1"]
-    assert isinstance(mtc.case.checklist.entries["T-1"], ChecklistEntry)
+    assert list(mtc.entries) == ["T-1"]
+    assert isinstance(mtc.entries["T-1"], ChecklistEntry)

@@ -15,15 +15,12 @@ from ortrack.protocol import (
     ChecklistEntry,
     CmsState,
     InvalidPhaseError,
-    MonitoringChecklist,
     MtcState,
-    SurgeryCase,
     TagBelief,
     TagStatus,
     mtc_staff_rescan,
 )
 from ortrack.reconcile import (
-    LocationBelief,
     Outcome,
     TraceIOError,
     UnknownTagError,
@@ -37,14 +34,13 @@ from ortrack.reconcile import (
 from ortrack.sensing import ScanRegion, ScanResult
 
 
-def checklist_of(active, removed=()):
-    checklist = MonitoringChecklist(case_id="C-1")
+def cart_of(active, removed=()):
+    mtc = MtcState(case_id="C-1", room_id="OR-1")
     for tag in active:
-        checklist.entries[tag] = ChecklistEntry(status=TagStatus.IN_USE, last_seen_s=0)
+        mtc.entries[tag] = ChecklistEntry(status=TagStatus.IN_USE, last_seen_s=0)
     for tag in removed:
-        checklist.entries[tag] = ChecklistEntry(status=TagStatus.REMOVED_FROM_OR,
-                                                last_seen_s=0)
-    return checklist
+        mtc.entries[tag] = ChecklistEntry(status=TagStatus.REMOVED_FROM_OR, last_seen_s=0)
+    return mtc
 
 
 def scan_of(detected, passes=1):
@@ -56,7 +52,7 @@ def test_reconcile_all_accounted_is_clean():
     sponges = {f"S-{i}" for i in range(10)}
     tray = set(list(sorted(sponges))[:8])
     binned = sponges - tray
-    report = reconcile_sets(checklist_of(sponges), tray, binned, scan_of([]))
+    report = reconcile_sets(cart_of(sponges), tray, binned, scan_of([]))
     assert report.outcome is Outcome.CLEAN
     assert report.expected == frozenset(sponges)
     assert report.accounted == frozenset(sponges)
@@ -66,7 +62,7 @@ def test_reconcile_all_accounted_is_clean():
 def test_reconcile_cavity_detection_wins():
     sponges = {f"S-{i}" for i in range(10)}
     accounted = sponges - {"S-4"}
-    report = reconcile_sets(checklist_of(sponges), accounted, set(), scan_of(["S-4"]))
+    report = reconcile_sets(cart_of(sponges), accounted, set(), scan_of(["S-4"]))
     assert report.outcome is Outcome.RSB_SUSPECTED
     assert report.cavity_detected == frozenset({"S-4"})
 
@@ -74,14 +70,14 @@ def test_reconcile_cavity_detection_wins():
 def test_reconcile_missing_without_cavity_hit():
     sponges = {f"S-{i}" for i in range(10)}
     accounted = sponges - {"S-4"}
-    report = reconcile_sets(checklist_of(sponges), accounted, set(), scan_of([]))
+    report = reconcile_sets(cart_of(sponges), accounted, set(), scan_of([]))
     assert report.outcome is Outcome.COUNT_MISMATCH
     assert len(report.missing) == 1
 
 
 def test_reconcile_ignores_removed_entries():
-    checklist = checklist_of({"T-1"}, removed={"T-2"})
-    report = reconcile_sets(checklist, {"T-1"}, set(), scan_of([]))
+    cart = cart_of({"T-1"}, removed={"T-2"})
+    report = reconcile_sets(cart, {"T-1"}, set(), scan_of([]))
     assert report.expected == frozenset({"T-1"})
     assert report.outcome is Outcome.CLEAN
 
@@ -100,7 +96,7 @@ def reconcile_instance(draw):
 @settings(max_examples=500)
 def test_reconcile_matches_independent_set_algebra(instance):
     active, tray, binned, cavity = instance
-    report = reconcile_sets(checklist_of(active), tray, binned, scan_of(cavity))
+    report = reconcile_sets(cart_of(active), tray, binned, scan_of(cavity))
 
     # independent element-by-element oracle
     expected = {t for t in active}
@@ -127,14 +123,14 @@ def test_reconcile_matches_independent_set_algebra(instance):
 
 
 def make_mtc(tray_tags, cavity_tags, max_rescans=2):
-    case = SurgeryCase(case_id="C-1", room_id="OR-1")
-    case.phase = CasePhase.IN_PROGRESS
+    mtc = MtcState(case_id="C-1", room_id="OR-1", scan_passes=1, max_rescans=max_rescans)
+    mtc.phase = CasePhase.IN_PROGRESS
     for tag in tray_tags:
-        case.checklist.entries[tag] = ChecklistEntry(TagStatus.ON_TRAY, 0)
+        mtc.entries[tag] = ChecklistEntry(TagStatus.ON_TRAY, 0)
     for tag in cavity_tags:
-        case.checklist.entries[tag] = ChecklistEntry(TagStatus.IN_USE, 0)
-    case.phase = CasePhase.CLOSING_ANNOUNCED
-    return MtcState(case=case, scan_passes=1, max_rescans=max_rescans)
+        mtc.entries[tag] = ChecklistEntry(TagStatus.IN_USE, 0)
+    mtc.phase = CasePhase.CLOSING_ANNOUNCED
+    return mtc
 
 
 def requests_rescan(out):
@@ -152,7 +148,7 @@ def test_closing_loop_retention_then_staff_fix():
     kinds = [a.kind for a in first.alerts + staff.alerts + second.alerts]
     assert kinds == [AlertKind.RSB_SUSPECTED]
     assert state.scans_done == 2
-    assert state.case.phase is CasePhase.AWAITING_SPD
+    assert state.phase is CasePhase.AWAITING_SPD
 
 
 def test_closing_loop_clean_single_pass():
@@ -161,7 +157,7 @@ def test_closing_loop_clean_single_pass():
     assert out.alerts == []
     assert not requests_rescan(out)
     assert state.scans_done == 1
-    assert state.case.phase is CasePhase.AWAITING_SPD
+    assert state.phase is CasePhase.AWAITING_SPD
 
 
 def test_closing_loop_persistent_mismatch_demands_override():
@@ -176,7 +172,7 @@ def test_closing_loop_persistent_mismatch_demands_override():
     kinds = [a.kind for a in alerts]
     assert kinds == [AlertKind.COUNT_MISMATCH] * 3 + [AlertKind.MANUAL_OVERRIDE]
     assert state.scans_done == 3
-    assert state.case.phase is CasePhase.CAVITY_SCAN
+    assert state.phase is CasePhase.CAVITY_SCAN
 
 
 def test_closing_loop_retention_without_staff_parks_case():
@@ -184,13 +180,13 @@ def test_closing_loop_retention_without_staff_parks_case():
     out, _ = apply_scan_outcome(state, scan_of(["T-4"]), {"T-1"}, set(), 0)
     assert [a.kind for a in out.alerts] == [AlertKind.RSB_SUSPECTED]
     assert not requests_rescan(out)
-    assert state.case.phase is CasePhase.CLOSING_ANNOUNCED
+    assert state.phase is CasePhase.CLOSING_ANNOUNCED
     assert state.awaiting_staff_removal
 
 
 def test_scan_result_outside_closing_is_a_phase_error():
     state = make_mtc({"T-1"}, set())
-    state.case.phase = CasePhase.IN_PROGRESS
+    state.phase = CasePhase.IN_PROGRESS
     with pytest.raises(InvalidPhaseError, match="scan result in phase"):
         apply_scan_outcome(state, scan_of([]), {"T-1"}, set(), 0)
 
@@ -203,7 +199,7 @@ def test_locate_follows_last_crossing():
     cms.register_tag("T-1")
     cms.belief["T-1"] = TagBelief(site="OR-1", last_seen_s=55)
     belief = locate("T-1", cms)
-    assert belief == LocationBelief(site="OR-1", last_seen_s=55)
+    assert belief == TagBelief(site="OR-1", last_seen_s=55)
     assert belief.known
 
 
@@ -211,6 +207,7 @@ def test_locate_never_read_is_unknown():
     cms = CmsState()
     cms.register_tag("T-1")
     belief = locate("T-1", cms)
+    assert belief == TagBelief(site=None, last_seen_s=None)
     assert belief.site is None and not belief.known
 
 
