@@ -1,9 +1,11 @@
 """Deterministic discrete-event scheduler, scenario loader, trace emitter and reader.
 
 A run is a pure function of (scenario, seed): one logical seed is split
-into independent named streams (one per sensor, one per bus link), so
-adding a sensor never perturbs anyone else's draws. The future-event list
-is a heap ordered by (time, receiver priority, sequence number); staff and
+into independent named streams, made on first use and only where a draw
+can change an outcome: ``sensor:<id>`` for a reader with ``p_detect < 1``
+and ``bus:<FROM>-><TO>`` for a link with ``drop_rate > 0``. So adding a
+sensor never perturbs anyone else's draws. The future-event list is a
+heap ordered by (time, receiver priority, sequence number); staff and
 world events sort before any message at the same tick.
 
 Traces serialize as newline-delimited JSON with alphabetically ordered
@@ -18,6 +20,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import model, protocol, reconcile, sensing
 from .model import (
@@ -384,8 +387,7 @@ def destination(ev: StaffEvent, src: Location, rooms: list[str]) -> tuple[Locati
 # Message bus
 
 
-@dataclass(frozen=True)
-class DeliveryOutcome:
+class DeliveryOutcome(NamedTuple):
     delivered: bool
     at_time: int | None = None
 
@@ -416,6 +418,9 @@ class _Engine:
         self.mtcs: dict[str, MtcState] = {}  # keyed by room id
         self.mtcs_by_case: dict[str, MtcState] = {}  # the same carts, keyed by case id
         self.rngs: dict[str, random.Random] = {}  # named streams, made on first use
+        self.links: dict[tuple[str, str], tuple] = {}  # (from, to) -> (priority, stream or None)
+        self.antennas = {(spec.room_id, which): Location(spec.room_id, sub)
+                         for spec in scenario.cases for which, (sub, _) in _ANTENNAS.items()}
         self.outages: dict[str, list[tuple[float, float]]] = {}
         self._setup()
 
@@ -459,8 +464,9 @@ class _Engine:
         heapq.heappush(self.heap, (time_s, priority, self.seq, action))
         self.seq += 1
 
-    def _sensor_model(self, sensor_id: str) -> SensorModel:
-        return self.scenario.sensors.get(sensor_id, _DEFAULT_SENSOR)
+    def _reader(self, sensor_id: str) -> tuple[SensorModel, random.Random | None]:
+        model_ = self.scenario.sensors.get(sensor_id, _DEFAULT_SENSOR)
+        return model_, (self._rng(f"sensor:{sensor_id}") if model_.p_detect < 1.0 else None)
 
     def _rng(self, name: str) -> random.Random:
         rng = self.rngs.get(name)
@@ -495,14 +501,17 @@ class _Engine:
     def _send(self, message: ProtocolMessage, now: int) -> None:
         message.msg_id = self.msg_seq
         self.msg_seq += 1
-        link = f"{node_type(message.from_node)}->{node_type(message.to_node)}"
-        outcome = deliver(self.scenario.bus, message, now, self._rng(f"bus:{link}"))
+        ends = message.from_node, message.to_node
+        if (link := self.links.get(ends)) is None:
+            stream = f"bus:{node_type(ends[0])}->{node_type(ends[1])}"
+            link = self.links[ends] = (node_priority(ends[1]), self._rng(stream)
+                                       if self.scenario.bus.link_params(*ends)[1] > 0.0 else None)
+        outcome = deliver(self.scenario.bus, message, now, link[1])
         if not outcome.delivered:
             self.trace.records.append({"t": now, "type": "msg", "status": "dropped",
                                        "sent_at": now, "msg": message.to_json()})
             return
-        self._schedule(outcome.at_time, node_priority(message.to_node),
-                       ("deliver", message, now))
+        self._schedule(outcome.at_time, link[0], ("deliver", message, now))
 
     def _emit(self, outputs: Outputs, case_id: str | None, now: int) -> None:
         for message in outputs.messages:
@@ -516,9 +525,9 @@ class _Engine:
     def _read(self, sensor_id: str, candidates: list[str], case_id: str | None,
               now: int, distance_m: float = 0.0) -> list[str] | None:
         """The tags one read cycle saw; None, with a SensorDown alert, if the reader is down."""
+        model_, rng = self._reader(sensor_id)
         try:
-            return sensing.read_tags(sensor_id, self._sensor_model(sensor_id), candidates,
-                                     self._rng(f"sensor:{sensor_id}"), now,
+            return sensing.read_tags(sensor_id, model_, candidates, rng, now,
                                      self.outages.get(sensor_id, ()), distance_m)
         except SensorDownError as exc:
             self._sensor_down(exc, case_id, now)
@@ -543,8 +552,7 @@ class _Engine:
 
     def _antenna_read(self, room: str, which: str, now: int) -> set[str] | None:
         """Read everything physically on the tray/bin antenna; None if it is down."""
-        reads = self._read(f"{which}:{room}",
-                           self.world.tags_at(Location(room, _ANTENNAS[which][0])),
+        reads = self._read(f"{which}:{room}", self.world.tags_at(self.antennas[room, which]),
                            self.mtcs[room].case_id, now)
         return None if reads is None else set(reads)
 
@@ -623,9 +631,7 @@ class _Engine:
             return
         cavity = self.world.tags_at(Location(room, SubLocation.PATIENT_CAVITY))
         scan = sensing.med_scan(ScanRegion.PATIENT_CAVITY, cavity,
-                                self.mtcs[room].scan_passes,
-                                self._sensor_model(sensor_id),
-                                self._rng(f"sensor:{sensor_id}"))
+                                self.mtcs[room].scan_passes, *self._reader(sensor_id))
         self._send(med_on_request(room, case_id, scan, now), now)
 
     def _on_scan_result(self, mtc: MtcState, message: ProtocolMessage, now: int) -> None:

@@ -37,6 +37,7 @@ class SubLocation(Enum):
     PATIENT_CAVITY = "PatientCavity"
     STAFF_CARRIED = "StaffCarried"
     ROOM_SPACE = "RoomSpace"
+    __hash__ = object.__hash__  # members are singletons; Enum.__hash__ runs in Python
 
 
 class MoveCause(Enum):

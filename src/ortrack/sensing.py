@@ -102,7 +102,7 @@ def raise_if_down(sensor_id: str, outages: list[tuple[float, float]], now_s: flo
 def read_tags(sensor_id: str,
               model: SensorModel,
               candidates: list[str],
-              rng: random.Random,
+              rng: random.Random | None,
               now_s: int = 0,
               outages: list[tuple[float, float]] = (),
               distance_m: float = 0.0,
@@ -110,11 +110,15 @@ def read_tags(sensor_id: str,
     """One read cycle: the tags seen, in candidate order.
 
     Every candidate is ``distance_m`` from the reader and takes one draw,
-    in order, in range or not. Raises SensorDownError if ``now_s`` falls
-    inside a scheduled outage.
+    in order, in range or not; with ``model.p_detect`` 1 none is drawn and
+    ``rng`` may be None. Raises SensorDownError if ``now_s`` falls inside
+    a scheduled outage.
     """
     raise_if_down(sensor_id, outages, now_s)
-    draw, p = rng.random, detect_probability(distance_m, model)
+    p = detect_probability(distance_m, model)
+    if model.p_detect == 1.0:
+        return list(candidates) if p else []
+    draw = rng.random
     return [tag_id for tag_id in candidates if draw() < p]
 
 
@@ -122,18 +126,22 @@ def med_scan(region: ScanRegion,
              candidates: list[str],
              passes: int,
              model: SensorModel,
-             rng: random.Random,
+             rng: random.Random | None,
              distance_m: float = 0.0) -> ScanResult:
     """Sweep a region with the handheld detector.
 
     A tag is detected iff at least one of ``passes`` independent reads
     succeeds, so the per-tag miss probability is (1 - p) ** passes for
     in-range tags. Every pass is drawn even after a hit, keeping the
-    stream consumption independent of outcomes.
+    stream consumption independent of outcomes. With ``model.p_detect`` 1
+    no draw is taken and ``rng`` may be None.
     """
     if passes < 1:
         raise InvalidParamError("passes must be >= 1")
-    draw, p = rng.random, detect_probability(distance_m, model)
+    p = detect_probability(distance_m, model)
+    if model.p_detect == 1.0:
+        return ScanResult(region, frozenset(candidates if p else ()), passes)
+    draw = rng.random
     # the list takes every pass's draw before any() looks at it
     detected = frozenset(tag_id for tag_id in candidates
                          if any([draw() < p for _ in range(passes)]))

@@ -1,4 +1,4 @@
-"""Byte-level pins: golden traces, reports, run summaries, the Monte Carlo and eval outputs.
+"""Byte-level pins: golden traces, reports, run summaries, a noisy day, Monte Carlo and eval.
 
 A refactor must leave these digests alone. A change that alters a trace or
 a summary on purpose re-pins the affected digests here and names them in
@@ -9,12 +9,17 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
 from helpers import load_bundled
 from ortrack import kernel
 from ortrack.cli import batch_summary, main, run_summary
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "bench"))
+import hospital_day  # noqa: E402
 
 #: sha256 of ``run(scenario).to_ndjson()`` per (golden, seed offset 0, 1, 2).
 TRACE_DIGESTS = {
@@ -85,6 +90,12 @@ REPORT_DIGESTS = {
         "3c73a5acf4df02ec1aa5b03fbbaf18c132a73b8697e2454870865ef6dc17d9d5"),
 }
 
+#: sha256 of the NDJSON trace and of the canonical JSON of ``run_summary`` for
+#: ``bench/hospital_day.generate(0, rooms=3, items=150)``: noisy readers, reads
+#: from out of range, a lossy bus and reader outages in one run.
+NOISY_DAY_DIGESTS = ("d6943e755c549948551c3286f5ae09cf88460bcb1cc9f2e40606905a24f17e56",
+                     "4dabdf34f605c681b06762f10d78d1fc801b86533de495cae87c2b1d857f7e7f")
+
 #: sha256 of ``eval``'s stdout on the bundled needs, correlation, scores and
 #: qualitative CSVs.
 EVAL_DIGEST = "833c0b067511c94540033cd2fea6c1402b2387d7b997f9f355dc58933e73a6ec"
@@ -120,6 +131,17 @@ def test_golden_report_and_summary_digests(name, tmp_path):
         text = "".join((tmp_path / f"report_{spec.case_id}.{suffix}").read_text()
                        for spec in scenario.cases)
         assert _sha256(text) == digest, suffix
+
+
+def test_noisy_day_digests():
+    text = hospital_day.generate(0, rooms=3, items=150)
+    trace = kernel.run(kernel.load_scenario(text))
+    records = trace.records
+    assert sum(r["type"] == "alert" and r["kind"] == "SensorDown" for r in records) == 20
+    assert sum(r["type"] == "msg" and r["status"] == "dropped" for r in records) == 2
+    summary = run_summary(trace)
+    assert (_sha256(trace.to_ndjson()),
+            _sha256(json.dumps(summary, sort_keys=True))) == NOISY_DAY_DIGESTS
 
 
 def test_eval_output_digest(capsys):

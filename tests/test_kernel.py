@@ -306,6 +306,17 @@ def test_adding_a_sensor_does_not_perturb_other_streams():
         assert outcome1 == outcome2
 
 
+@pytest.mark.parametrize("name, streams", [
+    ("cavity_retention", {"sensor:med:OR-1"}),  # the one reader with p_detect < 1
+    ("dropped_link", {"bus:CMS->MTC"}),  # the one link with drop_rate > 0
+    ("clean_case", set()),  # three items, every reader at p=1, a lossless bus
+])
+def test_streams_only_for_sources_whose_draws_can_change_the_outcome(name, streams):
+    engines = []
+    run(load_bundled(name), observer=lambda time_s, world, engine: engines.append(engine))
+    assert engines and set(engines[-1].rngs) == streams
+
+
 def test_final_cavity_occupancy_from_trace():
     trace = run(load_bundled("sponge_in_cavity"))
     assert kernel.read_trace(trace).cavity == {"OR-1": {"T-4"}}

@@ -65,6 +65,23 @@ def test_read_tags_certainty():
     assert read_tags("s", model, cands, random.Random(1), now_s=42, distance_m=0.5) == cands
 
 
+def test_certain_reader_takes_no_draw():
+    # p_detect 1: every draw would decide nothing, so none is taken and no stream is needed
+    model = SensorModel(range_m=0.9, p_detect=1.0)
+    cands = [f"T-{i}" for i in range(5)]
+    assert read_tags("s", model, cands, None, distance_m=0.9) == cands
+    assert read_tags("s", model, cands, None, distance_m=2.5) == []
+    for passes in (1, 3):
+        assert med_scan(ScanRegion.PATIENT_CAVITY, cands, passes, model, None,
+                        distance_m=0.9).detected == frozenset(cands)
+        assert med_scan(ScanRegion.PATIENT_CAVITY, cands, passes, model, None,
+                        distance_m=2.5).detected == frozenset()
+    with pytest.raises(InvalidParamError):
+        read_tags("s", model, cands, None, distance_m=-0.1)
+    with pytest.raises(InvalidParamError):
+        med_scan(ScanRegion.PATIENT_CAVITY, cands, 1, model, None, distance_m=-0.1)
+
+
 def test_read_tags_empty():
     assert read_tags("s", SensorModel(), [], random.Random(1)) == []
 
