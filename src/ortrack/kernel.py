@@ -87,6 +87,8 @@ _NUMBER = (int, float)
 _MAX = sys.float_info.max
 _REQUIRED = object()
 _DEFAULT_SENSOR = SensorModel()  # frozen, so every unconfigured reader shares it
+#: What ``json.dumps(r, sort_keys=True, separators=(",", ":"))`` builds on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 #: Staff event kind -> (sub-locations the item may start from, sub-location it
 #: ends at, cause). An end of None is a site the event names.
@@ -103,7 +105,7 @@ _MOVE_RULES = {
 EVENT_KINDS = {"announce_closing", "spd_ack", *_MOVE_RULES}
 
 #: Cart antenna -> (sub-location it covers, name of its sweep handler in
-#: ``protocol``, looked up at call time).
+#: ``protocol``, looked up on the antenna's first read in a run).
 _ANTENNAS = {"tray": (SubLocation.TOOL_TRAY, "mtc_tray_sweep"),
              "bin": (SubLocation.TRASH_BIN, "mtc_bin_sweep")}
 
@@ -187,8 +189,8 @@ class Trace:
     records: list[dict] = field(default_factory=list)
 
     def to_ndjson(self) -> str:
-        return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-                       for r in self.records)
+        encode = _ENCODER.encode
+        return "".join(encode(r) + "\n" for r in self.records)
 
     @classmethod
     def from_ndjson(cls, text: str) -> "Trace":
@@ -419,8 +421,9 @@ class _Engine:
         self.mtcs_by_case: dict[str, MtcState] = {}  # the same carts, keyed by case id
         self.rngs: dict[str, random.Random] = {}  # named streams, made on first use
         self.links: dict[tuple[str, str], tuple] = {}  # (from, to) -> (priority, stream or None)
-        self.antennas = {(spec.room_id, which): Location(spec.room_id, sub)
-                         for spec in scenario.cases for which, (sub, _) in _ANTENNAS.items()}
+        self.readers: dict[str, tuple] = {}  # sensor id -> (id, model, stream or None, outages)
+        self.antennas: dict[tuple, tuple] = {}  # (room, which) -> (Location, handler, reader)
+        self.nodes: dict[str, tuple[str, str]] = {}  # node id -> (node type, room)
         self.outages: dict[str, list[tuple[float, float]]] = {}
         self._setup()
 
@@ -464,9 +467,14 @@ class _Engine:
         heapq.heappush(self.heap, (time_s, priority, self.seq, action))
         self.seq += 1
 
-    def _reader(self, sensor_id: str) -> tuple[SensorModel, random.Random | None]:
-        model_ = self.scenario.sensors.get(sensor_id, _DEFAULT_SENSOR)
-        return model_, (self._rng(f"sensor:{sensor_id}") if model_.p_detect < 1.0 else None)
+    def _reader(self, sensor_id: str) -> tuple:
+        """A reader's id, model, stream (only when ``p_detect < 1``) and outages."""
+        if (reader := self.readers.get(sensor_id)) is None:
+            model_ = self.scenario.sensors.get(sensor_id, _DEFAULT_SENSOR)
+            rng = self._rng(f"sensor:{sensor_id}") if model_.p_detect < 1.0 else None
+            reader = self.readers[sensor_id] = (sensor_id, model_, rng,
+                                                self.outages.get(sensor_id, ()))
+        return reader
 
     def _rng(self, name: str) -> random.Random:
         rng = self.rngs.get(name)
@@ -522,19 +530,18 @@ class _Engine:
 
     # -- sensing hooks
 
-    def _read(self, sensor_id: str, candidates: list[str], case_id: str | None,
+    def _read(self, reader: tuple, candidates: list[str], case_id: str | None,
               now: int, distance_m: float = 0.0) -> list[str] | None:
         """The tags one read cycle saw; None, with a SensorDown alert, if the reader is down."""
-        model_, rng = self._reader(sensor_id)
+        sensor_id, model_, rng, outages = reader
         try:
-            return sensing.read_tags(sensor_id, model_, candidates, rng, now,
-                                     self.outages.get(sensor_id, ()), distance_m)
+            return sensing.read_tags(sensor_id, model_, candidates, rng, now, outages, distance_m)
         except SensorDownError as exc:
             self._sensor_down(exc, case_id, now)
             return None
 
     def _entrance_read(self, site: str, tag: str, distance_m: float, now: int) -> None:
-        reads = self._read(f"entrance:{site}", [tag], None, now, distance_m)
+        reads = self._read(self._reader(f"entrance:{site}"), [tag], None, now, distance_m)
         if reads is None:
             return
         for message in room_sensor_on_reads(self.room_sensors[site], reads, now):
@@ -547,13 +554,15 @@ class _Engine:
         detected = self._antenna_read(room, which, now)
         if detected is None:
             return
-        handler = getattr(protocol, _ANTENNAS[which][1])
-        self._emit(handler(mtc, detected, now), mtc.case_id, now)
+        self._emit(self.antennas[room, which][1](mtc, detected, now), mtc.case_id, now)
 
     def _antenna_read(self, room: str, which: str, now: int) -> set[str] | None:
         """Read everything physically on the tray/bin antenna; None if it is down."""
-        reads = self._read(f"{which}:{room}", self.world.tags_at(self.antennas[room, which]),
-                           self.mtcs[room].case_id, now)
+        if (antenna := self.antennas.get((room, which))) is None:
+            sub, handler = _ANTENNAS[which]
+            antenna = self.antennas[room, which] = (
+                Location(room, sub), getattr(protocol, handler), self._reader(f"{which}:{room}"))
+        reads = self._read(antenna[2], self.world.tags_at(antenna[0]), self.mtcs[room].case_id, now)
         return None if reads is None else set(reads)
 
     # -- staff/world event handling
@@ -588,10 +597,9 @@ class _Engine:
         if src.site != dst.site:
             self._entrance_read(src.site, ev.tag, ev.distance_m, now)
             self._entrance_read(dst.site, ev.tag, ev.distance_m, now)
-        for room in (src.site, dst.site):
-            if room in self.mtcs:
-                self._sweep(room, "tray", now)
-                self._sweep(room, "bin", now)
+        for room in (src.site, dst.site):  # a room without a cart has no sweep
+            self._sweep(room, "tray", now)
+            self._sweep(room, "bin", now)
         if ev.kind == "remove_from_cavity":
             mtc = self.mtcs.get(src.site)
             if mtc is not None:
@@ -604,14 +612,16 @@ class _Engine:
                                    "sent_at": sent_at, "msg": message.to_json()})
         target = message.to_node
         kind = message.payload["kind"]
+        if (node := self.nodes.get(target)) is None:
+            node = self.nodes[target] = (node_type(target), target.partition(":")[2])
+        type_, room = node
         try:
             if target == protocol.CMS_NODE:
                 self._emit(cms_handle(self.cms, message),
                            message.payload.get("case"), now)
-            elif node_type(target) == "MED":
-                self._med_scan(target.split(":", 1)[1], message.payload["case"], now)
-            elif node_type(target) == "MTC":
-                room = target.split(":", 1)[1]
+            elif type_ == "MED":
+                self._med_scan(room, message.payload["case"], now)
+            elif type_ == "MTC":
                 mtc = self.mtcs[room]
                 if kind == "CavityScanResult":
                     self._on_scan_result(mtc, message, now)
@@ -631,7 +641,7 @@ class _Engine:
             return
         cavity = self.world.tags_at(Location(room, SubLocation.PATIENT_CAVITY))
         scan = sensing.med_scan(ScanRegion.PATIENT_CAVITY, cavity,
-                                self.mtcs[room].scan_passes, *self._reader(sensor_id))
+                                self.mtcs[room].scan_passes, *self._reader(sensor_id)[1:3])
         self._send(med_on_request(room, case_id, scan, now), now)
 
     def _on_scan_result(self, mtc: MtcState, message: ProtocolMessage, now: int) -> None:

@@ -295,7 +295,11 @@ DEFAULT_MAX_RESCANS = 2
 
 @dataclass
 class MtcState:
-    """The cart of one operating room: its case's lifecycle, checklist and scan counters."""
+    """The cart of one operating room: its case's lifecycle, checklist and scan counters.
+
+    Only a tray sweep sets ``OnTray`` and only a bin sweep ``Discarded``, so an
+    entry holds either only if the last sweep of its kind, kept in ``swept``, saw it.
+    """
 
     case_id: str
     room_id: str
@@ -309,6 +313,7 @@ class MtcState:
     scans_done: int = 0
     last_outcome: str | None = None
     completed_s: int | None = None  # tick the case completed; stamped by the kernel
+    swept: dict[TagStatus, set[str]] = field(default_factory=dict)  # sweep status -> last seen
 
     @property
     def node_id(self) -> str:
@@ -341,11 +346,6 @@ def _checklist_update(state: MtcState, action: str, tag: str, now: int) -> Proto
                  "action": action, "tag": tag})
 
 
-def _ensure_in_progress(state: MtcState, out: Outputs) -> None:
-    if state.phase is CasePhase.SETUP:
-        out.phase_changes.append(state.advance(CasePhase.IN_PROGRESS))
-
-
 def _add_or_reactivate(state: MtcState, tag: str, status: TagStatus, now: int,
                        out: Outputs) -> bool:
     """Put a tag on the active checklist; returns False if already active."""
@@ -355,7 +355,8 @@ def _add_or_reactivate(state: MtcState, tag: str, status: TagStatus, now: int,
         return False
     state.entries[tag] = ChecklistEntry(status=status, last_seen_s=now)
     out.messages.append(_checklist_update(state, "add", tag, now))
-    _ensure_in_progress(state, out)
+    if state.phase is CasePhase.SETUP:
+        out.phase_changes.append(state.advance(CasePhase.IN_PROGRESS))
     return True
 
 
@@ -408,21 +409,30 @@ def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
 
 
 def _sweep(state: MtcState, detected: set[str], now: int, status: TagStatus) -> Outputs:
-    """Full antenna sweep: presence sets ``status``, absence demotes to InUse."""
+    """Full antenna sweep: presence sets ``status``, absence demotes to InUse.
+
+    Only this kind of sweep sets ``status``, so it demotes only from the set
+    its last sweep saw, kept as given; a cart's first one walks every entry.
+    """
     if state.phase is CasePhase.COMPLETE:
         raise StaleCaseError(f"case {state.case_id} already complete")
     out = Outputs()
     entries = state.entries
-    for tag in sorted(detected):
+    fresh = []  # tags to add or reactivate, taken in sorted order below
+    for tag in detected:
         entry = entries.get(tag)
         if entry is None or entry.status is TagStatus.REMOVED_FROM_OR:
-            _add_or_reactivate(state, tag, status, now, out)
+            fresh.append(tag)
         else:  # already active: _add_or_reactivate's no-op branch, inline
             entry.last_seen_s = now
             entry.status = status
-    for tag, entry in entries.items():
-        if entry.status is status and tag not in detected:
+    for tag in sorted(fresh):
+        _add_or_reactivate(state, tag, status, now, out)
+    last = state.swept.get(status)
+    for tag in entries if last is None else last:
+        if tag not in detected and (entry := entries[tag]).status is status:
             entry.status = TagStatus.IN_USE
+    state.swept[status] = detected
     return out
 
 

@@ -170,6 +170,15 @@ def test_clean_case_mutation_baseline_loads():
     assert load_scenario(mutated()).name == "clean-case"
 
 
+def test_delivery_to_a_node_without_a_handler_is_recorded_each_time():
+    engine = kernel._Engine(load_bundled("clean_case"))
+    for now in (3, 4):  # the second delivery takes the node resolved by the first
+        engine._on_deliver(ProtocolMessage(time_s=now, from_node="CMS", to_node="SPD",
+                                           payload={"kind": "Ping"}), now, now)
+        assert engine.trace.records[-1] == {"t": now, "type": "error", "op": "deliver",
+                                            "detail": "no handler for node SPD"}
+
+
 def test_engine_bug_is_not_recorded_as_an_error(monkeypatch):
     def broken(state, message):
         raise ValueError("engine bug")
@@ -257,6 +266,23 @@ def test_all_goldens_validate():
 def test_trace_round_trips_through_ndjson():
     trace = run(load_bundled("clean_case"))
     assert Trace.from_ndjson(trace.to_ndjson()) == trace
+
+
+@pytest.mark.parametrize("records", [
+    [],
+    [{"t": 0, "type": "meta", "name": "Salle d\u2019op\u00e9ration \u00e9t\u00e9", "seed": 3,
+      "rooms": ["OR-1"], "items": [{"tag": "T-1", "kind": "Sponge", "item_id": "I-1"}]},
+     {"t": 7, "type": "msg", "msg": {"payload": {"scan": {"detected": ["T-1"], "passes": 3},
+                                                 "kind": "CavityScanResult"}, "msg_id": 0},
+      "ratio": 0.1, "big": 1e300, "none": None, "flag": True}],
+], ids=["empty", "non-ascii-nested-float"])
+def test_to_ndjson_is_json_dumps_per_record(records):
+    text = Trace(records=records).to_ndjson()
+    assert text == "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+                           for r in records)
+    assert text.isascii()
+    if records:
+        assert "\\u00e9" in text
 
 
 def test_from_ndjson_rejects_torn_and_blank_lines():

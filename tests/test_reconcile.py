@@ -1,13 +1,15 @@
 """Counting, the closing re-scan loop, location queries, reports, persistence."""
 
+import contextlib
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import load_bundled
-from ortrack import kernel
+from ortrack import kernel, reconcile as reconcile_module
 from ortrack.kernel import read_trace, run
 from ortrack.protocol import (
     AlertKind,
@@ -16,9 +18,14 @@ from ortrack.protocol import (
     CmsState,
     InvalidPhaseError,
     MtcState,
+    Outputs,
+    ProtocolMessage,
     TagBelief,
     TagStatus,
+    announce_closing,
+    mtc_handle,
     mtc_staff_rescan,
+    mtc_tray_sweep,
 )
 from ortrack.reconcile import (
     Outcome,
@@ -189,6 +196,91 @@ def test_scan_result_outside_closing_is_a_phase_error():
     state.phase = CasePhase.IN_PROGRESS
     with pytest.raises(InvalidPhaseError, match="scan result in phase"):
         apply_scan_outcome(state, scan_of([]), {"T-1"}, set(), 0)
+
+
+# -- tray and bin sweeps against a walk of the whole checklist
+
+
+def full_walk_sweep(state, detected, now, status):
+    """Reference sweep: sorted adds, then every entry with ``status`` not seen is demoted."""
+    out = Outputs()
+    for tag in sorted(detected):
+        entry = state.entries.get(tag)
+        if entry is not None and entry.status is not TagStatus.REMOVED_FROM_OR:
+            entry.last_seen_s, entry.status = now, status
+            continue
+        state.entries[tag] = ChecklistEntry(status, now)
+        out.messages.append(ProtocolMessage(
+            time_s=now, from_node=state.node_id, to_node="CMS",
+            payload={"kind": "ChecklistUpdate", "case": state.case_id,
+                     "action": "add", "tag": tag}))
+        if state.phase is CasePhase.SETUP:
+            out.phase_changes.append(state.advance(CasePhase.IN_PROGRESS))
+    for tag, entry in state.entries.items():
+        if entry.status is status and tag not in detected:
+            entry.status = TagStatus.IN_USE
+    return out
+
+
+SWEEP_TAGS = ("T-1", "T-2", "T-3", "T-4", "T-5")
+_tag = st.sampled_from(SWEEP_TAGS)
+_tags = st.frozensets(_tag)
+SWEEP_STEPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(("tray", "bin")), _tags),
+    st.tuples(st.sampled_from(("NewEquipmentInOR", "EquipmentLeftOR")), _tag),
+    st.tuples(st.just("close")),
+    st.tuples(st.just("scan"), _tags, _tags, _tags),
+), max_size=40)
+
+
+@contextlib.contextmanager
+def full_walk_sweeps():
+    """Route the sweeps that ``reconcile`` names, also inside a scan, to the full walk."""
+    with mock.patch.object(reconcile_module, "mtc_tray_sweep",
+                           lambda s, d, t: full_walk_sweep(s, d, t, TagStatus.ON_TRAY)), \
+         mock.patch.object(reconcile_module, "mtc_bin_sweep",
+                           lambda s, d, t: full_walk_sweep(s, d, t, TagStatus.DISCARDED)):
+        yield
+
+
+def sweep_step(cart, step, now):
+    kind = step[0]
+    try:
+        if kind in ("tray", "bin"):
+            return getattr(reconcile_module, f"mtc_{kind}_sweep")(cart, set(step[1]), now)
+        if kind == "close":
+            return announce_closing(cart, now)
+        if kind == "scan":
+            tray, bin_, cavity = step[1:]
+            return apply_scan_outcome(cart, scan_of(cavity), set(tray), set(bin_), now)
+        return mtc_handle(cart, ProtocolMessage(
+            time_s=now, from_node="CMS", to_node=cart.node_id,
+            payload={"kind": kind, "tag": step[1], "case": cart.case_id}))
+    except InvalidPhaseError as exc:
+        return str(exc)
+
+
+@given(st.dictionaries(_tag, st.sampled_from(list(TagStatus))),
+       st.sampled_from((CasePhase.SETUP, CasePhase.IN_PROGRESS)), SWEEP_STEPS)
+@settings(max_examples=300)
+def test_sweep_demotes_as_a_full_checklist_walk_does(hand_built, phase, steps):
+    cart, reference = (MtcState(case_id="C-1", room_id="OR-1", phase=phase,
+                                entries={tag: ChecklistEntry(status, 0)
+                                         for tag, status in hand_built.items()})
+                       for _ in range(2))
+    for now, step in enumerate(steps, start=1):
+        outputs = sweep_step(cart, step, now)
+        with full_walk_sweeps():
+            assert outputs == sweep_step(reference, step, now)
+        assert cart.entries == reference.entries
+        assert cart.phase is reference.phase
+
+
+def test_first_tray_sweep_on_a_hand_built_cart_demotes_an_unseen_entry():
+    state = make_mtc({"T-1", "T-2"}, set())
+    assert mtc_tray_sweep(state, {"T-2"}, 5) == Outputs()
+    assert state.entries["T-1"] == ChecklistEntry(TagStatus.IN_USE, 0)
+    assert state.entries["T-2"] == ChecklistEntry(TagStatus.ON_TRAY, 5)
 
 
 # -- location queries
