@@ -34,7 +34,7 @@ def _out_dir(flag_value: str | None) -> str:
 
 
 def _load_scenario_file(path: str, seed: int | None) -> kernel.Scenario:
-    with open(path, "r") as handle:
+    with open(path, encoding="utf-8") as handle:
         scenario = kernel.load_scenario(handle.read())
     if seed is not None:
         scenario = dataclasses.replace(scenario, seed=seed)
@@ -138,11 +138,11 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    with open(args.needs) as handle:
+    with open(args.needs, encoding="utf-8") as handle:
         needs_text = handle.read()
-    with open(args.correlation) as handle:
+    with open(args.correlation, encoding="utf-8") as handle:
         correlation_text = handle.read()
-    with open(args.scores) as handle:
+    with open(args.scores, encoding="utf-8") as handle:
         scores_text = handle.read()
 
     qfd = decision.qfd_from_csv(needs_text, correlation_text)
@@ -153,7 +153,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     plot = None
     if args.qualitative:
-        with open(args.qualitative) as handle:
+        with open(args.qualitative, encoding="utf-8") as handle:
             qualitative = decision.qualitative_totals_from_csv(handle.read())
         plot = [[c, x, y] for c, x, y
                 in decision.two_axis_plot_data(dict(ranking), qualitative)]

@@ -335,7 +335,7 @@ def qfd_from_csv(needs_text: str, correlation_text: str) -> QfdInput:
 
 
 def _data_text(name: str) -> str:
-    return resources.files("ortrack").joinpath("data").joinpath(name).read_text()
+    return resources.files("ortrack").joinpath("data").joinpath(name).read_text(encoding="utf-8")
 
 
 def load_engineering_characteristics() -> list[dict]:

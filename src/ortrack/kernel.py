@@ -49,7 +49,6 @@ from .protocol import (
     med_on_request,
     mtc_handle,
     mtc_staff_rescan,
-    node_priority,
     node_type,
     room_sensor_on_reads,
     spd_acknowledge,
@@ -77,7 +76,7 @@ LINK_KEYS = {"latency_s", "drop_rate"}
 SENSOR_ROLES = {"entrance", "tray", "bin", "med"}
 
 #: Most outages a sensor may expect over the horizon, horizon_s / (mtbf_s +
-#: mttr_s); its whole failure schedule is drawn before the run starts.
+#: mttr_s); its whole failure schedule is drawn on the reader's first read.
 MAX_EXPECTED_OUTAGES = 10_000
 
 _KIND_BY_NAME = {k.value: k for k in ItemKind}
@@ -143,9 +142,9 @@ class BusConfig:
     drop_rate: float = 0.0
     links: dict = field(default_factory=dict)  # "CMS->MTC" -> LinkConfig
 
-    def link_params(self, from_node: str, to_node: str) -> tuple[int, float]:
-        key = f"{node_type(from_node)}->{node_type(to_node)}"
-        override = self.links.get(key)
+    def link_params(self, from_type: str, to_type: str) -> tuple[int, float]:
+        """Latency and drop rate of the link between two node types."""
+        override = self.links.get(f"{from_type}->{to_type}")
         if override is None:
             return self.latency_s, self.drop_rate
         latency = override.latency_s if override.latency_s is not None else self.latency_s
@@ -195,11 +194,12 @@ class Trace:
     @classmethod
     def from_ndjson(cls, text: str) -> "Trace":
         """Parse NDJSON text; a torn record (no final newline, a line that is
-        not JSON, a blank line) raises ``reconcile.TraceIOError``."""
+        not JSON, a blank line) raises ``reconcile.TraceIOError``. Only
+        ``\n`` ends a record: a raw U+2028 inside a JSON string is valid."""
         if text and not text.endswith("\n"):
             raise reconcile.TraceIOError("truncated record")
         records = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n")[:-1], start=1):
             try:
                 records.append(json.loads(line))
             except json.JSONDecodeError as exc:
@@ -394,10 +394,10 @@ class DeliveryOutcome(NamedTuple):
     at_time: int | None = None
 
 
-def deliver(bus: BusConfig, message: ProtocolMessage, now: int,
-            rng: random.Random) -> DeliveryOutcome:
-    """Decide one message's fate: dropped, or delivered after link latency."""
-    latency, drop_rate = bus.link_params(message.from_node, message.to_node)
+def deliver(latency: int, drop_rate: float, now: int,
+            rng: random.Random | None) -> DeliveryOutcome:
+    """Decide one message's fate on a resolved link: dropped, or delivered
+    after its latency. ``rng`` may be None when ``drop_rate`` is 0."""
     if drop_rate > 0.0 and rng.random() < drop_rate:
         return DeliveryOutcome(delivered=False)
     return DeliveryOutcome(delivered=True, at_time=now + latency)
@@ -420,11 +420,12 @@ class _Engine:
         self.mtcs: dict[str, MtcState] = {}  # keyed by room id
         self.mtcs_by_case: dict[str, MtcState] = {}  # the same carts, keyed by case id
         self.rngs: dict[str, random.Random] = {}  # named streams, made on first use
-        self.links: dict[tuple[str, str], tuple] = {}  # (from, to) -> (priority, stream or None)
+        self.links: dict[tuple, tuple] = {}  # (from, to) -> (priority, latency, drop, stream)
         self.readers: dict[str, tuple] = {}  # sensor id -> (id, model, stream or None, outages)
         self.antennas: dict[tuple, tuple] = {}  # (room, which) -> (Location, handler, reader)
-        self.nodes: dict[str, tuple[str, str]] = {}  # node id -> (node type, room)
-        self.outages: dict[str, list[tuple[float, float]]] = {}
+        # node id -> (plain function, its state), called as fn(self, state, message, now);
+        # a bound method here would tie every engine into a reference cycle
+        self.handlers: dict[str, tuple] = {protocol.CMS_NODE: (_Engine._on_cms, self.cms)}
         self._setup()
 
     # -- initialization
@@ -443,15 +444,12 @@ class _Engine:
                 state.believed_inside = {s.tag_id for s in scenario.items}
             self.room_sensors[site] = state
         for spec in scenario.cases:
-            self.mtcs[spec.room_id] = self.mtcs_by_case[spec.case_id] = MtcState(
+            mtc = self.mtcs[spec.room_id] = self.mtcs_by_case[spec.case_id] = MtcState(
                 case_id=spec.case_id, room_id=spec.room_id,
                 scan_passes=spec.scan_passes, max_rescans=spec.max_rescans)
             self.cms.register_case(spec.case_id, spec.room_id)
-        for sensor_id, model_ in scenario.sensors.items():
-            if model_.mtbf_s is not None:
-                self.outages[sensor_id] = sensing.sensor_failure_schedule(
-                    model_, scenario.horizon_s,
-                    rng_stream(scenario.seed, f"failures:{sensor_id}"))
+            self.handlers[mtc.node_id] = (_Engine._on_mtc, mtc)
+            self.handlers[mtc.med_node] = (_Engine._med_scan, mtc)
         self.trace.records.append({
             "t": 0, "type": "meta", "name": scenario.name, "seed": scenario.seed,
             "horizon_s": scenario.horizon_s, "rooms": sorted(scenario.rooms),
@@ -468,12 +466,15 @@ class _Engine:
         self.seq += 1
 
     def _reader(self, sensor_id: str) -> tuple:
-        """A reader's id, model, stream (only when ``p_detect < 1``) and outages."""
+        """A reader's id, model, stream (only when ``p_detect < 1``) and outage
+        schedule (only with an ``mtbf_s``), all resolved on its first use."""
         if (reader := self.readers.get(sensor_id)) is None:
-            model_ = self.scenario.sensors.get(sensor_id, _DEFAULT_SENSOR)
+            scenario = self.scenario
+            model_ = scenario.sensors.get(sensor_id, _DEFAULT_SENSOR)
             rng = self._rng(f"sensor:{sensor_id}") if model_.p_detect < 1.0 else None
-            reader = self.readers[sensor_id] = (sensor_id, model_, rng,
-                                                self.outages.get(sensor_id, ()))
+            outages = () if model_.mtbf_s is None else sensing.sensor_failure_schedule(
+                model_, scenario.horizon_s, rng_stream(scenario.seed, f"failures:{sensor_id}"))
+            reader = self.readers[sensor_id] = (sensor_id, model_, rng, outages)
         return reader
 
     def _rng(self, name: str) -> random.Random:
@@ -511,10 +512,12 @@ class _Engine:
         self.msg_seq += 1
         ends = message.from_node, message.to_node
         if (link := self.links.get(ends)) is None:
-            stream = f"bus:{node_type(ends[0])}->{node_type(ends[1])}"
-            link = self.links[ends] = (node_priority(ends[1]), self._rng(stream)
-                                       if self.scenario.bus.link_params(*ends)[1] > 0.0 else None)
-        outcome = deliver(self.scenario.bus, message, now, link[1])
+            src, dst = node_type(ends[0]), node_type(ends[1])
+            latency, drop_rate = self.scenario.bus.link_params(src, dst)
+            link = self.links[ends] = (
+                protocol.NODE_PRIORITY.get(dst, 9), latency, drop_rate,
+                self._rng(f"bus:{src}->{dst}") if drop_rate > 0.0 else None)
+        outcome = deliver(link[1], link[2], now, link[3])
         if not outcome.delivered:
             self.trace.records.append({"t": now, "type": "msg", "status": "dropped",
                                        "sent_at": now, "msg": message.to_json()})
@@ -610,50 +613,40 @@ class _Engine:
     def _on_deliver(self, message: ProtocolMessage, sent_at: int, now: int) -> None:
         self.trace.records.append({"t": now, "type": "msg", "status": "delivered",
                                    "sent_at": sent_at, "msg": message.to_json()})
-        target = message.to_node
-        kind = message.payload["kind"]
-        if (node := self.nodes.get(target)) is None:
-            node = self.nodes[target] = (node_type(target), target.partition(":")[2])
-        type_, room = node
+        if (handler := self.handlers.get(message.to_node)) is None:
+            self._record_error("deliver", f"no handler for node {message.to_node}", now)
+            return
         try:
-            if target == protocol.CMS_NODE:
-                self._emit(cms_handle(self.cms, message),
-                           message.payload.get("case"), now)
-            elif type_ == "MED":
-                self._med_scan(room, message.payload["case"], now)
-            elif type_ == "MTC":
-                mtc = self.mtcs[room]
-                if kind == "CavityScanResult":
-                    self._on_scan_result(mtc, message, now)
-                else:
-                    self._emit(mtc_handle(mtc, message), mtc.case_id, now)
-            else:
-                self._record_error("deliver", f"no handler for node {target}", now)
+            handler[0](self, handler[1], message, now)
         except (StaleCaseError, InvalidPhaseError, UnknownCaseError) as exc:
-            self._record_error(kind, str(exc), now)
+            self._record_error(message.payload["kind"], str(exc), now)
 
-    def _med_scan(self, room: str, case_id: str, now: int) -> None:
-        sensor_id = f"med:{room}"
+    def _on_cms(self, cms: CmsState, message: ProtocolMessage, now: int) -> None:
+        self._emit(cms_handle(cms, message), message.payload.get("case"), now)
+
+    def _med_scan(self, mtc: MtcState, message: ProtocolMessage, now: int) -> None:
+        case_id = message.payload["case"]
+        sensor_id, model_, rng, outages = self._reader(f"med:{mtc.room_id}")
         try:
-            sensing.raise_if_down(sensor_id, self.outages.get(sensor_id, ()), now)
+            sensing.raise_if_down(sensor_id, outages, now)
         except SensorDownError as exc:
             self._sensor_down(exc, case_id, now)
             return
-        cavity = self.world.tags_at(Location(room, SubLocation.PATIENT_CAVITY))
-        scan = sensing.med_scan(ScanRegion.PATIENT_CAVITY, cavity,
-                                self.mtcs[room].scan_passes, *self._reader(sensor_id)[1:3])
-        self._send(med_on_request(room, case_id, scan, now), now)
+        cavity = self.world.tags_at(Location(mtc.room_id, SubLocation.PATIENT_CAVITY))
+        scan = sensing.med_scan(ScanRegion.PATIENT_CAVITY, cavity, mtc.scan_passes,
+                                model_, rng)
+        self._send(med_on_request(mtc.room_id, case_id, scan, now), now)
 
-    def _on_scan_result(self, mtc: MtcState, message: ProtocolMessage, now: int) -> None:
+    def _on_mtc(self, mtc: MtcState, message: ProtocolMessage, now: int) -> None:
+        if message.payload["kind"] != "CavityScanResult":
+            self._emit(mtc_handle(mtc, message), mtc.case_id, now)
+            return
         if mtc.phase is CasePhase.COMPLETE:
             raise StaleCaseError(f"case {mtc.case_id} already complete")
-        payload = message.payload
-        scan = ScanResult(region=ScanRegion(payload["scan"]["region"]),
-                          detected=frozenset(payload["scan"]["detected"]),
-                          passes=payload["scan"]["passes"])
-        room = mtc.room_id
-        tray = self._antenna_read(room, "tray", now)
-        bin_ = self._antenna_read(room, "bin", now)
+        scan = message.payload["scan"]
+        scan = ScanResult(ScanRegion(scan["region"]), frozenset(scan["detected"]), scan["passes"])
+        tray = self._antenna_read(mtc.room_id, "tray", now)
+        bin_ = self._antenna_read(mtc.room_id, "bin", now)
         if tray is None or bin_ is None:
             return  # antenna down; a later request will retry
         outputs, _report = reconcile.apply_scan_outcome(mtc, scan, tray, bin_, now)

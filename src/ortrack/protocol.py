@@ -31,16 +31,13 @@ from .sensing import DEFAULT_SCAN_PASSES, ScanResult
 CMS_NODE = "CMS"
 SPD_NODE = "SPD"
 
-#: Tie-break order for simultaneous deliveries (staff/world actions are 0).
+#: Tie-break order for simultaneous deliveries (staff/world actions are 0,
+#: a node of any other type 9).
 NODE_PRIORITY = {"RS": 1, "MED": 2, "MTC": 3, "CMS": 4, "SPD": 5}
 
 
 def node_type(node_id: str) -> str:
     return node_id.split(":", 1)[0]
-
-
-def node_priority(node_id: str) -> int:
-    return NODE_PRIORITY.get(node_type(node_id), 9)
 
 
 class TagStatus(Enum):
@@ -206,10 +203,6 @@ class TagBelief:
 
     site: str | None
     last_seen_s: int | None  # None = never read
-
-    @property
-    def known(self) -> bool:
-        return self.last_seen_s is not None
 
 
 @dataclass

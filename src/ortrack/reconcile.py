@@ -205,7 +205,7 @@ def write_atomic(path: str, text: str) -> None:
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".out-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -224,7 +224,7 @@ def load(store_path: str):
     from .kernel import Trace  # local import to keep module layering acyclic
 
     try:
-        with open(store_path, "r") as handle:
+        with open(store_path, encoding="utf-8") as handle:
             data = handle.read()
     except OSError as exc:
         raise TraceIOError(str(exc)) from exc

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -32,6 +35,26 @@ def test_simulate_clean_scenario_exits_zero(tmp_path):
     assert (out / "report_C-1.json").exists()
     assert (out / "report_C-1.csv").exists()
     assert not [p for p in out.iterdir() if p.name.startswith(".")]  # no temp litter
+
+
+def test_simulate_writes_the_same_bytes_under_an_ascii_locale(tmp_path):
+    text = (SCENARIOS.joinpath("clean_case.json").read_text(encoding="utf-8")
+            .replace('"T-1"', '"T-\u00e9"'))
+    path = tmp_path / "accented.json"
+    path.write_bytes(text.encode("utf-8"))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "utf8")]) == 0
+
+    src = os.path.dirname(os.path.dirname(kernel.__file__))
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("PYTHONIOENCODING", "LANG", "LC_CTYPE", "ORTRACK_OUT")}
+    env.update(PYTHONPATH=src, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    done = subprocess.run([sys.executable, "-m", "ortrack.cli", "simulate", str(path),
+                           "--out", str(tmp_path / "ascii")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    csv = (tmp_path / "ascii" / "report_C-1.csv").read_bytes()
+    assert "T-\u00e9".encode("utf-8") in csv
+    assert csv == (tmp_path / "utf8" / "report_C-1.csv").read_bytes()
 
 
 def test_simulate_unresolved_retention_exits_two(tmp_path, capsys):

@@ -1,14 +1,18 @@
 """Scheduler and scenario machinery: loading, determinism, bus, fault injection."""
 
 import dataclasses
+import gc
 import json
 import math
+import os
 import random
+import sys
 
 import pytest
 
 from helpers import load_bundled, random_scenario, scenario_text
-from ortrack import kernel
+from ortrack import kernel, sensing
+from ortrack.cli import run_summary
 from ortrack.kernel import (
     BusConfig,
     LinkConfig,
@@ -23,6 +27,10 @@ from ortrack.kernel import (
 )
 from ortrack.protocol import ProtocolMessage
 from ortrack.reconcile import TraceIOError
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "bench"))
+import hospital_day  # noqa: E402
 
 MINIMAL = {
     "name": "minimal", "seed": 1, "horizon_s": 50, "rooms": ["OR-1"],
@@ -171,12 +179,13 @@ def test_clean_case_mutation_baseline_loads():
 
 
 def test_delivery_to_a_node_without_a_handler_is_recorded_each_time():
-    engine = kernel._Engine(load_bundled("clean_case"))
-    for now in (3, 4):  # the second delivery takes the node resolved by the first
-        engine._on_deliver(ProtocolMessage(time_s=now, from_node="CMS", to_node="SPD",
-                                           payload={"kind": "Ping"}), now, now)
-        assert engine.trace.records[-1] == {"t": now, "type": "error", "op": "deliver",
-                                            "detail": "no handler for node SPD"}
+    engine = kernel._Engine(load_bundled("clean_case"))  # one cart, in OR-1
+    for node in ("SPD", "RS:OR-1", "MTC:OR-9", "MED:OR-9"):
+        for now in (3, 4):
+            engine._on_deliver(ProtocolMessage(time_s=now, from_node="CMS", to_node=node,
+                                               payload={"kind": "Ping"}), now, now)
+            assert engine.trace.records[-1] == {"t": now, "type": "error", "op": "deliver",
+                                                "detail": f"no handler for node {node}"}
 
 
 def test_engine_bug_is_not_recorded_as_an_error(monkeypatch):
@@ -191,33 +200,22 @@ def test_engine_bug_is_not_recorded_as_an_error(monkeypatch):
 # -- delivery
 
 
-def link_bus(drop, latency=1):
-    return BusConfig(latency_s=latency, drop_rate=drop)
-
-
-def msg(i=0):
-    return ProtocolMessage(time_s=0, from_node="CMS", to_node="MTC:OR-1",
-                           payload={"kind": "ping"}, msg_id=i)
-
-
 def test_deliver_reliable_link():
     rng = random.Random(1)
     for now in (0, 5, 99):
-        outcome = deliver(link_bus(0.0, latency=3), msg(), now, rng)
+        outcome = deliver(3, 0.0, now, rng)
         assert outcome.delivered and outcome.at_time == now + 3
 
 
 def test_deliver_total_loss():
     rng = random.Random(1)
-    assert all(not deliver(link_bus(1.0), msg(), 0, rng).delivered
-               for _ in range(100))
+    assert all(not deliver(1, 1.0, 0, rng).delivered for _ in range(100))
 
 
 def test_deliver_binomial_drop_fraction():
     rng = random.Random(12)
     n = 10_000
-    dropped = sum(not deliver(link_bus(0.25), msg(i), 0, rng).delivered
-                  for i in range(n))
+    dropped = sum(not deliver(1, 0.25, 0, rng).delivered for _ in range(n))
     sigma = math.sqrt(0.25 * 0.75 / n)
     assert abs(dropped / n - 0.25) <= 3 * sigma
 
@@ -225,8 +223,23 @@ def test_deliver_binomial_drop_fraction():
 def test_per_link_override():
     bus = BusConfig(latency_s=1, drop_rate=0.0,
                     links={"CMS->MTC": LinkConfig(drop_rate=1.0)})
-    assert bus.link_params("CMS", "MTC:OR-1") == (1, 1.0)
-    assert bus.link_params("MTC:OR-1", "CMS") == (1, 0.0)
+    assert bus.link_params("CMS", "MTC") == (1, 1.0)
+    assert bus.link_params("MTC", "CMS") == (1, 0.0)
+
+
+@pytest.mark.parametrize("scenario", [
+    pytest.param(lambda: load_bundled("dropped_link"), id="dropped_link"),
+    pytest.param(lambda: kernel.load_scenario(hospital_day.generate(0, rooms=3, items=150)),
+                 id="noisy-3-room-day"),
+])
+def test_each_link_is_resolved_once_per_run(scenario, monkeypatch):
+    calls = []
+    link_params = BusConfig.link_params
+    monkeypatch.setattr(BusConfig, "link_params",
+                        lambda bus, *ends: calls.append(ends) or link_params(bus, *ends))
+    engine = kernel._Engine(scenario())
+    engine.run()
+    assert len(calls) == len(engine.links) > 1
 
 
 # -- run determinism and golden traces
@@ -256,9 +269,12 @@ def test_golden_retention_alert_before_reconciled():
     assert ("phase", "Reconciled") not in kinds
 
 
+GOLDENS = ("clean_case", "sponge_in_cavity", "sponge_in_cavity_recovered",
+           "pocket_carry", "new_equipment", "dropped_link", "cavity_retention")
+
+
 def test_all_goldens_validate():
-    for name in ("clean_case", "sponge_in_cavity", "sponge_in_cavity_recovered",
-                 "pocket_carry", "new_equipment", "dropped_link", "cavity_retention"):
+    for name in GOLDENS:
         trace = run(load_bundled(name))
         assert validate_trace(trace) == [], name
 
@@ -288,6 +304,18 @@ def test_to_ndjson_is_json_dumps_per_record(records):
 def test_from_ndjson_rejects_torn_and_blank_lines():
     text = run(load_bundled("clean_case")).to_ndjson()
     for torn in (text[:-1], text + "\n", text.replace("\n", "\n{", 1)):
+        with pytest.raises(TraceIOError, match="truncated record"):
+            Trace.from_ndjson(torn)
+
+
+@pytest.mark.parametrize("separator", ["\u0085", "\u2028", "\u2029"])
+def test_from_ndjson_ends_a_record_only_at_newline(separator):
+    record = {"t": 0, "type": "meta", "name": f"a{separator}b"}
+    text = json.dumps(record, ensure_ascii=False) + "\n"
+    assert separator in text
+    assert Trace.from_ndjson(text).records == [record]
+    assert Trace.from_ndjson(text.replace("\n", "\r\n")).records == [record]
+    for torn in (text[:-1], text + "\n"):
         with pytest.raises(TraceIOError, match="truncated record"):
             Trace.from_ndjson(torn)
 
@@ -341,6 +369,39 @@ def test_streams_only_for_sources_whose_draws_can_change_the_outcome(name, strea
     engines = []
     run(load_bundled(name), observer=lambda time_s, world, engine: engines.append(engine))
     assert engines and set(engines[-1].rngs) == streams
+
+
+@pytest.mark.parametrize("sensor, schedules", [
+    ("entrance:SPD", 0),  # nothing in clean_case crosses the SPD entrance
+    ("entrance:OR-1", 1),
+])
+def test_a_reader_draws_its_outage_schedule_on_first_read(sensor, schedules, monkeypatch):
+    calls = []
+    schedule = sensing.sensor_failure_schedule
+    monkeypatch.setattr(sensing, "sensor_failure_schedule",
+                        lambda *args: calls.append(args) or schedule(*args))
+    base = load_bundled("clean_case")
+    scenario = dataclasses.replace(base, sensors={
+        **base.sensors, sensor: sensing.SensorModel(p_detect=1.0, mtbf_s=1e9, mttr_s=1.0)})
+    assert run(scenario).to_ndjson() == run(base).to_ndjson()
+    assert len(calls) == schedules
+
+
+def test_a_run_leaves_no_cyclic_garbage():
+    # an engine that referenced itself (say, through a table of its bound
+    # methods) would live on until the cyclic collector ran
+    scenarios = [load_bundled(name) for name in GOLDENS]
+    scenarios.append(kernel.load_scenario(hospital_day.generate(3, rooms=3, items=60)))
+    scenarios += [random_scenario(seed) for seed in range(20)]
+    gc.collect()
+    gc.disable()
+    try:
+        for scenario in scenarios:
+            for offset in range(3):
+                run_summary(run(dataclasses.replace(scenario, seed=scenario.seed + offset)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_final_cavity_occupancy_from_trace():

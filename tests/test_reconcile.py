@@ -292,7 +292,7 @@ def test_locate_follows_last_crossing():
     cms.belief["T-1"] = TagBelief(site="OR-1", last_seen_s=55)
     belief = locate("T-1", cms)
     assert belief == TagBelief(site="OR-1", last_seen_s=55)
-    assert belief.known
+    assert belief.last_seen_s is not None
 
 
 def test_locate_never_read_is_unknown():
@@ -300,7 +300,7 @@ def test_locate_never_read_is_unknown():
     cms.register_tag("T-1")
     belief = locate("T-1", cms)
     assert belief == TagBelief(site=None, last_seen_s=None)
-    assert belief.site is None and not belief.known
+    assert belief.site is None and belief.last_seen_s is None
 
 
 def test_locate_unregistered_rejected():
