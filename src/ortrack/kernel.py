@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import model, protocol, reconcile, sensing
+from . import protocol, reconcile, sensing
 from .model import (
     EQUIPMENT_ROOM,
     FIXED_SITES,
@@ -44,6 +44,7 @@ from .protocol import (
     RoomSensorState,
     Severity,
     StaleCaseError,
+    TagStatus,
     UnknownCaseError,
     cms_handle,
     med_on_request,
@@ -103,10 +104,10 @@ _MOVE_RULES = {
 }
 EVENT_KINDS = {"announce_closing", "spd_ack", *_MOVE_RULES}
 
-#: Cart antenna -> (sub-location it covers, name of its sweep handler in
-#: ``protocol``, looked up on the antenna's first read in a run).
-_ANTENNAS = {"tray": (SubLocation.TOOL_TRAY, "mtc_tray_sweep"),
-             "bin": (SubLocation.TRASH_BIN, "mtc_bin_sweep")}
+#: Cart antenna -> (sub-location it covers, status its sweep sets, name of its
+#: sweep handler in ``protocol``, looked up on the antenna's first read in a run).
+_ANTENNAS = {"tray": (SubLocation.TOOL_TRAY, TagStatus.ON_TRAY, "mtc_tray_sweep"),
+             "bin": (SubLocation.TRASH_BIN, TagStatus.DISCARDED, "mtc_bin_sweep")}
 
 
 def stream_seed(seed: int, name: str) -> int:
@@ -422,7 +423,9 @@ class _Engine:
         self.rngs: dict[str, random.Random] = {}  # named streams, made on first use
         self.links: dict[tuple, tuple] = {}  # (from, to) -> (priority, latency, drop, stream)
         self.readers: dict[str, tuple] = {}  # sensor id -> (id, model, stream or None, outages)
-        self.antennas: dict[tuple, tuple] = {}  # (room, which) -> (Location, handler, reader)
+        # (room, which) -> (Location, status its sweep sets, handler, reader, the
+        # location's list in world.at, and for a certain reader its last sweep)
+        self.antennas: dict[tuple, tuple] = {}
         # node id -> (plain function, its state), called as fn(self, state, message, now);
         # a bound method here would tie every engine into a reference cycle
         self.handlers: dict[str, tuple] = {protocol.CMS_NODE: (_Engine._on_cms, self.cms)}
@@ -433,9 +436,8 @@ class _Engine:
     def _setup(self) -> None:
         scenario = self.scenario
         for spec in scenario.items:
-            item = self.world.create_item(spec.kind, spec.tag_id, spec.item_id,
-                                          spec.sterile)
-            self.cms.register_tag(item.tag_id)
+            self.world.create_item(spec.tag_id, spec.item_id)
+            self.cms.register_tag(spec.tag_id)
         for site in list(FIXED_SITES) + scenario.rooms:
             state = RoomSensorState(room_id=site)
             if site == EQUIPMENT_ROOM:
@@ -551,21 +553,39 @@ class _Engine:
             self._send(message, now)
 
     def _sweep(self, room: str, which: str, now: int) -> None:
+        """A certain antenna whose list, handed set and status are all as its last
+        sweep left them would change only ``last_seen_s``: stamp it, skip the read."""
         mtc = self.mtcs.get(room)
         if mtc is None or mtc.phase is CasePhase.COMPLETE:
             return
-        detected = self._antenna_read(room, which, now)
+        antenna = self._antenna(room, which)
+        _, status, handler, _, at, last = antenna
+        if (last is not None and at == last[0] and mtc.swept.get(status) is last[1]
+                and mtc.left[status] == last[2]):
+            for tag in last[1]:
+                mtc.entries[tag].last_seen_s = now
+            return
+        detected = self._antenna_read(antenna, mtc.case_id, now)
         if detected is None:
             return
-        self._emit(self.antennas[room, which][1](mtc, detected, now), mtc.case_id, now)
+        outputs = handler(mtc, detected, now)
+        if last is not None:  # the list it read, the set it handed over, the status count
+            last[:] = at[:], detected, mtc.left[status]
+        self._emit(outputs, mtc.case_id, now)
 
-    def _antenna_read(self, room: str, which: str, now: int) -> set[str] | None:
-        """Read everything physically on the tray/bin antenna; None if it is down."""
+    def _antenna(self, room: str, which: str) -> tuple:
         if (antenna := self.antennas.get((room, which))) is None:
-            sub, handler = _ANTENNAS[which]
+            sub, status, handler = _ANTENNAS[which]
+            location, reader = Location(room, sub), self._reader(f"{which}:{room}")
+            certain = reader[2] is None and not reader[3]  # reads a pure function of its list
             antenna = self.antennas[room, which] = (
-                Location(room, sub), getattr(protocol, handler), self._reader(f"{which}:{room}"))
-        reads = self._read(antenna[2], self.world.tags_at(antenna[0]), self.mtcs[room].case_id, now)
+                location, status, getattr(protocol, handler), reader,
+                self.world.at.setdefault(location, []), [None, None, 0] if certain else None)
+        return antenna
+
+    def _antenna_read(self, antenna: tuple, case_id: str, now: int) -> set[str] | None:
+        """Read everything physically on the tray/bin antenna; None if it is down."""
+        reads = self._read(antenna[3], self.world.tags_at(antenna[0]), case_id, now)
         return None if reads is None else set(reads)
 
     # -- staff/world event handling
@@ -590,9 +610,7 @@ class _Engine:
         item_id = self.world.item_by_tag[ev.tag]
         src = self.world.placements[item_id]
         dst, cause = destination(ev, src, self.scenario.rooms)
-        gt = model.GroundTruthEvent(time_s=now, item_id=item_id, src=src,
-                                    dst=dst, cause=cause)
-        self.world.apply_ground_truth(gt)
+        self.world.apply_ground_truth(item_id, dst)
         self.trace.records.append({
             "t": now, "type": "gt", "tag": ev.tag, "cause": cause.value,
             "from": src.to_json(), "to": dst.to_json()})
@@ -645,8 +663,8 @@ class _Engine:
             raise StaleCaseError(f"case {mtc.case_id} already complete")
         scan = message.payload["scan"]
         scan = ScanResult(ScanRegion(scan["region"]), frozenset(scan["detected"]), scan["passes"])
-        tray = self._antenna_read(mtc.room_id, "tray", now)
-        bin_ = self._antenna_read(mtc.room_id, "bin", now)
+        tray = self._antenna_read(self._antenna(mtc.room_id, "tray"), mtc.case_id, now)
+        bin_ = self._antenna_read(self._antenna(mtc.room_id, "bin"), mtc.case_id, now)
         if tray is None or bin_ is None:
             return  # antenna down; a later request will retry
         outputs, _report = reconcile.apply_scan_outcome(mtc, scan, tray, bin_, now)
@@ -660,7 +678,6 @@ class _Engine:
             time_s = self.heap[0][0]
             if time_s > horizon:
                 break
-            self.world.clock_s = max(self.world.clock_s, time_s)
             while self.heap and self.heap[0][0] == time_s:
                 _, _, _, action = heapq.heappop(self.heap)
                 if action[0] == "staff":
@@ -669,7 +686,6 @@ class _Engine:
                     self._on_deliver(action[1], action[2], time_s)
             if observer is not None:
                 observer(time_s, self.world, self)
-        self.world.clock_s = horizon
         for mtc in self.mtcs_by_case.values():
             self.trace.records.append({
                 "t": horizon, "type": "case", "case_id": mtc.case_id,

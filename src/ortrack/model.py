@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
 EQUIPMENT_ROOM = "EquipmentRoom"
 SPD = "SPD"
@@ -52,46 +53,21 @@ class DuplicateTagError(Exception):
     """A tag or item id was registered twice."""
 
 
-class InconsistentMoveError(Exception):
-    """A ground-truth event disagrees with an item's current placement."""
+class Location(tuple):
+    """A site (room) plus, inside an operating room, a sub-position; a tuple, so
+    it hashes and compares in C."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Location:
-    """A site (room) plus, inside an operating room, a sub-position."""
+    def __new__(cls, site: str, sub: SubLocation = SubLocation.NONE) -> "Location":
+        if sub is not SubLocation.NONE and site in FIXED_SITES:
+            raise ValueError(f"sub-location {sub.value} not allowed at {site}")
+        return tuple.__new__(cls, (site, sub))
 
-    site: str
-    sub: SubLocation = SubLocation.NONE
-
-    def __post_init__(self) -> None:
-        if self.sub is not SubLocation.NONE and self.site in FIXED_SITES:
-            raise ValueError(f"sub-location {self.sub.value} not allowed at {self.site}")
+    site, sub = property(itemgetter(0)), property(itemgetter(1))
 
     def to_json(self) -> dict:
-        return {"site": self.site, "sub": self.sub.value}
-
-
-@dataclass(frozen=True)
-class EquipmentItem:
-    item_id: str
-    tag_id: str
-    kind: ItemKind
-    sterile: bool = True
-
-
-@dataclass(frozen=True)
-class GroundTruthEvent:
-    """One real movement of one item. ``src`` must match the current placement."""
-
-    time_s: int
-    item_id: str
-    src: Location
-    dst: Location
-    cause: MoveCause
-
-    def __post_init__(self) -> None:
-        if self.src == self.dst:
-            raise ValueError("ground-truth event must change location")
+        return {"site": self[0], "sub": self[1].value}
 
 
 @dataclass
@@ -103,49 +79,37 @@ class WorldState:
 
     ``at`` indexes each location's items as sorted ``(creation index, tag)``
     pairs: tags stay in creation order even after an item leaves and comes
-    back, and sensing draws its random numbers in that order.
+    back, and sensing draws its random numbers in that order. A location's
+    list, once made, is kept and changed in place. Moves are not checked here:
+    ``kernel.destination`` has proven each one before the kernel makes it.
     """
 
-    clock_s: int = 0
-    items: dict[str, EquipmentItem] = field(default_factory=dict)
     item_by_tag: dict[str, str] = field(default_factory=dict)
     placements: dict[str, Location] = field(default_factory=dict)
     at: dict[Location, list[tuple[int, str]]] = field(default_factory=dict, init=False)
     _entry: dict[str, tuple[int, str]] = field(default_factory=dict, init=False, repr=False)
 
-    def create_item(self, kind: ItemKind, tag_id: str, item_id: str | None = None,
-                    sterile: bool = True) -> EquipmentItem:
-        """Register a new item; it starts in the equipment room."""
+    def create_item(self, tag_id: str, item_id: str | None = None) -> str:
+        """Register a new item in the equipment room; returns its item id."""
         if tag_id in self.item_by_tag:
             raise DuplicateTagError(f"tag already registered: {tag_id}")
         if item_id is None:
-            item_id = f"item-{len(self.items) + 1}"
-        if item_id in self.items:
+            item_id = f"item-{len(self.placements) + 1}"
+        if item_id in self.placements:
             raise DuplicateTagError(f"item id already registered: {item_id}")
-        item = EquipmentItem(item_id=item_id, tag_id=tag_id, kind=kind, sterile=sterile)
-        entry = self._entry[item_id] = (len(self.items), tag_id)
-        self.at.setdefault(Location(EQUIPMENT_ROOM), []).append(entry)
-        self.items[item_id] = item
+        home = Location(EQUIPMENT_ROOM)
+        entry = self._entry[item_id] = (len(self.placements), tag_id)
+        self.at.setdefault(home, []).append(entry)
         self.item_by_tag[tag_id] = item_id
-        self.placements[item_id] = Location(EQUIPMENT_ROOM)
-        return item
+        self.placements[item_id] = home
+        return item_id
 
-    def apply_ground_truth(self, event: GroundTruthEvent) -> None:
-        """Move an item, validating against current placement."""
-        current = self.placements.get(event.item_id)
-        if current is None:
-            raise InconsistentMoveError(f"unknown item: {event.item_id}")
-        if current != event.src:
-            raise InconsistentMoveError(
-                f"{event.item_id} is at {current}, event claims {event.src}")
-        if event.time_s < self.clock_s:
-            raise InconsistentMoveError(
-                f"event at t={event.time_s} is before clock t={self.clock_s}")
-        entry, old = self._entry[event.item_id], self.at[current]
+    def apply_ground_truth(self, item_id: str, dst: Location) -> None:
+        """Move an item to ``dst``; the index and the placement, nothing else."""
+        entry, old = self._entry[item_id], self.at[self.placements[item_id]]
         del old[bisect_left(old, entry)]
-        insort(self.at.setdefault(event.dst, []), entry)
-        self.placements[event.item_id] = event.dst
-        self.clock_s = event.time_s
+        insort(self.at.setdefault(dst, []), entry)
+        self.placements[item_id] = dst
 
     def tags_at(self, location: Location) -> list[str]:
         """Tags of all items at exactly ``location``, in creation order (one lookup)."""

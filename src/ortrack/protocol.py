@@ -46,6 +46,7 @@ class TagStatus(Enum):
     IN_CAVITY_BELIEF = "InCavityBelief"
     DISCARDED = "Discarded"
     REMOVED_FROM_OR = "RemovedFromOR"
+    __hash__ = object.__hash__  # members are singletons; Enum.__hash__ runs in Python
 
 
 class CasePhase(Enum):
@@ -56,6 +57,7 @@ class CasePhase(Enum):
     RECONCILED = "Reconciled"
     AWAITING_SPD = "AwaitingSpd"
     COMPLETE = "Complete"
+    __hash__ = object.__hash__
 
 
 #: Legal phase transitions. The cavity-scan loop may return to
@@ -292,6 +294,7 @@ class MtcState:
 
     Only a tray sweep sets ``OnTray`` and only a bin sweep ``Discarded``, so an
     entry holds either only if the last sweep of its kind, kept in ``swept``, saw it.
+    ``set_status`` writes every status and counts in ``left`` the entries leaving each.
     """
 
     case_id: str
@@ -307,6 +310,7 @@ class MtcState:
     last_outcome: str | None = None
     completed_s: int | None = None  # tick the case completed; stamped by the kernel
     swept: dict[TagStatus, set[str]] = field(default_factory=dict)  # sweep status -> last seen
+    left: dict[TagStatus, int] = field(default_factory=lambda: dict.fromkeys(TagStatus, 0))
 
     @property
     def node_id(self) -> str:
@@ -320,6 +324,11 @@ class MtcState:
         """Tags counted toward reconciliation (everything not removed from the OR)."""
         return {t for t, e in self.entries.items()
                 if e.status is not TagStatus.REMOVED_FROM_OR}
+
+    def set_status(self, entry: ChecklistEntry, status: TagStatus) -> None:
+        if entry.status is not status:
+            self.left[entry.status] += 1
+            entry.status = status
 
     def advance(self, to: CasePhase) -> tuple[str, CasePhase, CasePhase]:
         if to not in PHASE_GRAPH[self.phase]:
@@ -343,10 +352,13 @@ def _add_or_reactivate(state: MtcState, tag: str, status: TagStatus, now: int,
                        out: Outputs) -> bool:
     """Put a tag on the active checklist; returns False if already active."""
     entry = state.entries.get(tag)
-    if entry is not None and entry.status is not TagStatus.REMOVED_FROM_OR:
+    if entry is None:
+        state.entries[tag] = ChecklistEntry(status=status, last_seen_s=now)
+    else:
         entry.last_seen_s = now
-        return False
-    state.entries[tag] = ChecklistEntry(status=status, last_seen_s=now)
+        if entry.status is not TagStatus.REMOVED_FROM_OR:
+            return False
+        state.set_status(entry, status)
     out.messages.append(_checklist_update(state, "add", tag, now))
     if state.phase is CasePhase.SETUP:
         out.phase_changes.append(state.advance(CasePhase.IN_PROGRESS))
@@ -374,7 +386,7 @@ def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
     elif kind == "EquipmentLeftOR":
         entry = state.entries.get(payload["tag"])
         if entry is not None and entry.status is not TagStatus.REMOVED_FROM_OR:
-            entry.status = TagStatus.REMOVED_FROM_OR
+            state.set_status(entry, TagStatus.REMOVED_FROM_OR)
             entry.last_seen_s = now
             out.messages.append(_checklist_update(state, "remove", payload["tag"], now))
             # Removing items mid-reconciliation can mask a retained item.
@@ -410,22 +422,26 @@ def _sweep(state: MtcState, detected: set[str], now: int, status: TagStatus) -> 
     if state.phase is CasePhase.COMPLETE:
         raise StaleCaseError(f"case {state.case_id} already complete")
     out = Outputs()
-    entries = state.entries
-    fresh = []  # tags to add or reactivate, taken in sorted order below
+    entries, swept = state.entries, state.swept
+    fresh = None  # tags to add or reactivate, made on the first one
     for tag in detected:
         entry = entries.get(tag)
         if entry is None or entry.status is TagStatus.REMOVED_FROM_OR:
+            if fresh is None:
+                fresh = []
             fresh.append(tag)
         else:  # already active: _add_or_reactivate's no-op branch, inline
             entry.last_seen_s = now
-            entry.status = status
-    for tag in sorted(fresh):
-        _add_or_reactivate(state, tag, status, now, out)
-    last = state.swept.get(status)
+            if entry.status is not status:
+                state.set_status(entry, status)
+    if fresh is not None:
+        for tag in sorted(fresh):
+            _add_or_reactivate(state, tag, status, now, out)
+    last = swept.get(status)
     for tag in entries if last is None else last:
         if tag not in detected and (entry := entries[tag]).status is status:
-            entry.status = TagStatus.IN_USE
-    state.swept[status] = detected
+            state.set_status(entry, TagStatus.IN_USE)
+    swept[status] = detected
     return out
 
 

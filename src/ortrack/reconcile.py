@@ -111,7 +111,7 @@ def apply_scan_outcome(state: MtcState, scan: ScanResult, tray_reads: set[str],
         for tag in report.cavity_detected:
             entry = state.entries.get(tag)
             if entry is not None and entry.status is not TagStatus.REMOVED_FROM_OR:
-                entry.status = TagStatus.IN_CAVITY_BELIEF
+                state.set_status(entry, TagStatus.IN_CAVITY_BELIEF)
                 entry.last_seen_s = now
         out.alerts.append(Alert(
             severity=Severity.CRITICAL, kind=AlertKind.RSB_SUSPECTED,

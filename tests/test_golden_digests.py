@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from helpers import load_bundled
+from helpers import load_bundled, random_scenario
 from ortrack import kernel
 from ortrack.cli import batch_summary, main, run_summary
 
@@ -96,6 +96,11 @@ REPORT_DIGESTS = {
 NOISY_DAY_DIGESTS = ("d6943e755c549948551c3286f5ae09cf88460bcb1cc9f2e40606905a24f17e56",
                      "4dabdf34f605c681b06762f10d78d1fc801b86533de495cae87c2b1d857f7e7f")
 
+#: sha256 of the NDJSON traces of ``helpers.random_scenario(seed, latency_s=L)`` for
+#: seeds 0..299, at L=1 and then at L=0, concatenated: every cart state a sweep
+#: can meet, with and without a tick between a move and the messages it causes.
+RANDOM_TRACES_DIGEST = "fdb53b104c7ec39c86dfdf26a5e820c57fe490bb85707b22ef3a31cc260c1b22"
+
 #: sha256 of ``eval``'s stdout on the bundled needs, correlation, scores and
 #: qualitative CSVs.
 EVAL_DIGEST = "833c0b067511c94540033cd2fea6c1402b2387d7b997f9f355dc58933e73a6ec"
@@ -142,6 +147,15 @@ def test_noisy_day_digests():
     summary = run_summary(trace)
     assert (_sha256(trace.to_ndjson()),
             _sha256(json.dumps(summary, sort_keys=True))) == NOISY_DAY_DIGESTS
+
+
+def test_random_scenario_traces_digest():
+    digest = hashlib.sha256()
+    for latency_s in (1, 0):
+        for seed in range(300):
+            trace = kernel.run(random_scenario(seed, latency_s=latency_s))
+            digest.update(trace.to_ndjson().encode())
+    assert digest.hexdigest() == RANDOM_TRACES_DIGEST
 
 
 def test_eval_output_digest(capsys):

@@ -10,13 +10,17 @@ import sys
 
 import pytest
 
-from helpers import load_bundled, random_scenario, scenario_text
+from helpers import OR, full_sensor_suite, load_bundled, random_scenario, scenario_text
 from ortrack import kernel, sensing
 from ortrack.cli import run_summary
 from ortrack.kernel import (
     BusConfig,
+    CaseSpec,
+    ItemSpec,
     LinkConfig,
     ParseError,
+    Scenario,
+    StaffEvent,
     Trace,
     ValidationError,
     deliver,
@@ -25,6 +29,7 @@ from ortrack.kernel import (
     run,
     validate_trace,
 )
+from ortrack.model import DuplicateTagError, ItemKind
 from ortrack.protocol import ProtocolMessage
 from ortrack.reconcile import TraceIOError
 
@@ -87,6 +92,20 @@ def test_inconsistent_movement_rejected_at_load():
         events=[{"t": 5, "kind": "remove_from_cavity", "tag": "T-1"}])
     with pytest.raises(ValidationError, match="not in a cavity"):
         load_scenario(text)
+
+
+def test_move_to_where_the_item_already_is_rejected():
+    # kernel.destination is the one check on a move: at load, and in a run of a
+    # scenario built in Python, which run does not validate
+    event = {"t": 5, "kind": "move", "tag": "T-1", "to_site": "EquipmentRoom"}
+    text = scenario_json(items=[{"tag_id": "T-1", "kind": "Sponge"}], events=[event])
+    with pytest.raises(ValidationError, match="already is"):
+        load_scenario(text)
+    scenario = Scenario(name="stay", seed=0, horizon_s=10, rooms=[OR],
+                        items=[ItemSpec("T-1", ItemKind.SPONGE)], sensors={}, cases=[],
+                        events=[StaffEvent(5, "move", tag="T-1", to_site="EquipmentRoom")])
+    with pytest.raises(ValueError, match="already is"):
+        run(scenario)
 
 
 def test_unknown_case_rejected():
@@ -176,6 +195,15 @@ def test_edge_of_json_rejected(text, error):
 def test_clean_case_mutation_baseline_loads():
     # the table above fails only through its own change
     assert load_scenario(mutated()).name == "clean-case"
+
+
+def test_run_rejects_a_repeated_tag_in_a_scenario_built_in_python():
+    # run does not validate, so the world's own registration check must catch it
+    scenario = Scenario(name="dup", seed=0, horizon_s=10, rooms=[OR],
+                        items=[ItemSpec("T-1", ItemKind.SPONGE), ItemSpec("T-1", ItemKind.BLADE)],
+                        sensors={}, cases=[], events=[])
+    with pytest.raises(DuplicateTagError):
+        run(scenario)
 
 
 def test_delivery_to_a_node_without_a_handler_is_recorded_each_time():
@@ -435,8 +463,8 @@ def test_belief_matches_ground_truth_under_perfect_sensing():
         def observer(time_s, world, engine):
             nonlocal checked
             for room, mtc in engine.mtcs.items():
-                truth = {world.items[i].tag_id
-                         for i, loc in world.placements.items() if loc.site == room}
+                truth = {tag for tag, i in world.item_by_tag.items()
+                         if world.placements[i].site == room}
                 assert mtc.active_tags() == truth, \
                     f"seed {seed} t={time_s}"
                 checked += 1
@@ -448,3 +476,50 @@ def test_belief_matches_ground_truth_under_perfect_sensing():
 def test_generated_scenarios_pass_validation():
     for seed in range(40):
         kernel.validate_scenario(random_scenario(seed))
+
+
+def _final_entry(events, latency_s, tag="T-1"):
+    """``tag``'s checklist entry in the final case record of a one-room run
+    with perfect readers."""
+    scenario = Scenario(name="one-room", seed=0, horizon_s=60, rooms=[OR],
+                        items=[ItemSpec("T-1", ItemKind.SPONGE), ItemSpec("T-2", ItemKind.SPONGE)],
+                        sensors=full_sensor_suite(), cases=[CaseSpec("C-1", OR)],
+                        events=events, bus=BusConfig(latency_s=latency_s))
+    return run(scenario).records[-1]["entries"][tag]
+
+
+def test_a_sweep_after_a_reconcile_status_change_is_read():
+    # The scan made at t=11 saw T-1 in the cavity, so at t=12 reconciliation
+    # marks it InCavityBelief although the tray already holds it again; the
+    # tray is unchanged at t=20, but its sweep must still set OnTray.
+    entry = _final_entry([
+        StaffEvent(1, "move", tag="T-1", to_site=OR, to_sub="ToolTray"),
+        StaffEvent(2, "place_in_cavity", tag="T-1"),
+        StaffEvent(10, "announce_closing", case="C-1"),
+        StaffEvent(12, "remove_from_cavity", tag="T-1"),
+        StaffEvent(20, "move", tag="T-2", to_site=OR, to_sub="RoomSpace")], latency_s=1)
+    assert entry == {"status": "OnTray", "last_seen_s": 20}
+
+
+def test_a_sweep_after_a_late_removal_is_read():
+    # T-1 leaves and is back on the tray before its EquipmentLeftOR arrives at
+    # t=30; the tray is unchanged at t=40, but its sweep must reactivate T-1.
+    entry = _final_entry([
+        StaffEvent(1, "move", tag="T-1", to_site=OR, to_sub="ToolTray"),
+        StaffEvent(20, "carry_out", tag="T-1"),
+        StaffEvent(21, "move", tag="T-1", to_site=OR, to_sub="ToolTray"),
+        StaffEvent(40, "move", tag="T-2", to_site=OR, to_sub="RoomSpace")], latency_s=5)
+    assert entry == {"status": "OnTray", "last_seen_s": 40}
+
+
+def test_a_skipped_sweep_leaves_the_trace_a_read_sweep_leaves(monkeypatch):
+    # with messages arriving a move or two later, a move can meet a cart whose
+    # entries changed since its last sweep; skipping must still match reading
+    scenarios = [random_scenario(seed, latency_s=latency_s)
+                 for latency_s in (5, 10, 20) for seed in range(300)]
+    skipping = [run(scenario).to_ndjson() for scenario in scenarios]
+    resolve = kernel._Engine._antenna
+    # an antenna with no record of its last sweep is never skipped
+    monkeypatch.setattr(kernel._Engine, "_antenna",
+                        lambda engine, room, which: resolve(engine, room, which)[:5] + (None,))
+    assert [run(scenario).to_ndjson() for scenario in scenarios] == skipping

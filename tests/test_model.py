@@ -9,11 +9,7 @@ from ortrack.kernel import run
 from ortrack.model import (
     EQUIPMENT_ROOM,
     DuplicateTagError,
-    GroundTruthEvent,
-    InconsistentMoveError,
-    ItemKind,
     Location,
-    MoveCause,
     SubLocation,
     WorldState,
 )
@@ -24,59 +20,58 @@ GOLDENS = ("clean_case", "sponge_in_cavity", "sponge_in_cavity_recovered",
 
 def test_create_item_starts_in_equipment_room():
     world = WorldState()
-    item = world.create_item(ItemKind.SPONGE, "T-001")
-    assert world.placements[item.item_id] == Location(EQUIPMENT_ROOM)
-    assert world.placements[item.item_id].sub is SubLocation.NONE
+    item_id = world.create_item("T-001")
+    assert world.placements[item_id] == Location(EQUIPMENT_ROOM)
+    assert world.placements[item_id].sub is SubLocation.NONE
 
 
 def test_create_item_rejects_duplicate_tag():
     world = WorldState()
-    world.create_item(ItemKind.SPONGE, "T-001")
+    world.create_item("T-001")
     with pytest.raises(DuplicateTagError):
-        world.create_item(ItemKind.NEEDLE, "T-001")
+        world.create_item("T-001")
+
+
+def test_create_item_rejects_duplicate_item_id():
+    world = WorldState()
+    world.create_item("T-001", "item-7")
+    with pytest.raises(DuplicateTagError):
+        world.create_item("T-002", "item-7")
 
 
 def test_ten_creations_all_placed():
     world = WorldState()
     for i in range(10):
-        world.create_item(ItemKind.CONSUMABLE, f"T-{i:03d}")
+        world.create_item(f"T-{i:03d}")
     assert len(world.placements) == 10
     assert all(loc == Location(EQUIPMENT_ROOM) for loc in world.placements.values())
 
 
 def test_apply_ground_truth_moves_item():
     world = WorldState()
-    item = world.create_item(ItemKind.SPONGE, "T-1")
-    world.apply_ground_truth(GroundTruthEvent(
-        time_s=5, item_id=item.item_id, src=Location(EQUIPMENT_ROOM),
-        dst=Location("OR-1", SubLocation.TOOL_TRAY), cause=MoveCause.STAFF_MOVE))
-    world.apply_ground_truth(GroundTruthEvent(
-        time_s=9, item_id=item.item_id, src=Location("OR-1", SubLocation.TOOL_TRAY),
-        dst=Location("OR-1", SubLocation.PATIENT_CAVITY),
-        cause=MoveCause.PLACE_IN_CAVITY))
-    assert world.placements[item.item_id].sub is SubLocation.PATIENT_CAVITY
-
-
-def test_apply_ground_truth_rejects_wrong_source():
-    world = WorldState()
-    item = world.create_item(ItemKind.BLADE, "T-2")
-    with pytest.raises(InconsistentMoveError):
-        world.apply_ground_truth(GroundTruthEvent(
-            time_s=1, item_id=item.item_id,
-            src=Location("OR-1", SubLocation.TOOL_TRAY),
-            dst=Location("SPD"), cause=MoveCause.ROOM_TRANSIT))
-
-
-def test_event_must_change_location():
-    with pytest.raises(ValueError):
-        GroundTruthEvent(time_s=0, item_id="i", src=Location("SPD"),
-                         dst=Location("SPD"), cause=MoveCause.STAFF_MOVE)
+    item_id = world.create_item("T-1")
+    world.apply_ground_truth(item_id, Location("OR-1", SubLocation.TOOL_TRAY))
+    world.apply_ground_truth(item_id, Location("OR-1", SubLocation.PATIENT_CAVITY))
+    assert world.placements[item_id].sub is SubLocation.PATIENT_CAVITY
+    assert world.tags_at(Location("OR-1", SubLocation.PATIENT_CAVITY)) == ["T-1"]
+    assert world.tags_at(Location("OR-1", SubLocation.TOOL_TRAY)) == []
 
 
 def test_sub_location_only_in_operating_room():
-    with pytest.raises(ValueError):
-        Location(EQUIPMENT_ROOM, SubLocation.TOOL_TRAY)
+    for site in (EQUIPMENT_ROOM, "SPD"):
+        with pytest.raises(ValueError):
+            Location(site, SubLocation.TOOL_TRAY)
     assert Location("OR-3", SubLocation.TRASH_BIN).sub is SubLocation.TRASH_BIN
+
+
+def test_location_is_its_site_and_sub():
+    location = Location("OR-3", sub=SubLocation.TRASH_BIN)
+    assert (location.site, location.sub) == ("OR-3", SubLocation.TRASH_BIN)
+    assert location == Location("OR-3", SubLocation.TRASH_BIN)
+    assert hash(location) == hash(Location("OR-3", SubLocation.TRASH_BIN))
+    assert location != Location("OR-3", SubLocation.TOOL_TRAY)
+    assert location.to_json() == {"site": "OR-3", "sub": "TrashBin"}
+    assert Location("SPD").sub is SubLocation.NONE
 
 
 # A little walk machine for the index properties: at each step
@@ -96,31 +91,28 @@ _WALKS = (st.integers(1, 6),
 
 def _scan(world: WorldState, location: Location) -> list[str]:
     """``tags_at`` as a scan of every placement: the index must agree with it."""
-    return [world.items[i].tag_id for i, loc in world.placements.items() if loc == location]
+    tag_of = {item_id: tag for tag, item_id in world.item_by_tag.items()}
+    return [tag_of[i] for i, loc in world.placements.items() if loc == location]
 
 
 def _walk(n_items: int, steps: list[tuple[int, int]], after_step=None) -> WorldState:
     world = WorldState()
     for i in range(n_items):
-        world.create_item(ItemKind.INSTRUMENT, f"T-{i}")
+        world.create_item(f"T-{i}")
     previous: dict[str, Location] = {}
-    clock = 0
     for item_idx, spot_idx in steps:
-        item = world.items[f"item-{(item_idx % n_items) + 1}"]
-        src = world.placements[item.item_id]
+        item_id = f"item-{(item_idx % n_items) + 1}"
+        src = world.placements[item_id]
         if spot_idx < len(_SPOTS):
             dst = _SPOTS[spot_idx]
         else:
-            dst = previous.get(item.item_id, _SPOTS[0])
+            dst = previous.get(item_id, _SPOTS[0])
         if dst == src:
             continue
-        clock += 1
-        world.apply_ground_truth(GroundTruthEvent(
-            time_s=clock, item_id=item.item_id, src=src, dst=dst,
-            cause=MoveCause.STAFF_MOVE))
-        previous[item.item_id] = src
+        world.apply_ground_truth(item_id, dst)
+        previous[item_id] = src
         if after_step is not None:
-            after_step(world, item.item_id)
+            after_step(world, item_id)
     return world
 
 
@@ -129,17 +121,17 @@ def _location(obj: dict) -> Location:
 
 
 def _rebuild(trace) -> WorldState:
-    """A fresh world given the trace's ``meta`` items, then moved by its ``gt`` records."""
+    """A fresh world given the trace's ``meta`` items, then moved by its ``gt`` records,
+    each of which starts where the item is."""
     world = WorldState()
     for record in trace.records:
         if record["type"] == "meta":
             for item in record["items"]:
-                world.create_item(ItemKind(item["kind"]), item["tag"], item["item_id"])
+                world.create_item(item["tag"], item["item_id"])
         elif record["type"] == "gt":
-            world.apply_ground_truth(GroundTruthEvent(
-                time_s=record["t"], item_id=world.item_by_tag[record["tag"]],
-                src=_location(record["from"]), dst=_location(record["to"]),
-                cause=MoveCause(record["cause"])))
+            item_id = world.item_by_tag[record["tag"]]
+            assert world.placements[item_id] == _location(record["from"])
+            world.apply_ground_truth(item_id, _location(record["to"]))
     return world
 
 
@@ -171,20 +163,9 @@ def test_conservation_of_items(n_items, steps):
 
 @given(*_WALKS)
 @settings(max_examples=200)
-def test_tags_at_index_matches_scan_and_survives_rejected_moves(n_items, steps):
+def test_tags_at_index_matches_scan(n_items, steps):
     def check(world: WorldState, item_id: str) -> None:
-        before = [world.tags_at(s) for s in _SPOTS]
-        assert before == [_scan(world, s) for s in _SPOTS]
-        src = world.placements[item_id]
-        wrong_src = next(s for s in _SPOTS if s != src)
-        dst = next(s for s in _SPOTS if s not in (src, wrong_src))
-        for bad in (GroundTruthEvent(time_s=world.clock_s, item_id=item_id,
-                                     src=wrong_src, dst=dst, cause=MoveCause.STAFF_MOVE),
-                    GroundTruthEvent(time_s=world.clock_s - 1, item_id=item_id,
-                                     src=src, dst=dst, cause=MoveCause.STAFF_MOVE)):
-            with pytest.raises(InconsistentMoveError):
-                world.apply_ground_truth(bad)
-            assert [world.tags_at(s) for s in _SPOTS] == before
+        assert [world.tags_at(s) for s in _SPOTS] == [_scan(world, s) for s in _SPOTS]
 
     world = _walk(n_items, steps, after_step=check)
     assert [world.tags_at(s) for s in _SPOTS] == [_scan(world, s) for s in _SPOTS]
@@ -194,11 +175,8 @@ def test_tags_at_cost_does_not_grow_with_item_count(monkeypatch):
     """One read of a location compares locations a constant number of times."""
     world = WorldState()
     for i in range(10_000):
-        world.create_item(ItemKind.CONSUMABLE, f"T-{i}")
-    tray = Location("OR-1", SubLocation.TOOL_TRAY)
-    world.apply_ground_truth(GroundTruthEvent(
-        time_s=1, item_id="item-5000", src=Location(EQUIPMENT_ROOM), dst=tray,
-        cause=MoveCause.STAFF_MOVE))
+        world.create_item(f"T-{i}")
+    world.apply_ground_truth("item-5000", Location("OR-1", SubLocation.TOOL_TRAY))
     calls = []
     original = Location.__eq__
 

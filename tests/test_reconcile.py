@@ -319,8 +319,8 @@ def test_locate_agrees_with_ground_truth_under_perfect_sensing():
 
         run(scenario, observer=observer)
         engine, world = captured["engine"], captured["world"]
-        for item_id, location in world.placements.items():
-            tag = world.items[item_id].tag_id
+        for tag, item_id in world.item_by_tag.items():
+            location = world.placements[item_id]
             belief = locate(tag, engine.cms)
             assert belief.site == location.site, (name, tag)
 
