@@ -273,18 +273,20 @@ def _finite(text: str) -> float:
 
 
 def load_needs_csv(text: str) -> list[tuple[str, float]]:
-    """Rows of (need, importance); header required."""
+    """Rows of (need, importance) under the header ``need,importance``; every
+    row has exactly those two cells."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
-    if header is None or [h.strip().lower() for h in header[:2]] != ["need", "importance"]:
-        raise DimensionMismatchError("needs CSV must start with 'need,importance'")
+    if header is None or [h.strip().lower() for h in header] != ["need", "importance"]:
+        raise DimensionMismatchError("needs CSV header must be exactly 'need,importance'")
     needs: dict[str, float] = {}
     for row in reader:
         if not row or not row[0].strip():
             continue
         name = row[0].strip()
-        if len(row) < 2:
-            raise DimensionMismatchError(f"need {name!r} has no importance")
+        if len(row) != 2:
+            raise DimensionMismatchError(
+                f"need {name!r} has {len(row) - 1} importance values, expected 1")
         if name in needs:
             raise DimensionMismatchError(f"need {name!r} appears twice")
         needs[name] = _finite(row[1])
@@ -298,6 +300,9 @@ def load_matrix_csv(text: str, corner: str) -> tuple[list[str], list[str], list[
     if header is None or not header[1:]:
         raise DimensionMismatchError(f"{corner} CSV needs a header with column names")
     columns = [h.strip() for h in header[1:]]
+    for i, name in enumerate(columns):
+        if name in columns[:i]:
+            raise DimensionMismatchError(f"{corner} CSV column {name!r} appears twice")
     rows, values = [], []
     for row in reader:
         if not row or not row[0].strip():

@@ -54,7 +54,7 @@ from .protocol import (
     room_sensor_on_reads,
     spd_acknowledge,
 )
-from .sensing import ScanRegion, ScanResult, SensorDownError, SensorModel
+from .sensing import ScanRegion, SensorDownError, SensorModel
 
 
 class ParseError(Exception):
@@ -424,7 +424,7 @@ class _Engine:
         self.links: dict[tuple, tuple] = {}  # (from, to) -> (priority, latency, drop, stream)
         self.readers: dict[str, tuple] = {}  # sensor id -> (id, model, stream or None, outages)
         # (room, which) -> (Location, status its sweep sets, handler, reader, the
-        # location's list in world.at, and for a certain reader its last sweep)
+        # location's list in world.at, whether the reader is certain)
         self.antennas: dict[tuple, tuple] = {}
         # node id -> (plain function, its state), called as fn(self, state, message, now);
         # a bound method here would tie every engine into a reference cycle
@@ -553,34 +553,34 @@ class _Engine:
             self._send(message, now)
 
     def _sweep(self, room: str, which: str, now: int) -> None:
-        """A certain antenna whose list, handed set and status are all as its last
-        sweep left them would change only ``last_seen_s``: stamp it, skip the read."""
+        """Sweep one cart antenna; a certain one is not read when its location holds
+        exactly the cart's last set of its kind and each of those entries still has
+        the status that sweep set: the read would only stamp ``last_seen_s``."""
         mtc = self.mtcs.get(room)
         if mtc is None or mtc.phase is CasePhase.COMPLETE:
             return
         antenna = self._antenna(room, which)
-        _, status, handler, _, at, last = antenna
-        if (last is not None and at == last[0] and mtc.swept.get(status) is last[1]
-                and mtc.left[status] == last[2]):
-            for tag in last[1]:
-                mtc.entries[tag].last_seen_s = now
-            return
+        _, status, handler, _, at, certain = antenna
+        if certain and (swept := mtc.swept.get(status)) is not None and len(swept) == len(at):
+            entries = mtc.entries
+            for _, tag in at:  # a tag stamped before a break is stamped again by the read
+                if tag not in swept or (entry := entries[tag]).status is not status:
+                    break
+                entry.last_seen_s = now
+            else:
+                return
         detected = self._antenna_read(antenna, mtc.case_id, now)
-        if detected is None:
-            return
-        outputs = handler(mtc, detected, now)
-        if last is not None:  # the list it read, the set it handed over, the status count
-            last[:] = at[:], detected, mtc.left[status]
-        self._emit(outputs, mtc.case_id, now)
+        if detected is not None:
+            self._emit(handler(mtc, detected, now), mtc.case_id, now)
 
     def _antenna(self, room: str, which: str) -> tuple:
         if (antenna := self.antennas.get((room, which))) is None:
             sub, status, handler = _ANTENNAS[which]
             location, reader = Location(room, sub), self._reader(f"{which}:{room}")
-            certain = reader[2] is None and not reader[3]  # reads a pure function of its list
             antenna = self.antennas[room, which] = (
                 location, status, getattr(protocol, handler), reader,
-                self.world.at.setdefault(location, []), [None, None, 0] if certain else None)
+                self.world.at.setdefault(location, []),
+                reader[2] is None and not reader[3])  # certain: no stream, no outage
         return antenna
 
     def _antenna_read(self, antenna: tuple, case_id: str, now: int) -> set[str] | None:
@@ -661,13 +661,12 @@ class _Engine:
             return
         if mtc.phase is CasePhase.COMPLETE:
             raise StaleCaseError(f"case {mtc.case_id} already complete")
-        scan = message.payload["scan"]
-        scan = ScanResult(ScanRegion(scan["region"]), frozenset(scan["detected"]), scan["passes"])
+        cavity = frozenset(message.payload["scan"]["detected"])
         tray = self._antenna_read(self._antenna(mtc.room_id, "tray"), mtc.case_id, now)
         bin_ = self._antenna_read(self._antenna(mtc.room_id, "bin"), mtc.case_id, now)
         if tray is None or bin_ is None:
             return  # antenna down; a later request will retry
-        outputs, _report = reconcile.apply_scan_outcome(mtc, scan, tray, bin_, now)
+        outputs, _report = reconcile.apply_scan_outcome(mtc, cavity, tray, bin_, now)
         self._emit(outputs, mtc.case_id, now)
 
     # -- main loop

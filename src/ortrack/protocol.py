@@ -293,8 +293,8 @@ class MtcState:
     """The cart of one operating room: its case's lifecycle, checklist and scan counters.
 
     Only a tray sweep sets ``OnTray`` and only a bin sweep ``Discarded``, so an
-    entry holds either only if the last sweep of its kind, kept in ``swept``, saw it.
-    ``set_status`` writes every status and counts in ``left`` the entries leaving each.
+    entry holds either only if the last sweep of its kind, kept in ``swept``, saw it;
+    the kernel compares that set with an antenna's location to skip a certain sweep.
     """
 
     case_id: str
@@ -310,7 +310,6 @@ class MtcState:
     last_outcome: str | None = None
     completed_s: int | None = None  # tick the case completed; stamped by the kernel
     swept: dict[TagStatus, set[str]] = field(default_factory=dict)  # sweep status -> last seen
-    left: dict[TagStatus, int] = field(default_factory=lambda: dict.fromkeys(TagStatus, 0))
 
     @property
     def node_id(self) -> str:
@@ -324,11 +323,6 @@ class MtcState:
         """Tags counted toward reconciliation (everything not removed from the OR)."""
         return {t for t, e in self.entries.items()
                 if e.status is not TagStatus.REMOVED_FROM_OR}
-
-    def set_status(self, entry: ChecklistEntry, status: TagStatus) -> None:
-        if entry.status is not status:
-            self.left[entry.status] += 1
-            entry.status = status
 
     def advance(self, to: CasePhase) -> tuple[str, CasePhase, CasePhase]:
         if to not in PHASE_GRAPH[self.phase]:
@@ -358,7 +352,7 @@ def _add_or_reactivate(state: MtcState, tag: str, status: TagStatus, now: int,
         entry.last_seen_s = now
         if entry.status is not TagStatus.REMOVED_FROM_OR:
             return False
-        state.set_status(entry, status)
+        entry.status = status
     out.messages.append(_checklist_update(state, "add", tag, now))
     if state.phase is CasePhase.SETUP:
         out.phase_changes.append(state.advance(CasePhase.IN_PROGRESS))
@@ -386,7 +380,7 @@ def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
     elif kind == "EquipmentLeftOR":
         entry = state.entries.get(payload["tag"])
         if entry is not None and entry.status is not TagStatus.REMOVED_FROM_OR:
-            state.set_status(entry, TagStatus.REMOVED_FROM_OR)
+            entry.status = TagStatus.REMOVED_FROM_OR
             entry.last_seen_s = now
             out.messages.append(_checklist_update(state, "remove", payload["tag"], now))
             # Removing items mid-reconciliation can mask a retained item.
@@ -432,15 +426,14 @@ def _sweep(state: MtcState, detected: set[str], now: int, status: TagStatus) -> 
             fresh.append(tag)
         else:  # already active: _add_or_reactivate's no-op branch, inline
             entry.last_seen_s = now
-            if entry.status is not status:
-                state.set_status(entry, status)
+            entry.status = status
     if fresh is not None:
         for tag in sorted(fresh):
             _add_or_reactivate(state, tag, status, now, out)
     last = swept.get(status)
     for tag in entries if last is None else last:
         if tag not in detected and (entry := entries[tag]).status is status:
-            state.set_status(entry, TagStatus.IN_USE)
+            entry.status = TagStatus.IN_USE
     swept[status] = detected
     return out
 

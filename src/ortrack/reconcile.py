@@ -37,7 +37,6 @@ from .protocol import (
     mtc_bin_sweep,
     mtc_tray_sweep,
 )
-from .sensing import ScanResult
 
 
 class UnknownTagError(Exception):
@@ -65,12 +64,11 @@ class ReconciliationReport:
 
 
 def reconcile(state: MtcState, tray_reads: set[str], bin_reads: set[str],
-              scan: ScanResult) -> ReconciliationReport:
+              cavity: frozenset[str]) -> ReconciliationReport:
     """Compare the cart's expected items against re-verified ones; pure set arithmetic."""
     expected = frozenset(state.active_tags())
-    accounted = frozenset((set(tray_reads) | set(bin_reads)) & expected)
+    accounted = frozenset((tray_reads | bin_reads) & expected)
     missing = expected - accounted
-    cavity = frozenset(scan.detected)
     if cavity:
         outcome = Outcome.RSB_SUSPECTED
     elif missing:
@@ -82,7 +80,7 @@ def reconcile(state: MtcState, tray_reads: set[str], bin_reads: set[str],
                                 cavity_detected=cavity, outcome=outcome)
 
 
-def apply_scan_outcome(state: MtcState, scan: ScanResult, tray_reads: set[str],
+def apply_scan_outcome(state: MtcState, cavity: frozenset[str], tray_reads: set[str],
                        bin_reads: set[str], now: int) -> tuple[Outputs, ReconciliationReport]:
     """One reconciliation pass: sweep, reconcile, and move the case lifecycle.
 
@@ -98,7 +96,7 @@ def apply_scan_outcome(state: MtcState, scan: ScanResult, tray_reads: set[str],
 
     out.extend(mtc_tray_sweep(state, set(tray_reads), now))
     out.extend(mtc_bin_sweep(state, set(bin_reads), now))
-    report = reconcile(state, tray_reads, bin_reads, scan)
+    report = reconcile(state, tray_reads, bin_reads, cavity)
     state.scans_done += 1
     state.last_outcome = report.outcome.value
 
@@ -111,7 +109,7 @@ def apply_scan_outcome(state: MtcState, scan: ScanResult, tray_reads: set[str],
         for tag in report.cavity_detected:
             entry = state.entries.get(tag)
             if entry is not None and entry.status is not TagStatus.REMOVED_FROM_OR:
-                state.set_status(entry, TagStatus.IN_CAVITY_BELIEF)
+                entry.status = TagStatus.IN_CAVITY_BELIEF
                 entry.last_seen_s = now
         out.alerts.append(Alert(
             severity=Severity.CRITICAL, kind=AlertKind.RSB_SUSPECTED,

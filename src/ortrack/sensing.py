@@ -75,10 +75,6 @@ class ScanResult:
     detected: frozenset[str]
     passes: int
 
-    def __post_init__(self) -> None:
-        if self.passes < 1:
-            raise InvalidParamError("a scan needs at least one pass")
-
     def to_json(self) -> dict:
         return {"region": self.region.value,
                 "detected": sorted(self.detected),

@@ -131,6 +131,7 @@ def _final_checklist(events):
     return {tag: entry["status"] for tag, entry in record["entries"].items()}
 
 
+@pytest.mark.slow
 def test_3_exhaustive_small_instance_oracle():
     with criterion("3 exhaustive <=8-event scenarios vs ground-truth fold"):
         checked = 0

@@ -164,6 +164,7 @@ def test_montecarlo_rejects_runs_below_one(runs, capsys):
     assert "runs must be >= 1" in captured.err
 
 
+@pytest.mark.slow
 def test_montecarlo_miss_rate_matches_binomial():
     # single-pass scan at p=0.8 against an unmonitored cavity item: each run
     # misses with probability 0.2; 100,000 runs pin the rate within 3 sigma
@@ -241,6 +242,8 @@ def _eval_inputs(tmp_path, needs, correlation, scores):
 @pytest.mark.parametrize("needs, correlation, scores, qualitative", [
     pytest.param("need,importance\nsafety\n", "need,c1\nsafety,9\n", "concept,c1\nsolo,4\n",
                  None, id="needs-row-without-importance"),
+    pytest.param("need,importance\nsafety,1,000\n", "need,c1\nsafety,9\n",
+                 "concept,c1\nsolo,4\n", None, id="needs-row-with-extra-cell"),
     pytest.param("need,importance\nsafety,5\n", "need,c1\nsafety,9.7\n", "concept,c1\nsolo,4\n",
                  None, id="fractional-correlation"),
     pytest.param("need,importance\nsafety,nan\n", "need,c1\nsafety,9\n", "concept,c1\nsolo,4\n",
@@ -255,6 +258,8 @@ def _eval_inputs(tmp_path, needs, correlation, scores):
                  _OK_SCORES, None, id="repeated-need"),
     pytest.param(_OK_NEEDS, "need,c1,c2\nsafety,9,0\nsafety,0,3\n", "concept,c1,c2\nsolo,4,2\n",
                  None, id="repeated-correlation-row"),
+    pytest.param(_OK_NEEDS, "need,c1,c1\nsafety,9,3\n", "concept,c1\nsolo,4\n",
+                 None, id="repeated-correlation-column"),
     pytest.param(_OK_NEEDS, _OK_CORR, "concept,c1\nX,4\nX,2\n", None,
                  id="repeated-score-row"),
     pytest.param(_OK_NEEDS, _OK_CORR, "concept,c1\nX,4\nY,2\n",

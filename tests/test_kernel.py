@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import os
@@ -478,14 +479,17 @@ def test_generated_scenarios_pass_validation():
         kernel.validate_scenario(random_scenario(seed))
 
 
+def _one_room(events, latency_s):
+    """One room, one case, two sponges and perfect readers."""
+    return Scenario(name="one-room", seed=0, horizon_s=60, rooms=[OR],
+                    items=[ItemSpec("T-1", ItemKind.SPONGE), ItemSpec("T-2", ItemKind.SPONGE)],
+                    sensors=full_sensor_suite(), cases=[CaseSpec("C-1", OR)],
+                    events=events, bus=BusConfig(latency_s=latency_s))
+
+
 def _final_entry(events, latency_s, tag="T-1"):
-    """``tag``'s checklist entry in the final case record of a one-room run
-    with perfect readers."""
-    scenario = Scenario(name="one-room", seed=0, horizon_s=60, rooms=[OR],
-                        items=[ItemSpec("T-1", ItemKind.SPONGE), ItemSpec("T-2", ItemKind.SPONGE)],
-                        sensors=full_sensor_suite(), cases=[CaseSpec("C-1", OR)],
-                        events=events, bus=BusConfig(latency_s=latency_s))
-    return run(scenario).records[-1]["entries"][tag]
+    """``tag``'s checklist entry in the final case record of a ``_one_room`` run."""
+    return run(_one_room(events, latency_s)).records[-1]["entries"][tag]
 
 
 def test_a_sweep_after_a_reconcile_status_change_is_read():
@@ -519,7 +523,32 @@ def test_a_skipped_sweep_leaves_the_trace_a_read_sweep_leaves(monkeypatch):
                  for latency_s in (5, 10, 20) for seed in range(300)]
     skipping = [run(scenario).to_ndjson() for scenario in scenarios]
     resolve = kernel._Engine._antenna
-    # an antenna with no record of its last sweep is never skipped
+    # an antenna that is not certain is never skipped
     monkeypatch.setattr(kernel._Engine, "_antenna",
                         lambda engine, room, which: resolve(engine, room, which)[:5] + (None,))
     assert [run(scenario).to_ndjson() for scenario in scenarios] == skipping
+
+
+def test_a_bin_holding_its_last_set_is_not_read_again(monkeypatch):
+    # The reconciliation at t=12 reads the bin itself; at t=20 the bin still
+    # holds exactly that set, all Discarded, so the sweep is skipped.
+    scenario = _one_room([
+        StaffEvent(1, "move", tag="T-1", to_site=OR, to_sub="ToolTray"),
+        StaffEvent(2, "move", tag="T-2", to_site=OR, to_sub="ToolTray"),
+        StaffEvent(3, "discard", tag="T-2"),
+        StaffEvent(10, "announce_closing", case="C-1"),
+        StaffEvent(20, "move", tag="T-1", to_site=OR, to_sub="RoomSpace")], latency_s=1)
+    bin_reads = []
+    read_tags = sensing.read_tags
+
+    def counting(sensor_id, *args):
+        if sensor_id == f"bin:{OR}":
+            bin_reads.append(args[3])
+        return read_tags(sensor_id, *args)
+
+    monkeypatch.setattr(sensing, "read_tags", counting)
+    trace = run(scenario).to_ndjson()
+    assert bin_reads == [1, 3, 12]
+    # the trace a read at t=20 leaves
+    assert hashlib.sha256(trace.encode()).hexdigest() == \
+        "26bd0ca256acc6b7f63849cc8af6f7304974ee94f7185aea3412f7fd36b1f782"

@@ -38,7 +38,6 @@ from ortrack.reconcile import (
     persist,
     reconcile as reconcile_sets,
 )
-from ortrack.sensing import ScanRegion, ScanResult
 
 
 def cart_of(active, removed=()):
@@ -50,9 +49,8 @@ def cart_of(active, removed=()):
     return mtc
 
 
-def scan_of(detected, passes=1):
-    return ScanResult(region=ScanRegion.PATIENT_CAVITY,
-                      detected=frozenset(detected), passes=passes)
+def scan_of(detected):
+    return frozenset(detected)
 
 
 def test_reconcile_all_accounted_is_clean():
