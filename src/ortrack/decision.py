@@ -96,7 +96,7 @@ class QfdInput:
 
     needs: list[tuple[str, float]]
     characteristics: list[str]
-    correlation: list[list[int]]  # rows follow needs, columns characteristics
+    correlation: list[list[float]]  # rows follow needs, columns characteristics
 
     def __post_init__(self) -> None:
         if len(self.correlation) != len(self.needs):
@@ -272,66 +272,46 @@ def _finite(text: str) -> float:
     return value
 
 
-def load_needs_csv(text: str) -> list[tuple[str, float]]:
-    """Rows of (need, importance) under the header ``need,importance``; every
-    row has exactly those two cells."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or [h.strip().lower() for h in header] != ["need", "importance"]:
-        raise DimensionMismatchError("needs CSV header must be exactly 'need,importance'")
-    needs: dict[str, float] = {}
-    for row in reader:
-        if not row or not row[0].strip():
-            continue
-        name = row[0].strip()
-        if len(row) != 2:
-            raise DimensionMismatchError(
-                f"need {name!r} has {len(row) - 1} importance values, expected 1")
-        if name in needs:
-            raise DimensionMismatchError(f"need {name!r} appears twice")
-        needs[name] = _finite(row[1])
-    return list(needs.items())
+def _check_name(corner: str, what: str, name: str, seen: list[str]) -> None:
+    if not name or name in seen:
+        raise DimensionMismatchError(f"{corner} CSV has a blank or repeated {what} name: {name!r}")
 
 
 def load_matrix_csv(text: str, corner: str) -> tuple[list[str], list[str], list[list[float]]]:
-    """Generic labeled matrix: header = corner label + column names."""
+    """A labeled matrix: a header of ``corner`` (any case) then unique column names,
+    then one uniquely named row of finite numbers per line; blank lines are skipped."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or not header[1:]:
-        raise DimensionMismatchError(f"{corner} CSV needs a header with column names")
-    columns = [h.strip() for h in header[1:]]
+    header = [h.strip() for h in next(reader, [])]
+    if len(header) < 2 or header[0].lower() != corner:
+        raise DimensionMismatchError(f"{corner} CSV header must be {corner!r} then column names")
+    columns = header[1:]
     for i, name in enumerate(columns):
-        if name in columns[:i]:
-            raise DimensionMismatchError(f"{corner} CSV column {name!r} appears twice")
+        _check_name(corner, "column", name, columns[:i])
     rows, values = [], []
     for row in reader:
-        if not row or not row[0].strip():
+        if not any(cell.strip() for cell in row):
             continue
+        name = row[0].strip()
+        _check_name(corner, "row", name, rows)
         if len(row) - 1 != len(columns):
             raise DimensionMismatchError(
-                f"{corner} CSV row {row[0]!r} has {len(row) - 1} values, "
-                f"expected {len(columns)}")
-        name = row[0].strip()
-        if name in rows:
-            raise DimensionMismatchError(f"{corner} CSV row {name!r} appears twice")
+                f"{corner} CSV row {name!r} has {len(row) - 1} values, expected {len(columns)}")
         rows.append(name)
         values.append([_finite(v) for v in row[1:]])
     return rows, columns, values
 
 
 def qfd_from_csv(needs_text: str, correlation_text: str) -> QfdInput:
-    """Join a needs file with a needs-by-characteristics correlation file."""
-    needs = load_needs_csv(needs_text)
-    row_names, characteristics, values = load_matrix_csv(correlation_text, "need")
-    by_name = dict(needs)
+    """Join a ``need,importance`` file with a needs-by-characteristics correlation file."""
+    names, columns, importance = load_matrix_csv(needs_text, "need")
+    if [column.lower() for column in columns] != ["importance"]:
+        raise DimensionMismatchError("needs CSV header must be exactly 'need,importance'")
+    by_name = {name: row[0] for name, row in zip(names, importance)}
+    row_names, characteristics, correlation = load_matrix_csv(correlation_text, "need")
     if set(row_names) != set(by_name):
-        raise DimensionMismatchError(
-            "correlation rows do not match the declared needs")
-    ordered_needs = [(name, by_name[name]) for name in row_names]
-    # a fractional entry stays a float, so QfdInput rejects it as off the scale
-    correlation = [[int(v) if v.is_integer() else v for v in row] for row in values]
-    return QfdInput(needs=ordered_needs, characteristics=characteristics,
-                    correlation=correlation)
+        raise DimensionMismatchError("correlation rows do not match the declared needs")
+    return QfdInput(needs=[(name, by_name[name]) for name in row_names],
+                    characteristics=characteristics, correlation=correlation)
 
 
 # --------------------------------------------------------------------------
@@ -379,8 +359,7 @@ def load_example_screening() -> PughMatrix:
     concepts, criteria, values = load_matrix_csv(
         _data_text("concept_eval/screening.csv"), "concept")
     return PughMatrix(concepts=concepts, criteria=criteria, mode=PughMode.SCREENING,
-                      scores={c: [int(v) for v in row]
-                              for c, row in zip(concepts, values)},
+                      scores=dict(zip(concepts, values)),
                       datum=concepts[0])
 
 

@@ -316,6 +316,12 @@ def load_scenario(text: str) -> Scenario:
     return scenario
 
 
+def _item_ids(items: list[ItemSpec]) -> list[str]:
+    """Each item's id: its own, or ``item-<n>`` for the n-th item (1-based)."""
+    return [f"item-{idx}" if spec.item_id is None else spec.item_id
+            for idx, spec in enumerate(items, 1)]
+
+
 def _unique(ids: list, what: str) -> None:
     if len(set(ids)) != len(ids) or not all(ids):
         _fail(f"empty or duplicate {what}: "
@@ -327,9 +333,11 @@ def validate_scenario(scenario: Scenario) -> None:
     rooms, sites = scenario.rooms, [*FIXED_SITES, *scenario.rooms]
     _unique(sites, "room id or fixed site")
     _unique([spec.tag_id for spec in scenario.items], "tag_id")
-    _unique([f"item-{idx + 1}" if spec.item_id is None else spec.item_id
-             for idx, spec in enumerate(scenario.items)], "item_id")
-    _unique([spec.case_id for spec in scenario.cases], "case_id")
+    _unique(_item_ids(scenario.items), "item_id")
+    case_ids = [spec.case_id for spec in scenario.cases]
+    _unique(case_ids, "case_id")
+    if slashed := [c for c in case_ids if "/" in c or "\\" in c]:  # reports are named by case id
+        _fail(f"case_id may not contain / or \\: {slashed!r:.60}")
     _unique([spec.room_id for spec in scenario.cases], "room with a case")
     if unknown := {spec.room_id for spec in scenario.cases} - set(rooms):
         _fail(f"cases name unknown rooms: {sorted(unknown)}")
@@ -341,7 +349,6 @@ def validate_scenario(scenario: Scenario) -> None:
                 sensor.mtbf_s + sensor.mttr_s) <= MAX_EXPECTED_OUTAGES):
             _fail(f"sensor {sensor_id}: more than {MAX_EXPECTED_OUTAGES} expected outages")
 
-    case_ids = {spec.case_id for spec in scenario.cases}
     placements = {spec.tag_id: Location(EQUIPMENT_ROOM) for spec in scenario.items}
     last_t = 0
     for idx, ev in enumerate(scenario.events):
@@ -435,8 +442,10 @@ class _Engine:
 
     def _setup(self) -> None:
         scenario = self.scenario
+        item_ids = _item_ids(scenario.items)
+        _unique(item_ids, "item_id")  # run() does not validate; the trace names each item
         for spec in scenario.items:
-            self.world.create_item(spec.tag_id, spec.item_id)
+            self.world.create_item(spec.tag_id)
             self.cms.register_tag(spec.tag_id)
         for site in list(FIXED_SITES) + scenario.rooms:
             state = RoomSensorState(room_id=site)
@@ -455,9 +464,8 @@ class _Engine:
         self.trace.records.append({
             "t": 0, "type": "meta", "name": scenario.name, "seed": scenario.seed,
             "horizon_s": scenario.horizon_s, "rooms": sorted(scenario.rooms),
-            "items": [{"tag": s.tag_id, "kind": s.kind.value,
-                       "item_id": self.world.item_by_tag[s.tag_id]}
-                      for s in scenario.items],
+            "items": [{"tag": s.tag_id, "kind": s.kind.value, "item_id": item_id}
+                      for s, item_id in zip(scenario.items, item_ids)],
             "cases": [{"case_id": s.case_id, "room_id": s.room_id}
                       for s in scenario.cases]})
         for ev in scenario.events:
@@ -607,10 +615,9 @@ class _Engine:
             self._send(message, now)
             return
 
-        item_id = self.world.item_by_tag[ev.tag]
-        src = self.world.placements[item_id]
+        src = self.world.placements[ev.tag]
         dst, cause = destination(ev, src, self.scenario.rooms)
-        self.world.apply_ground_truth(item_id, dst)
+        self.world.apply_ground_truth(ev.tag, dst)
         self.trace.records.append({
             "t": now, "type": "gt", "tag": ev.tag, "cause": cause.value,
             "from": src.to_json(), "to": dst.to_json()})

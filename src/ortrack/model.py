@@ -50,7 +50,7 @@ class MoveCause(Enum):
 
 
 class DuplicateTagError(Exception):
-    """A tag or item id was registered twice."""
+    """A tag was registered twice."""
 
 
 class Location(tuple):
@@ -74,7 +74,7 @@ class Location(tuple):
 class WorldState:
     """Mutable ground truth owned by the simulation kernel.
 
-    ``placements`` maps every registered item to exactly one location,
+    ``placements`` maps every registered tag to exactly one location,
     so location exclusivity and conservation hold by construction.
 
     ``at`` indexes each location's items as sorted ``(creation index, tag)``
@@ -84,32 +84,25 @@ class WorldState:
     ``kernel.destination`` has proven each one before the kernel makes it.
     """
 
-    item_by_tag: dict[str, str] = field(default_factory=dict)
     placements: dict[str, Location] = field(default_factory=dict)
     at: dict[Location, list[tuple[int, str]]] = field(default_factory=dict, init=False)
     _entry: dict[str, tuple[int, str]] = field(default_factory=dict, init=False, repr=False)
 
-    def create_item(self, tag_id: str, item_id: str | None = None) -> str:
-        """Register a new item in the equipment room; returns its item id."""
-        if tag_id in self.item_by_tag:
+    def create_item(self, tag_id: str) -> None:
+        """Register a new tagged item in the equipment room."""
+        if tag_id in self.placements:
             raise DuplicateTagError(f"tag already registered: {tag_id}")
-        if item_id is None:
-            item_id = f"item-{len(self.placements) + 1}"
-        if item_id in self.placements:
-            raise DuplicateTagError(f"item id already registered: {item_id}")
         home = Location(EQUIPMENT_ROOM)
-        entry = self._entry[item_id] = (len(self.placements), tag_id)
+        entry = self._entry[tag_id] = (len(self.placements), tag_id)
         self.at.setdefault(home, []).append(entry)
-        self.item_by_tag[tag_id] = item_id
-        self.placements[item_id] = home
-        return item_id
+        self.placements[tag_id] = home
 
-    def apply_ground_truth(self, item_id: str, dst: Location) -> None:
-        """Move an item to ``dst``; the index and the placement, nothing else."""
-        entry, old = self._entry[item_id], self.at[self.placements[item_id]]
+    def apply_ground_truth(self, tag_id: str, dst: Location) -> None:
+        """Move a tagged item to ``dst``; the index and the placement, nothing else."""
+        entry, old = self._entry[tag_id], self.at[self.placements[tag_id]]
         del old[bisect_left(old, entry)]
         insort(self.at.setdefault(dst, []), entry)
-        self.placements[item_id] = dst
+        self.placements[tag_id] = dst
 
     def tags_at(self, location: Location) -> list[str]:
         """Tags of all items at exactly ``location``, in creation order (one lookup)."""

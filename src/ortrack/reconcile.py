@@ -16,6 +16,8 @@ a manual override; the case can never quietly complete either way.
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -149,10 +151,13 @@ def locate(tag_id: str, cms: CmsState) -> TagBelief:
 # Reports
 
 
+REPORT_COLUMNS = ("tag_id", "kind", "first_seen_s", "last_seen_s", "final_status")
+
+
 @dataclass
 class SurgeryReport:
     case_id: str
-    items: list[dict]  # tag_id, kind, first_seen_s, last_seen_s, final_status
+    items: list[dict]  # one dict per tag, keyed by REPORT_COLUMNS
     alerts: list[dict]
     scan_passes: int
     duration_s: int
@@ -165,11 +170,11 @@ class SurgeryReport:
                 "final_phase": self.final_phase, "outcomes": self.outcomes}
 
     def to_csv(self) -> str:
-        lines = ["tag_id,kind,first_seen_s,last_seen_s,final_status"]
-        for row in self.items:
-            lines.append(f"{row['tag_id']},{row['kind']},{row['first_seen_s']},"
-                         f"{row['last_seen_s']},{row['final_status']}")
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(REPORT_COLUMNS)
+        writer.writerows([row[key] for key in REPORT_COLUMNS] for row in self.items)
+        return out.getvalue()
 
 
 def generate_report(reading, case_id: str) -> SurgeryReport:

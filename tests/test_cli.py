@@ -82,6 +82,24 @@ def test_simulate_invalid_scenario_exits_one(tmp_path, capsys):
     assert main(["simulate", str(bad), "--out", str(tmp_path / "o")]) == 1
 
 
+def test_simulate_rejects_a_case_id_that_leaves_the_out_dir(tmp_path, capsys):
+    obj = json.loads(SCENARIOS.joinpath("clean_case.json").read_text(encoding="utf-8"))
+    obj["rooms"] = ["OR-1", "OR-2"]
+    obj["cases"] = [{"case_id": "x/y", "room_id": "OR-1"},
+                    {"case_id": "x/../../../esc/pwn", "room_id": "OR-2"}]
+    for ev in obj["events"]:
+        if "case" in ev:
+            ev["case"] = "x/y"
+    path = tmp_path / "in" / "escape.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out" / "run"
+    assert main(["simulate", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("scenario error:")
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                  if p.is_file()) == ["in/escape.json"]
+
+
 def test_simulate_seed_override_changes_trace(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     main(["simulate", scenario_path("cavity_retention"), "--seed", "1", "--out", str(out1)])
@@ -264,6 +282,14 @@ def _eval_inputs(tmp_path, needs, correlation, scores):
                  id="repeated-score-row"),
     pytest.param(_OK_NEEDS, _OK_CORR, "concept,c1\nX,4\nY,2\n",
                  "concept,q1\nX,1\nY,2\nX,3\n", id="repeated-qualitative-row"),
+    pytest.param(_OK_NEEDS, "need,,c1\nsafety,9,3\n", "concept,,c1\nsolo,4,2\n", None,
+                 id="empty-correlation-column"),
+    pytest.param(_OK_NEEDS, _OK_CORR, "concept,c1\nsolo,4\n,5\n", None,
+                 id="unnamed-scores-row"),
+    pytest.param(_OK_NEEDS, "name,c1\nsafety,9\n", _OK_SCORES, None,
+                 id="correlation-corner-not-need"),
+    pytest.param("needs,importance\nsafety,5\n", _OK_CORR, _OK_SCORES, None,
+                 id="needs-corner-not-need"),
 ])
 def test_eval_malformed_csv_is_an_input_error(tmp_path, capsys, needs, correlation, scores,
                                               qualitative):

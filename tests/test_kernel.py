@@ -161,6 +161,10 @@ BAD_INPUTS = [
     ("item_id-duplicate", [(("items", 0, "item_id"), "X"), (("items", 1, "item_id"), "X")],
      ValidationError),
     ("tag_id-list", [(("items", 0, "tag_id"), ["T-1"])], ValidationError),
+    ("case_id-slash", [(("cases", 0, "case_id"), "x/../y"), (("events", 6, "case"), "x/../y"),
+                       (("events", 7, "case"), "x/../y")], ValidationError),
+    ("case_id-backslash", [(("cases", 0, "case_id"), "x\\y"), (("events", 6, "case"), "x\\y"),
+                           (("events", 7, "case"), "x\\y")], ValidationError),
     ("case_id-list", [(("cases", 0, "case_id"), ["C-1"])], ValidationError),
     ("to_site-list", [(("events", 0, "to_site"), ["OR-1"])], ValidationError),
     ("kind-list", [(("events", 0, "kind"), ["move"])], ValidationError),
@@ -204,6 +208,18 @@ def test_run_rejects_a_repeated_tag_in_a_scenario_built_in_python():
                         items=[ItemSpec("T-1", ItemKind.SPONGE), ItemSpec("T-1", ItemKind.BLADE)],
                         sensors={}, cases=[], events=[])
     with pytest.raises(DuplicateTagError):
+        run(scenario)
+
+
+@pytest.mark.parametrize("item_ids", [("I-1", "I-1"), (None, "item-1"), ("", None)],
+                         ids=["repeated", "repeats-a-default", "empty"])
+def test_run_rejects_a_bad_item_id_in_a_scenario_built_in_python(item_ids):
+    # run does not validate, so setup checks the ids it writes into the trace
+    scenario = Scenario(name="dup", seed=0, horizon_s=10, rooms=[OR],
+                        items=[ItemSpec(f"T-{i}", ItemKind.SPONGE, item_id=item_id)
+                               for i, item_id in enumerate(item_ids)],
+                        sensors={}, cases=[], events=[])
+    with pytest.raises(ValidationError):
         run(scenario)
 
 
@@ -464,8 +480,7 @@ def test_belief_matches_ground_truth_under_perfect_sensing():
         def observer(time_s, world, engine):
             nonlocal checked
             for room, mtc in engine.mtcs.items():
-                truth = {tag for tag, i in world.item_by_tag.items()
-                         if world.placements[i].site == room}
+                truth = {tag for tag, loc in world.placements.items() if loc.site == room}
                 assert mtc.active_tags() == truth, \
                     f"seed {seed} t={time_s}"
                 checked += 1

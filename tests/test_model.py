@@ -20,9 +20,9 @@ GOLDENS = ("clean_case", "sponge_in_cavity", "sponge_in_cavity_recovered",
 
 def test_create_item_starts_in_equipment_room():
     world = WorldState()
-    item_id = world.create_item("T-001")
-    assert world.placements[item_id] == Location(EQUIPMENT_ROOM)
-    assert world.placements[item_id].sub is SubLocation.NONE
+    world.create_item("T-001")
+    assert world.placements["T-001"] == Location(EQUIPMENT_ROOM)
+    assert world.placements["T-001"].sub is SubLocation.NONE
 
 
 def test_create_item_rejects_duplicate_tag():
@@ -30,13 +30,6 @@ def test_create_item_rejects_duplicate_tag():
     world.create_item("T-001")
     with pytest.raises(DuplicateTagError):
         world.create_item("T-001")
-
-
-def test_create_item_rejects_duplicate_item_id():
-    world = WorldState()
-    world.create_item("T-001", "item-7")
-    with pytest.raises(DuplicateTagError):
-        world.create_item("T-002", "item-7")
 
 
 def test_ten_creations_all_placed():
@@ -49,10 +42,10 @@ def test_ten_creations_all_placed():
 
 def test_apply_ground_truth_moves_item():
     world = WorldState()
-    item_id = world.create_item("T-1")
-    world.apply_ground_truth(item_id, Location("OR-1", SubLocation.TOOL_TRAY))
-    world.apply_ground_truth(item_id, Location("OR-1", SubLocation.PATIENT_CAVITY))
-    assert world.placements[item_id].sub is SubLocation.PATIENT_CAVITY
+    world.create_item("T-1")
+    world.apply_ground_truth("T-1", Location("OR-1", SubLocation.TOOL_TRAY))
+    world.apply_ground_truth("T-1", Location("OR-1", SubLocation.PATIENT_CAVITY))
+    assert world.placements["T-1"].sub is SubLocation.PATIENT_CAVITY
     assert world.tags_at(Location("OR-1", SubLocation.PATIENT_CAVITY)) == ["T-1"]
     assert world.tags_at(Location("OR-1", SubLocation.TOOL_TRAY)) == []
 
@@ -91,8 +84,7 @@ _WALKS = (st.integers(1, 6),
 
 def _scan(world: WorldState, location: Location) -> list[str]:
     """``tags_at`` as a scan of every placement: the index must agree with it."""
-    tag_of = {item_id: tag for tag, item_id in world.item_by_tag.items()}
-    return [tag_of[i] for i, loc in world.placements.items() if loc == location]
+    return [tag for tag, loc in world.placements.items() if loc == location]
 
 
 def _walk(n_items: int, steps: list[tuple[int, int]], after_step=None) -> WorldState:
@@ -101,18 +93,18 @@ def _walk(n_items: int, steps: list[tuple[int, int]], after_step=None) -> WorldS
         world.create_item(f"T-{i}")
     previous: dict[str, Location] = {}
     for item_idx, spot_idx in steps:
-        item_id = f"item-{(item_idx % n_items) + 1}"
-        src = world.placements[item_id]
+        tag = f"T-{item_idx % n_items}"
+        src = world.placements[tag]
         if spot_idx < len(_SPOTS):
             dst = _SPOTS[spot_idx]
         else:
-            dst = previous.get(item_id, _SPOTS[0])
+            dst = previous.get(tag, _SPOTS[0])
         if dst == src:
             continue
-        world.apply_ground_truth(item_id, dst)
-        previous[item_id] = src
+        world.apply_ground_truth(tag, dst)
+        previous[tag] = src
         if after_step is not None:
-            after_step(world, item_id)
+            after_step(world, tag)
     return world
 
 
@@ -127,11 +119,10 @@ def _rebuild(trace) -> WorldState:
     for record in trace.records:
         if record["type"] == "meta":
             for item in record["items"]:
-                world.create_item(item["tag"], item["item_id"])
+                world.create_item(item["tag"])
         elif record["type"] == "gt":
-            item_id = world.item_by_tag[record["tag"]]
-            assert world.placements[item_id] == _location(record["from"])
-            world.apply_ground_truth(item_id, _location(record["to"]))
+            assert world.placements[record["tag"]] == _location(record["from"])
+            world.apply_ground_truth(record["tag"], _location(record["to"]))
     return world
 
 
@@ -164,7 +155,7 @@ def test_conservation_of_items(n_items, steps):
 @given(*_WALKS)
 @settings(max_examples=200)
 def test_tags_at_index_matches_scan(n_items, steps):
-    def check(world: WorldState, item_id: str) -> None:
+    def check(world: WorldState, tag: str) -> None:
         assert [world.tags_at(s) for s in _SPOTS] == [_scan(world, s) for s in _SPOTS]
 
     world = _walk(n_items, steps, after_step=check)
@@ -176,7 +167,7 @@ def test_tags_at_cost_does_not_grow_with_item_count(monkeypatch):
     world = WorldState()
     for i in range(10_000):
         world.create_item(f"T-{i}")
-    world.apply_ground_truth("item-5000", Location("OR-1", SubLocation.TOOL_TRAY))
+    world.apply_ground_truth("T-4999", Location("OR-1", SubLocation.TOOL_TRAY))
     calls = []
     original = Location.__eq__
 

@@ -1,6 +1,9 @@
 """Counting, the closing re-scan loop, location queries, reports, persistence."""
 
 import contextlib
+import csv
+import dataclasses
+import io
 import json
 from unittest import mock
 
@@ -317,8 +320,7 @@ def test_locate_agrees_with_ground_truth_under_perfect_sensing():
 
         run(scenario, observer=observer)
         engine, world = captured["engine"], captured["world"]
-        for tag, item_id in world.item_by_tag.items():
-            location = world.placements[item_id]
+        for tag, location in world.placements.items():
             belief = locate(tag, engine.cms)
             assert belief.site == location.site, (name, tag)
 
@@ -370,6 +372,21 @@ def test_report_csv_shape():
     lines = csv_text.strip().splitlines()
     assert lines[0] == "tag_id,kind,first_seen_s,last_seen_s,final_status"
     assert len(lines) == 4  # header + three items
+
+
+def test_report_csv_quotes_a_tag_with_a_comma_or_a_quote():
+    scenario = load_bundled("clean_case")
+    renamed = {"T-1": "T,1", "T-2": 'T"2'}
+    scenario = dataclasses.replace(
+        scenario,
+        items=[dataclasses.replace(s, tag_id=renamed.get(s.tag_id, s.tag_id))
+               for s in scenario.items],
+        events=[dataclasses.replace(ev, tag=renamed.get(ev.tag, ev.tag))
+                for ev in scenario.events])
+    rows = list(csv.reader(io.StringIO(
+        generate_report(read_trace(run(scenario)), "C-1").to_csv())))
+    assert all(len(row) == 5 for row in rows)
+    assert [row[0] for row in rows] == ["tag_id", 'T"2', "T,1", "T-3"]  # sorted by tag
 
 
 # -- persistence
