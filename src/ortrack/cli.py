@@ -149,7 +149,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     weights = decision.qfd_weights(qfd)
     top = decision.select_top_k(weights, min(args.top_k, len(weights)))
 
-    ranking = decision.pugh_rank(decision.weighted_matrix_from_csv(scores_text, weights))
+    ranking = decision.pugh_rank_from_csv(scores_text, weights)
 
     plot = None
     if args.qualitative:

@@ -19,7 +19,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from importlib import resources
 
 QFD_SCALE = (0, 1, 3, 9)
@@ -30,7 +29,7 @@ class DegenerateInputError(ValueError):
 
 
 class DatumNotZeroError(ValueError):
-    """The datum column of a screening matrix must be all zeros."""
+    """The datum row of a screening matrix must be all zeros."""
 
 
 class DimensionMismatchError(ValueError):
@@ -148,62 +147,35 @@ def select_top_k(weights: dict[str, float], k: int) -> list[str]:
 # Pugh screening and weighted ranking
 
 
-class PughMode(Enum):
-    SCREENING = "Screening"
-    WEIGHTED = "Weighted"
+def _check_widths(scores: dict[str, list[float]], width: int) -> None:
+    for concept, row in scores.items():
+        if len(row) != width:
+            raise DimensionMismatchError(f"concept {concept!r} needs {width} scores")
 
 
-@dataclass
-class PughMatrix:
-    concepts: list[str]
-    criteria: list[str]
-    mode: PughMode
-    scores: dict[str, list[float]]  # concept -> per-criterion scores
-    datum: str | None = None  # screening only
-    weights: list[float] | None = None  # weighted only
-
-    def __post_init__(self) -> None:
-        for concept in self.concepts:
-            row = self.scores.get(concept)
-            if row is None or len(row) != len(self.criteria):
-                raise DimensionMismatchError(
-                    f"concept {concept!r} needs {len(self.criteria)} scores")
-        if self.mode is PughMode.SCREENING:
-            if self.datum not in self.concepts:
-                raise DimensionMismatchError(f"datum {self.datum!r} not a concept")
-            for row in self.scores.values():
-                for value in row:
-                    if value not in (-1, 0, 1):
-                        raise DimensionMismatchError(
-                            f"screening entries must be -1, 0 or +1, got {value}")
-        else:
-            if self.weights is None or len(self.weights) != len(self.criteria):
-                raise DimensionMismatchError("weighted mode needs one weight per criterion")
-            if any(w <= 0 for w in self.weights):
-                raise DimensionMismatchError("weights must be positive")
+def pugh_screen(scores: dict[str, list[float]], datum: str) -> list[tuple[str, int]]:
+    """Net datum-relative score per concept, in ``scores`` order; net below zero
+    eliminates. Every entry is -1, 0 or +1, and the datum's row is all zeros."""
+    if datum not in scores:
+        raise DimensionMismatchError(f"datum {datum!r} not a concept")
+    _check_widths(scores, len(scores[datum]))
+    bad = [value for row in scores.values() for value in row if value not in (-1, 0, 1)]
+    if bad:
+        raise DimensionMismatchError(f"screening entries must be -1, 0 or +1, got {bad[0]}")
+    if any(scores[datum]):
+        raise DatumNotZeroError(f"datum {datum!r} row must be all zeros")
+    nets = [(concept, int(sum(row))) for concept, row in scores.items()]
+    return [(concept, net) for concept, net in nets if net >= 0]
 
 
-def pugh_screen(matrix: PughMatrix) -> list[tuple[str, int]]:
-    """Net datum-relative score per concept; net below zero eliminates."""
-    if matrix.mode is not PughMode.SCREENING:
-        raise DimensionMismatchError("screening requires a Screening-mode matrix")
-    if any(matrix.scores[matrix.datum]):
-        raise DatumNotZeroError(f"datum {matrix.datum!r} column must be all zeros")
-    survivors = []
-    for concept in matrix.concepts:
-        net = int(sum(matrix.scores[concept]))
-        if net >= 0:
-            survivors.append((concept, net))
-    return survivors
-
-
-def pugh_rank(matrix: PughMatrix) -> list[tuple[str, float]]:
-    """Weighted totals, best first; ties keep declaration order."""
-    if matrix.mode is not PughMode.WEIGHTED:
-        raise DimensionMismatchError("ranking requires a Weighted-mode matrix")
-    totals = [(concept,
-               sum(w * s for w, s in zip(matrix.weights, matrix.scores[concept])))
-              for concept in matrix.concepts]
+def pugh_rank(scores: dict[str, list[float]], weights: list[float]) -> list[tuple[str, float]]:
+    """Weighted totals, one positive weight per criterion, best first; ties keep
+    ``scores`` order."""
+    _check_widths(scores, len(weights))
+    if any(w <= 0 for w in weights):
+        raise DimensionMismatchError("weights must be positive")
+    totals = [(concept, sum(w * s for w, s in zip(weights, row)))
+              for concept, row in scores.items()]
     return sorted(totals, key=lambda pair: -pair[1])
 
 
@@ -265,10 +237,14 @@ def risk_score(item: RiskItem) -> tuple[int, str]:
 # CSV ingestion
 
 
-def _finite(text: str) -> float:
-    value = float(text)
+def _finite(text: str, corner: str, row: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
-        raise DimensionMismatchError(f"expected a finite number, got {text.strip()!r}")
+        raise DimensionMismatchError(
+            f"{corner} CSV row {row!r} has {text.strip()!r}, not a finite number")
     return value
 
 
@@ -297,7 +273,7 @@ def load_matrix_csv(text: str, corner: str) -> tuple[list[str], list[str], list[
             raise DimensionMismatchError(
                 f"{corner} CSV row {name!r} has {len(row) - 1} values, expected {len(columns)}")
         rows.append(name)
-        values.append([_finite(v) for v in row[1:]])
+        values.append([_finite(v, corner, name) for v in row[1:]])
     return rows, columns, values
 
 
@@ -314,6 +290,20 @@ def qfd_from_csv(needs_text: str, correlation_text: str) -> QfdInput:
                     characteristics=characteristics, correlation=correlation)
 
 
+def pugh_rank_from_csv(scores_text: str, weights: dict[str, float]) -> list[tuple[str, float]]:
+    """``pugh_rank`` of a concepts-by-characteristics scores file under QFD weights."""
+    concepts, criteria, values = load_matrix_csv(scores_text, "concept")
+    if criteria != list(weights):
+        raise DimensionMismatchError("score columns do not match the QFD characteristics")
+    return pugh_rank(dict(zip(concepts, values)), list(weights.values()))
+
+
+def qualitative_totals_from_csv(text: str) -> dict[str, float]:
+    """Equal-weight qualitative totals: each concept's row sum."""
+    concepts, _criteria, values = load_matrix_csv(text, "concept")
+    return {c: sum(row) for c, row in zip(concepts, values)}
+
+
 # --------------------------------------------------------------------------
 # Bundled worked example (reconstruction; the source material publishes the
 # characteristic table but not the underlying correlation or score values)
@@ -328,44 +318,11 @@ def load_engineering_characteristics() -> list[dict]:
     return json.loads(_data_text("engineering_characteristics.json"))
 
 
-def load_example_qfd() -> QfdInput:
-    return qfd_from_csv(_data_text("concept_eval/needs.csv"),
-                        _data_text("concept_eval/correlation.csv"))
-
-
-def weighted_matrix_from_csv(scores_text: str, weights: dict[str, float]) -> PughMatrix:
-    """Weighted-mode matrix from a concepts-by-characteristics scores file."""
-    concepts, criteria, values = load_matrix_csv(scores_text, "concept")
-    if criteria != list(weights):
-        raise DimensionMismatchError("score columns do not match the QFD characteristics")
-    return PughMatrix(concepts=concepts, criteria=criteria, mode=PughMode.WEIGHTED,
-                      scores=dict(zip(concepts, values)),
-                      weights=[weights[c] for c in criteria])
-
-
-def qualitative_totals_from_csv(text: str) -> dict[str, float]:
-    """Equal-weight qualitative totals: each concept's row sum."""
-    concepts, _criteria, values = load_matrix_csv(text, "concept")
-    return {c: sum(row) for c, row in zip(concepts, values)}
-
-
-def load_example_scores() -> PughMatrix:
-    """Weighted-mode matrix for the three finalist concepts."""
-    return weighted_matrix_from_csv(_data_text("concept_eval/scores.csv"),
-                                    qfd_weights(load_example_qfd()))
-
-
-def load_example_screening() -> PughMatrix:
-    concepts, criteria, values = load_matrix_csv(
+def load_example_screening() -> dict[str, list[float]]:
+    """The bundled screening scores; the first concept is the datum."""
+    concepts, _criteria, values = load_matrix_csv(
         _data_text("concept_eval/screening.csv"), "concept")
-    return PughMatrix(concepts=concepts, criteria=criteria, mode=PughMode.SCREENING,
-                      scores=dict(zip(concepts, values)),
-                      datum=concepts[0])
-
-
-def load_example_qualitative() -> dict[str, float]:
-    """Equal-weight qualitative totals for the finalist concepts."""
-    return qualitative_totals_from_csv(_data_text("concept_eval/qualitative.csv"))
+    return dict(zip(concepts, values))
 
 
 def load_example_morphology() -> MorphMatrix:

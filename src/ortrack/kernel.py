@@ -54,7 +54,7 @@ from .protocol import (
     room_sensor_on_reads,
     spd_acknowledge,
 )
-from .sensing import ScanRegion, SensorDownError, SensorModel
+from .sensing import SensorDownError, SensorModel
 
 
 class ParseError(Exception):
@@ -79,6 +79,11 @@ SENSOR_ROLES = {"entrance", "tray", "bin", "med"}
 #: Most outages a sensor may expect over the horizon, horizon_s / (mtbf_s +
 #: mttr_s); its whole failure schedule is drawn on the reader's first read.
 MAX_EXPECTED_OUTAGES = 10_000
+#: Most passes of one cavity scan and most count-mismatch re-scans of one case:
+#: each pass takes a draw per candidate and each re-scan appends records within
+#: the tick, so an unbounded count could exhaust memory before the horizon.
+MAX_SCAN_PASSES = 100
+MAX_RESCANS = 100
 
 _KIND_BY_NAME = {k.value: k for k in ItemKind}
 _SUB_BY_NAME = {s.value: s for s in SubLocation}
@@ -282,9 +287,9 @@ def load_scenario(text: str) -> Scenario:
     cases = [CaseSpec(case_id=_field(spec, "case_id", str, where),
                       room_id=_field(spec, "room_id", str, where),
                       scan_passes=_field(spec, "scan_passes", int, where,
-                                         sensing.DEFAULT_SCAN_PASSES, lo=1),
+                                         sensing.DEFAULT_SCAN_PASSES, lo=1, hi=MAX_SCAN_PASSES),
                       max_rescans=_field(spec, "max_rescans", int, where,
-                                         protocol.DEFAULT_MAX_RESCANS, lo=0))
+                                         protocol.DEFAULT_MAX_RESCANS, lo=0, hi=MAX_RESCANS))
              for where, spec in _entries(top, "cases", CASE_KEYS)]
     events = [StaffEvent(time_s=_field(ev, "t", int, where, lo=0),
                          kind=_field(ev, "kind", str, where, choices=EVENT_KINDS),
@@ -443,7 +448,9 @@ class _Engine:
     def _setup(self) -> None:
         scenario = self.scenario
         item_ids = _item_ids(scenario.items)
-        _unique(item_ids, "item_id")  # run() does not validate; the trace names each item
+        # run() does not validate; the world is keyed by tag and the trace names each item
+        _unique([spec.tag_id for spec in scenario.items], "tag_id")
+        _unique(item_ids, "item_id")
         for spec in scenario.items:
             self.world.create_item(spec.tag_id)
             self.cms.register_tag(spec.tag_id)
@@ -658,8 +665,7 @@ class _Engine:
             self._sensor_down(exc, case_id, now)
             return
         cavity = self.world.tags_at(Location(mtc.room_id, SubLocation.PATIENT_CAVITY))
-        scan = sensing.med_scan(ScanRegion.PATIENT_CAVITY, cavity, mtc.scan_passes,
-                                model_, rng)
+        scan = sensing.med_scan(cavity, mtc.scan_passes, model_, rng)
         self._send(med_on_request(mtc.room_id, case_id, scan, now), now)
 
     def _on_mtc(self, mtc: MtcState, message: ProtocolMessage, now: int) -> None:

@@ -49,10 +49,6 @@ class MoveCause(Enum):
     ROOM_TRANSIT = "RoomTransit"
 
 
-class DuplicateTagError(Exception):
-    """A tag was registered twice."""
-
-
 class Location(tuple):
     """A site (room) plus, inside an operating room, a sub-position; a tuple, so
     it hashes and compares in C."""
@@ -89,9 +85,7 @@ class WorldState:
     _entry: dict[str, tuple[int, str]] = field(default_factory=dict, init=False, repr=False)
 
     def create_item(self, tag_id: str) -> None:
-        """Register a new tagged item in the equipment room."""
-        if tag_id in self.placements:
-            raise DuplicateTagError(f"tag already registered: {tag_id}")
+        """Register a new tagged item in the equipment room; its tag must be new."""
         home = Location(EQUIPMENT_ROOM)
         entry = self._entry[tag_id] = (len(self.placements), tag_id)
         self.at.setdefault(home, []).append(entry)

@@ -7,17 +7,16 @@ radius, zero outside; ``detect_probability`` is its only statement.
 Reader outages are drawn from an exponential failure process and last a
 fixed repair time.
 
-A read answers one question per tag: seen or missed. ``read_tags`` and
-``med_scan`` take tag ids that all sit at one distance from the reader and
-return the tags seen; each candidate takes its draws in order, whether it
-is in range or not.
+A read answers one question per tag: seen or missed. ``read_tags`` takes
+tag ids that all sit at one distance from the reader, ``med_scan`` tag ids
+inside its radius, and each returns the tags seen; each candidate takes its
+draws in order, whether it is in range or not.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
 
 #: Detection radius bounds, meters. The hardware envelope under consideration
 #: spans 0.2 m to 1.0 m with a 0.9 m design target.
@@ -39,10 +38,6 @@ class InvalidParamError(ValueError):
 
 class SensorDownError(Exception):
     """A read was attempted during a reader outage."""
-
-
-class ScanRegion(Enum):
-    PATIENT_CAVITY = "PatientCavity"
 
 
 @dataclass(frozen=True)
@@ -71,12 +66,13 @@ class SensorModel:
 
 @dataclass(frozen=True)
 class ScanResult:
-    region: ScanRegion
+    """A patient-cavity scan: the tags detected and the passes made."""
+
     detected: frozenset[str]
     passes: int
 
     def to_json(self) -> dict:
-        return {"region": self.region.value,
+        return {"region": "PatientCavity",
                 "detected": sorted(self.detected),
                 "passes": self.passes}
 
@@ -118,30 +114,27 @@ def read_tags(sensor_id: str,
     return [tag_id for tag_id in candidates if draw() < p]
 
 
-def med_scan(region: ScanRegion,
-             candidates: list[str],
+def med_scan(candidates: list[str],
              passes: int,
              model: SensorModel,
-             rng: random.Random | None,
-             distance_m: float = 0.0) -> ScanResult:
-    """Sweep a region with the handheld detector.
+             rng: random.Random | None) -> ScanResult:
+    """Sweep the patient cavity with the handheld detector, held over it.
 
-    A tag is detected iff at least one of ``passes`` independent reads
-    succeeds, so the per-tag miss probability is (1 - p) ** passes for
-    in-range tags. Every pass is drawn even after a hit, keeping the
-    stream consumption independent of outcomes. With ``model.p_detect`` 1
-    no draw is taken and ``rng`` may be None.
+    Every candidate is inside the detection radius. A tag is detected iff
+    at least one of ``passes`` independent reads succeeds, so the per-tag
+    miss probability is (1 - p) ** passes. Every pass is drawn even after
+    a hit, keeping the stream consumption independent of outcomes. With
+    ``model.p_detect`` 1 no draw is taken and ``rng`` may be None.
     """
     if passes < 1:
         raise InvalidParamError("passes must be >= 1")
-    p = detect_probability(distance_m, model)
     if model.p_detect == 1.0:
-        return ScanResult(region, frozenset(candidates if p else ()), passes)
-    draw = rng.random
+        return ScanResult(frozenset(candidates), passes)
+    draw, p = rng.random, model.p_detect
     # the list takes every pass's draw before any() looks at it
     detected = frozenset(tag_id for tag_id in candidates
                          if any([draw() < p for _ in range(passes)]))
-    return ScanResult(region=region, detected=detected, passes=passes)
+    return ScanResult(detected=detected, passes=passes)
 
 
 def availability(mtbf_s: float, mttr_s: float) -> float:

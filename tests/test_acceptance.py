@@ -9,6 +9,7 @@ import math
 import random
 import time
 from contextlib import contextmanager
+from importlib import resources
 
 import pytest
 
@@ -16,11 +17,11 @@ from helpers import full_sensor_suite, load_bundled, random_scenario
 from ortrack import kernel
 from ortrack.cli import batch_summary
 from ortrack.decision import (
-    PughMatrix,
-    PughMode,
     QfdInput,
     pugh_rank,
+    pugh_rank_from_csv,
     pugh_screen,
+    qfd_from_csv,
     qfd_weights,
     select_top_k,
 )
@@ -30,7 +31,6 @@ from ortrack.protocol import CasePhase, InvalidPhaseError, MtcState
 from ortrack.reconcile import persist
 from ortrack.sensing import (
     DEFAULT_RANGE_M,
-    ScanRegion,
     SensorModel,
     availability,
     med_scan,
@@ -82,7 +82,7 @@ def test_2_scan_miss_rate_calibration():
                 expected = (1 - p) ** k
                 model = SensorModel(p_detect=p)
                 candidates = [f"T-{i}" for i in range(n)]
-                scan = med_scan(ScanRegion.PATIENT_CAVITY, candidates, k, model, rng)
+                scan = med_scan(candidates, k, model, rng)
                 miss = (n - len(scan.detected)) / n
                 sigma = math.sqrt(expected * (1 - expected) / n)
                 assert abs(miss - expected) <= 3 * sigma, \
@@ -252,40 +252,33 @@ def test_7_decision_pipeline_properties():
 
             n_concepts = rng.randint(1, 4)
             concepts = [f"k{i}" for i in range(n_concepts)]
-            criteria = [f"c{j}" for j in range(n_chars)]
             w = [rng.uniform(0.1, 5) for _ in range(n_chars)]
             scores = {c: [rng.randint(-5, 5) for _ in range(n_chars)]
                       for c in concepts}
             base = rng.choice(concepts)
             scores["dominator"] = list(scores[base])
             scores["dominator"][rng.randrange(n_chars)] += 1
-            matrix = PughMatrix(concepts=concepts + ["dominator"], criteria=criteria,
-                                mode=PughMode.WEIGHTED, scores=scores, weights=w)
-            totals = pugh_rank(matrix)
+            totals = pugh_rank(scores, w)
             ranking = [c for c, _ in totals]
             assert ranking.index("dominator") < ranking.index(base)
 
             if totals[0][1] - totals[1][1] > 1e-9:  # decisive winner
-                rescaled = PughMatrix(concepts=matrix.concepts, criteria=criteria,
-                                      mode=PughMode.WEIGHTED, scores=scores,
-                                      weights=[x * scale for x in w])
-                assert pugh_rank(rescaled)[0][0] == totals[0][0]
+                assert pugh_rank(scores, [x * scale for x in w])[0][0] == totals[0][0]
 
             screen_scores = {"datum": [0] * n_chars}
             for c in concepts:
                 screen_scores[c] = [rng.choice((-1, 0, 1)) for _ in range(n_chars)]
-            screen = PughMatrix(concepts=["datum"] + concepts, criteria=criteria,
-                                mode=PughMode.SCREENING, scores=screen_scores,
-                                datum="datum")
-            assert "datum" in dict(pugh_screen(screen))
+            assert "datum" in dict(pugh_screen(screen_scores, "datum"))
 
-        # the bundled reconstruction ranks as published
-        from ortrack import decision
-        weights = qfd_weights(decision.load_example_qfd())
+        # the bundled CSVs rank as published, read as `ortrack eval` reads them
+        bundled = resources.files("ortrack").joinpath("data/concept_eval")
+        needs, correlation, scores = (bundled.joinpath(f"{name}.csv").read_text(encoding="utf-8")
+                                      for name in ("needs", "correlation", "scores"))
+        weights = qfd_weights(qfd_from_csv(needs, correlation))
         assert select_top_k(weights, 5) == [
             "Availability", "Detection Range", "Reliability - MTBF",
             "Charging Time", "Screen Size"]
-        assert pugh_rank(decision.load_example_scores())[0][0] == "Dr. Tool"
+        assert pugh_rank_from_csv(scores, weights)[0][0] == "Dr. Tool"
 
 
 def test_8_fault_injection_divergence():

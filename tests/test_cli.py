@@ -209,6 +209,7 @@ def test_eval_bundled_instance(tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result == json.loads(out_file.read_text())
     assert result["ranking"][0][0] == "Dr. Tool"
+    assert [name for name, _ in result["ranking"]] == ["Dr. Tool", "Blue Tool", "Ultra Tool"]
     assert result["top_k"] == ["Availability", "Detection Range",
                                "Reliability - MTBF", "Charging Time", "Screen Size"]
     assert sum(result["weights"].values()) == pytest.approx(1.0)
@@ -290,6 +291,9 @@ def _eval_inputs(tmp_path, needs, correlation, scores):
                  id="correlation-corner-not-need"),
     pytest.param("needs,importance\nsafety,5\n", _OK_CORR, _OK_SCORES, None,
                  id="needs-corner-not-need"),
+    pytest.param(_OK_NEEDS, "need,c1\nsafety,x\n", _OK_SCORES, None, id="non-numeric-cell"),
+    pytest.param(_OK_NEEDS, "need,c1,c2\nsafety,9,0\n", "concept,c1,c2\nsolo,4,2\n", None,
+                 id="zero-weight-characteristic"),
 ])
 def test_eval_malformed_csv_is_an_input_error(tmp_path, capsys, needs, correlation, scores,
                                               qualitative):

@@ -13,8 +13,6 @@ from ortrack.decision import (
     KeyMismatchError,
     MorphMatrix,
     OutOfRangeError,
-    PughMatrix,
-    PughMode,
     QfdInput,
     RiskItem,
     mix_and_match,
@@ -106,36 +104,35 @@ def test_top_k_prefix_property(values, data):
 # -- Pugh screening
 
 
-def screening(scores, concepts=None):
-    concepts = concepts or list(scores)
-    criteria = [f"q{i}" for i in range(len(next(iter(scores.values()))))]
-    return PughMatrix(concepts=concepts, criteria=criteria,
-                      mode=PughMode.SCREENING, scores=scores, datum=concepts[0])
-
-
 def test_datum_survives_with_zero_score():
-    matrix = screening({"base": [0, 0, 0], "worse": [-1, -1, 0]})
-    assert pugh_screen(matrix) == [("base", 0)]
+    assert pugh_screen({"base": [0, 0, 0], "worse": [-1, -1, 0]}, "base") == [("base", 0)]
 
 
 def test_majority_negative_eliminated():
-    matrix = screening({"base": [0, 0, 0, 0, 0],
-                        "mixed": [-1, -1, -1, 0, 0],
-                        "better": [1, 0, 0, 0, -1]})
-    survivors = dict(pugh_screen(matrix))
+    survivors = dict(pugh_screen({"base": [0, 0, 0, 0, 0],
+                                  "mixed": [-1, -1, -1, 0, 0],
+                                  "better": [1, 0, 0, 0, -1]}, "base"))
     assert "mixed" not in survivors
     assert survivors == {"base": 0, "better": 0}
 
 
 def test_datum_column_must_be_zero():
-    matrix = screening({"base": [0, 0, 0], "other": [1, 0, 0]})
-    matrix.scores["base"] = [1, 0, 0]
     with pytest.raises(DatumNotZeroError):
-        pugh_screen(matrix)
+        pugh_screen({"base": [1, 0, 0], "other": [1, 0, 0]}, "base")
+
+
+def test_screening_rejects_a_bad_datum_width_or_entry():
+    with pytest.raises(DimensionMismatchError):
+        pugh_screen({"base": [0, 0]}, "other")
+    with pytest.raises(DimensionMismatchError):
+        pugh_screen({"base": [0, 0], "short": [1]}, "base")
+    with pytest.raises(DimensionMismatchError):
+        pugh_screen({"base": [0, 0], "off-scale": [2, 0]}, "base")
 
 
 def test_bundled_screening_drops_robot_concepts():
-    survivors = [c for c, _ in pugh_screen(decision.load_example_screening())]
+    scores = decision.load_example_screening()
+    survivors = [c for c, _ in pugh_screen(scores, next(iter(scores)))]
     assert survivors == ["Dr. Tool", "Blue Tool", "Ultra Tool"]
     eliminated = {"Robi Tool", "Dr. Robi Tool", "Dr. RoBBi Tool", "BB Tool"}
     assert eliminated.isdisjoint(survivors)
@@ -145,43 +142,31 @@ def test_bundled_screening_drops_robot_concepts():
 
 
 def test_single_concept_ranks_first():
-    matrix = PughMatrix(concepts=["only"], criteria=["c"], mode=PughMode.WEIGHTED,
-                        scores={"only": [3.0]}, weights=[1.0])
-    assert pugh_rank(matrix) == [("only", 3.0)]
+    assert pugh_rank({"only": [3.0]}, [1.0]) == [("only", 3.0)]
 
 
 def test_dominating_concept_ranks_first():
-    matrix = PughMatrix(
-        concepts=["weak", "strong"], criteria=["c1", "c2", "c3"],
-        mode=PughMode.WEIGHTED,
-        scores={"weak": [2, 3, 1], "strong": [3, 3, 2]},
-        weights=[0.5, 0.3, 0.2])
-    assert pugh_rank(matrix)[0][0] == "strong"
+    ranking = pugh_rank({"weak": [2, 3, 1], "strong": [3, 3, 2]}, [0.5, 0.3, 0.2])
+    assert ranking[0][0] == "strong"
 
 
 def test_rank_hand_computed_totals():
     # weights (5,4,3,2,1): A=51, B=52, C=52; tie keeps declaration order
-    matrix = PughMatrix(
-        concepts=["A", "B", "C"], criteria=["c1", "c2", "c3", "c4", "c5"],
-        mode=PughMode.WEIGHTED,
-        scores={"A": [3, 4, 5, 2, 1], "B": [5, 2, 3, 4, 2], "C": [1, 5, 4, 5, 5]},
-        weights=[5, 4, 3, 2, 1])
-    assert pugh_rank(matrix) == [("B", 52.0), ("C", 52.0), ("A", 51.0)]
+    scores = {"A": [3, 4, 5, 2, 1], "B": [5, 2, 3, 4, 2], "C": [1, 5, 4, 5, 5]}
+    assert pugh_rank(scores, [5, 4, 3, 2, 1]) == [("B", 52.0), ("C", 52.0), ("A", 51.0)]
 
 
 def test_rank_requires_consistent_dimensions():
     with pytest.raises(DimensionMismatchError):
-        PughMatrix(concepts=["A"], criteria=["c1", "c2"], mode=PughMode.WEIGHTED,
-                   scores={"A": [1.0]}, weights=[0.5, 0.5])
+        pugh_rank({"A": [1.0]}, [0.5, 0.5])
     with pytest.raises(DimensionMismatchError):
-        PughMatrix(concepts=["A"], criteria=["c1"], mode=PughMode.WEIGHTED,
-                   scores={"A": [1.0]}, weights=[0.5, 0.5])
+        pugh_rank({"A": [1.0, 2.0], "B": [1.0]}, [0.5, 0.5])
 
 
-def test_bundled_instance_ranks_dr_tool_first():
-    ranking = pugh_rank(decision.load_example_scores())
-    assert ranking[0][0] == "Dr. Tool"
-    assert [c for c, _ in ranking] == ["Dr. Tool", "Blue Tool", "Ultra Tool"]
+@pytest.mark.parametrize("weight", [0.0, -0.5])
+def test_rank_requires_positive_weights(weight):
+    with pytest.raises(DimensionMismatchError):
+        pugh_rank({"A": [1.0, 2.0]}, [0.5, weight])
 
 
 # -- two-axis projection
@@ -287,13 +272,6 @@ def test_parent_rows_compose_into_bundled_mix():
 # -- bundled worked example
 
 
-def test_bundled_top_five_characteristics():
-    weights = qfd_weights(decision.load_example_qfd())
-    assert select_top_k(weights, 5) == [
-        "Availability", "Detection Range", "Reliability - MTBF",
-        "Charging Time", "Screen Size"]
-
-
 def test_bundled_characteristic_table():
     table = decision.load_engineering_characteristics()
     by_name = {row["name"]: row for row in table}
@@ -302,13 +280,6 @@ def test_bundled_characteristic_table():
     assert by_name["Reliability - Mean time between failures (MTBF)"]["target"] == 5184000
     assert by_name["Availability"]["target"] == 98
     assert len(table) == 13
-
-
-def test_bundled_plot_puts_winner_top_right():
-    tech = dict(pugh_rank(decision.load_example_scores()))
-    qual = decision.load_example_qualitative()
-    points = {c: (x, y) for c, x, y in two_axis_plot_data(tech, qual)}
-    assert points["Dr. Tool"] == (1.0, 1.0)
 
 
 # -- invariants (hypothesis)
@@ -345,39 +316,32 @@ def test_weights_normalized_and_scale_invariant(qfd, scale):
 
 @st.composite
 def weighted_matrices(draw):
+    """(scores, weights) for 1..5 concepts over 1..5 criteria."""
     n_concepts = draw(st.integers(1, 5))
     n_criteria = draw(st.integers(1, 5))
-    concepts = [f"k{i}" for i in range(n_concepts)]
-    scores = {c: [draw(st.integers(-5, 5)) for _ in range(n_criteria)]
-              for c in concepts}
-    weights = [draw(st.floats(0.1, 5)) for _ in range(n_criteria)]
-    return PughMatrix(concepts=concepts, criteria=[f"c{j}" for j in range(n_criteria)],
-                      mode=PughMode.WEIGHTED, scores=scores, weights=weights)
+    scores = {f"k{i}": [draw(st.integers(-5, 5)) for _ in range(n_criteria)]
+              for i in range(n_concepts)}
+    return scores, [draw(st.floats(0.1, 5)) for _ in range(n_criteria)]
 
 
 @given(weighted_matrices(), st.floats(0.1, 20))
 @settings(max_examples=300)
 def test_rank_argmax_invariant_under_weight_scaling(matrix, scale):
-    ranking = pugh_rank(matrix)
+    scores, weights = matrix
+    ranking = pugh_rank(scores, weights)
     if len(ranking) > 1 and ranking[0][1] - ranking[1][1] <= 1e-9:
         return  # exact tie at the top: either order is a correct answer
-    top = ranking[0][0]
-    rescaled = PughMatrix(concepts=matrix.concepts, criteria=matrix.criteria,
-                          mode=PughMode.WEIGHTED, scores=matrix.scores,
-                          weights=[w * scale for w in matrix.weights])
-    assert pugh_rank(rescaled)[0][0] == top
+    assert pugh_rank(scores, [w * scale for w in weights])[0][0] == ranking[0][0]
 
 
 @given(weighted_matrices(), st.data())
 @settings(max_examples=300)
 def test_dominance_never_inverts(matrix, data):
-    base = data.draw(st.sampled_from(matrix.concepts))
-    bumped = data.draw(st.integers(0, len(matrix.criteria) - 1))
-    scores = dict(matrix.scores)
-    scores["dominator"] = [s + (1 if j == bumped else 0)
-                           for j, s in enumerate(scores[base])]
-    augmented = PughMatrix(concepts=matrix.concepts + ["dominator"],
-                           criteria=matrix.criteria, mode=PughMode.WEIGHTED,
-                           scores=scores, weights=matrix.weights)
-    ranking = [c for c, _ in pugh_rank(augmented)]
+    scores, weights = matrix
+    base = data.draw(st.sampled_from(list(scores)))
+    bumped = data.draw(st.integers(0, len(weights) - 1))
+    augmented = dict(scores)
+    augmented["dominator"] = [s + (1 if j == bumped else 0)
+                              for j, s in enumerate(scores[base])]
+    ranking = [c for c, _ in pugh_rank(augmented, weights)]
     assert ranking.index("dominator") < ranking.index(base)

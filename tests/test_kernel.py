@@ -30,7 +30,7 @@ from ortrack.kernel import (
     run,
     validate_trace,
 )
-from ortrack.model import DuplicateTagError, ItemKind
+from ortrack.model import ItemKind
 from ortrack.protocol import ProtocolMessage
 from ortrack.reconcile import TraceIOError
 
@@ -146,6 +146,10 @@ BAD_INPUTS = [
     ("scan_passes-string", [(("cases", 0, "scan_passes"), "2")], ValidationError),
     ("scan_passes-float", [(("cases", 0, "scan_passes"), 1.5)], ValidationError),
     ("max_rescans-float", [(("cases", 0, "max_rescans"), 1.5)], ValidationError),
+    ("scan_passes-over-cap", [(("cases", 0, "scan_passes"), kernel.MAX_SCAN_PASSES + 1)],
+     ValidationError),
+    ("max_rescans-over-cap", [(("cases", 0, "max_rescans"), kernel.MAX_RESCANS + 1)],
+     ValidationError),
     ("bus-latency-string", [(("bus", "latency_s"), "1")], ValidationError),
     ("p_detect-string", [(("sensors", "med:OR-1", "p_detect"), "x")], ValidationError),
     ("link-drop_rate-above-one", [(LINK, {"CMS->MTC": {"drop_rate": 2.0}})], ValidationError),
@@ -203,11 +207,18 @@ def test_clean_case_mutation_baseline_loads():
 
 
 def test_run_rejects_a_repeated_tag_in_a_scenario_built_in_python():
-    # run does not validate, so the world's own registration check must catch it
+    # run does not validate, so setup checks the tags the world is keyed by
     scenario = Scenario(name="dup", seed=0, horizon_s=10, rooms=[OR],
                         items=[ItemSpec("T-1", ItemKind.SPONGE), ItemSpec("T-1", ItemKind.BLADE)],
                         sensors={}, cases=[], events=[])
-    with pytest.raises(DuplicateTagError):
+    with pytest.raises(ValidationError, match="tag_id"):
+        run(scenario)
+
+
+def test_run_rejects_an_empty_tag_in_a_scenario_built_in_python():
+    scenario = Scenario(name="empty", seed=0, horizon_s=10, rooms=[OR],
+                        items=[ItemSpec("", ItemKind.SPONGE)], sensors={}, cases=[], events=[])
+    with pytest.raises(ValidationError, match="tag_id"):
         run(scenario)
 
 

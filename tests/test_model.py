@@ -8,7 +8,6 @@ from helpers import load_bundled, random_scenario
 from ortrack.kernel import run
 from ortrack.model import (
     EQUIPMENT_ROOM,
-    DuplicateTagError,
     Location,
     SubLocation,
     WorldState,
@@ -23,13 +22,6 @@ def test_create_item_starts_in_equipment_room():
     world.create_item("T-001")
     assert world.placements["T-001"] == Location(EQUIPMENT_ROOM)
     assert world.placements["T-001"].sub is SubLocation.NONE
-
-
-def test_create_item_rejects_duplicate_tag():
-    world = WorldState()
-    world.create_item("T-001")
-    with pytest.raises(DuplicateTagError):
-        world.create_item("T-001")
 
 
 def test_ten_creations_all_placed():

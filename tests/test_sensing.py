@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ortrack.sensing import (
     DEFAULT_RANGE_M,
     InvalidParamError,
-    ScanRegion,
     SensorDownError,
     SensorModel,
     availability,
@@ -72,14 +71,9 @@ def test_certain_reader_takes_no_draw():
     assert read_tags("s", model, cands, None, distance_m=0.9) == cands
     assert read_tags("s", model, cands, None, distance_m=2.5) == []
     for passes in (1, 3):
-        assert med_scan(ScanRegion.PATIENT_CAVITY, cands, passes, model, None,
-                        distance_m=0.9).detected == frozenset(cands)
-        assert med_scan(ScanRegion.PATIENT_CAVITY, cands, passes, model, None,
-                        distance_m=2.5).detected == frozenset()
+        assert med_scan(cands, passes, model, None).detected == frozenset(cands)
     with pytest.raises(InvalidParamError):
         read_tags("s", model, cands, None, distance_m=-0.1)
-    with pytest.raises(InvalidParamError):
-        med_scan(ScanRegion.PATIENT_CAVITY, cands, 1, model, None, distance_m=-0.1)
 
 
 def test_read_tags_empty():
@@ -127,16 +121,14 @@ def test_read_tags_raises_when_down():
 
 
 def test_med_scan_certainty_single_pass():
-    scan = med_scan(ScanRegion.PATIENT_CAVITY, ["T-7"], 1,
-                    SensorModel(p_detect=1.0), random.Random(1))
+    scan = med_scan(["T-7"], 1, SensorModel(p_detect=1.0), random.Random(1))
     assert scan.detected == frozenset({"T-7"})
     assert scan.passes == 1
 
 
 def test_med_scan_empty_region():
     for passes in (1, 2, 5):
-        scan = med_scan(ScanRegion.PATIENT_CAVITY, [], passes,
-                        SensorModel(p_detect=0.5), random.Random(1))
+        scan = med_scan([], passes, SensorModel(p_detect=0.5), random.Random(1))
         assert scan.detected == frozenset()
 
 
@@ -144,12 +136,10 @@ def test_med_scan_draws_every_pass_in_range_or_not_even_after_a_hit():
     model = SensorModel(range_m=0.9, p_detect=0.8)
     cands = [f"T-{i}" for i in range(50)]
     rng, twin = random.Random(9), random.Random(9)
-    for distance in (0.0, 2.5):
-        scan = med_scan(ScanRegion.PATIENT_CAVITY, cands, 3, model, rng, distance_m=distance)
-        draws = [[twin.random() for _ in range(3)] for _ in cands]
-        assert rng.getstate() == twin.getstate()
-        assert scan.detected == {tag for tag, row in zip(cands, draws)
-                                 if distance <= 0.9 and min(row) < 0.8}
+    scan = med_scan(cands, 3, model, rng)
+    draws = [[twin.random() for _ in range(3)] for _ in cands]
+    assert rng.getstate() == twin.getstate()
+    assert scan.detected == {tag for tag, row in zip(cands, draws) if min(row) < 0.8}
 
 
 def test_med_scan_miss_rate_three_passes():
@@ -159,7 +149,7 @@ def test_med_scan_miss_rate_three_passes():
     n = 1_000_000
     model = SensorModel(p_detect=0.8)
     cands = [f"T-{i}" for i in range(n)]
-    scan = med_scan(ScanRegion.PATIENT_CAVITY, cands, 3, model, random.Random(3))
+    scan = med_scan(cands, 3, model, random.Random(3))
     missed = n - len(scan.detected)
     sigma = math.sqrt(expected * (1 - expected) / n)
     assert abs(missed / n - expected) <= 3 * sigma
