@@ -255,7 +255,7 @@ def _check_name(corner: str, what: str, name: str, seen: list[str]) -> None:
 
 def load_matrix_csv(text: str, corner: str) -> tuple[list[str], list[str], list[list[float]]]:
     """A labeled matrix: a header of ``corner`` (any case) then unique column names,
-    then one uniquely named row of finite numbers per line; blank lines are skipped."""
+    then at least one uniquely named row of finite numbers per line; blank lines are skipped."""
     reader = csv.reader(io.StringIO(text))
     header = [h.strip() for h in next(reader, [])]
     if len(header) < 2 or header[0].lower() != corner:
@@ -274,6 +274,8 @@ def load_matrix_csv(text: str, corner: str) -> tuple[list[str], list[str], list[
                 f"{corner} CSV row {name!r} has {len(row) - 1} values, expected {len(columns)}")
         rows.append(name)
         values.append([_finite(v, corner, name) for v in row[1:]])
+    if not rows:
+        raise DimensionMismatchError(f"{corner} CSV has a header and no rows")
     return rows, columns, values
 
 

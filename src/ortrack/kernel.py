@@ -200,16 +200,19 @@ class Trace:
     @classmethod
     def from_ndjson(cls, text: str) -> "Trace":
         """Parse NDJSON text; a torn record (no final newline, a line that is
-        not JSON, a blank line) raises ``reconcile.TraceIOError``. Only
-        ``\n`` ends a record: a raw U+2028 inside a JSON string is valid."""
+        not JSON, a blank line) or a line that is not a JSON object raises
+        ``reconcile.TraceIOError``. Only ``\n`` ends a record: a raw U+2028
+        inside a JSON string is valid."""
         if text and not text.endswith("\n"):
             raise reconcile.TraceIOError("truncated record")
         records = []
         for lineno, line in enumerate(text.split("\n")[:-1], start=1):
             try:
-                records.append(json.loads(line))
+                records.append(record := json.loads(line))
             except json.JSONDecodeError as exc:
                 raise reconcile.TraceIOError(f"truncated record at line {lineno}") from exc
+            if not isinstance(record, dict):
+                raise reconcile.TraceIOError(f"record at line {lineno} is not a JSON object")
         return cls(records=records)
 
 
@@ -567,22 +570,18 @@ class _Engine:
         for message in room_sensor_on_reads(self.room_sensors[site], reads, now):
             self._send(message, now)
 
-    def _sweep(self, room: str, which: str, now: int) -> None:
+    def _sweep(self, mtc: MtcState, which: str, now: int) -> None:
         """Sweep one cart antenna; a certain one is not read when its location holds
-        exactly the cart's last set of its kind and each of those entries still has
-        the status that sweep set: the read would only stamp ``last_seen_s``."""
-        mtc = self.mtcs.get(room)
-        if mtc is None or mtc.phase is CasePhase.COMPLETE:
-            return
-        antenna = self._antenna(room, which)
+        exactly the cart's tags of that sweep's status: the read would only move
+        the tick of that kind of sweep."""
+        antenna = self._antenna(mtc.room_id, which)
         _, status, handler, _, at, certain = antenna
         if certain and (swept := mtc.swept.get(status)) is not None and len(swept) == len(at):
-            entries = mtc.entries
-            for _, tag in at:  # a tag stamped before a break is stamped again by the read
-                if tag not in swept or (entry := entries[tag]).status is not status:
+            for _, tag in at:
+                if tag not in swept:
                     break
-                entry.last_seen_s = now
             else:
+                mtc.swept_at[status] = now
                 return
         detected = self._antenna_read(antenna, mtc.case_id, now)
         if detected is not None:
@@ -633,8 +632,9 @@ class _Engine:
             self._entrance_read(src.site, ev.tag, ev.distance_m, now)
             self._entrance_read(dst.site, ev.tag, ev.distance_m, now)
         for room in (src.site, dst.site):  # a room without a cart has no sweep
-            self._sweep(room, "tray", now)
-            self._sweep(room, "bin", now)
+            if (mtc := self.mtcs.get(room)) is not None and mtc.phase is not CasePhase.COMPLETE:
+                self._sweep(mtc, "tray", now)
+                self._sweep(mtc, "bin", now)
         if ev.kind == "remove_from_cavity":
             mtc = self.mtcs.get(src.site)
             if mtc is not None:
@@ -703,7 +703,7 @@ class _Engine:
                 "t": horizon, "type": "case", "case_id": mtc.case_id,
                 "room_id": mtc.room_id, "phase": mtc.phase.value,
                 "spd_acked": mtc.spd_acked,
-                "entries": {tag: {"status": e.status.value, "last_seen_s": e.last_seen_s}
+                "entries": {tag: {"status": e.status.value, "last_seen_s": mtc.last_seen(tag)}
                             for tag, e in sorted(mtc.entries.items())},
                 "scans_done": mtc.scans_done, "rescans_used": mtc.rescans_used,
                 "outcomes": ([mtc.last_outcome] if mtc.last_outcome else []),

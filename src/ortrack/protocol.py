@@ -155,6 +155,9 @@ class Outputs:
 
 @dataclass
 class ChecklistEntry:
+    """A tag on a cart's checklist; an ``OnTray`` or ``Discarded`` entry's
+    ``last_seen_s`` is a lower bound, resolved by ``MtcState.last_seen``."""
+
     status: TagStatus
     last_seen_s: int
 
@@ -292,9 +295,10 @@ DEFAULT_MAX_RESCANS = 2
 class MtcState:
     """The cart of one operating room: its case's lifecycle, checklist and scan counters.
 
-    Only a tray sweep sets ``OnTray`` and only a bin sweep ``Discarded``, so an
-    entry holds either only if the last sweep of its kind, kept in ``swept``, saw it;
-    the kernel compares that set with an antenna's location to skip a certain sweep.
+    ``swept[status]`` holds exactly the tags whose entry has ``status`` (``OnTray`` or
+    ``Discarded``, set only by that kind of sweep); each was seen at ``swept_at[status]``,
+    that kind's last sweep, so its ``last_seen_s`` is a lower bound that ``last_seen``
+    resolves. The kernel compares the set with an antenna's location to skip a sweep.
     """
 
     case_id: str
@@ -309,7 +313,8 @@ class MtcState:
     scans_done: int = 0
     last_outcome: str | None = None
     completed_s: int | None = None  # tick the case completed; stamped by the kernel
-    swept: dict[TagStatus, set[str]] = field(default_factory=dict)  # sweep status -> last seen
+    swept: dict[TagStatus, set[str]] = field(default_factory=dict)  # sweep status -> its tags
+    swept_at: dict[TagStatus, int] = field(default_factory=dict)  # sweep status -> last tick
 
     @property
     def node_id(self) -> str:
@@ -323,6 +328,16 @@ class MtcState:
         """Tags counted toward reconciliation (everything not removed from the OR)."""
         return {t for t, e in self.entries.items()
                 if e.status is not TagStatus.REMOVED_FROM_OR}
+
+    def last_seen(self, tag: str) -> int:
+        """``tag``'s last sighting: the later of its own stamp and its status's last sweep."""
+        entry = self.entries[tag]
+        return max(entry.last_seen_s, self.swept_at.get(entry.status, 0))
+
+    def unsweep(self, tag: str) -> None:
+        """Drop ``tag`` from the sweep sets; its entry is leaving a sweep status."""
+        for held in self.swept.values():
+            held.discard(tag)
 
     def advance(self, to: CasePhase) -> tuple[str, CasePhase, CasePhase]:
         if to not in PHASE_GRAPH[self.phase]:
@@ -380,6 +395,7 @@ def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
     elif kind == "EquipmentLeftOR":
         entry = state.entries.get(payload["tag"])
         if entry is not None and entry.status is not TagStatus.REMOVED_FROM_OR:
+            state.unsweep(payload["tag"])
             entry.status = TagStatus.REMOVED_FROM_OR
             entry.last_seen_s = now
             out.messages.append(_checklist_update(state, "remove", payload["tag"], now))
@@ -410,31 +426,28 @@ def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
 def _sweep(state: MtcState, detected: set[str], now: int, status: TagStatus) -> Outputs:
     """Full antenna sweep: presence sets ``status``, absence demotes to InUse.
 
-    Only this kind of sweep sets ``status``, so it demotes only from the set
-    its last sweep saw, kept as given; a cart's first one walks every entry.
-    """
+    Only tags entering or leaving ``swept[status]`` are visited, and ``detected``
+    becomes that set as given; a demoted tag is stamped with the last tick it was
+    seen at. A cart's first sweep of a kind builds the set with one walk."""
     if state.phase is CasePhase.COMPLETE:
         raise StaleCaseError(f"case {state.case_id} already complete")
     out = Outputs()
     entries, swept = state.entries, state.swept
-    fresh = None  # tags to add or reactivate, made on the first one
-    for tag in detected:
-        entry = entries.get(tag)
-        if entry is None or entry.status is TagStatus.REMOVED_FROM_OR:
-            if fresh is None:
-                fresh = []
-            fresh.append(tag)
-        else:  # already active: _add_or_reactivate's no-op branch, inline
-            entry.last_seen_s = now
-            entry.status = status
-    if fresh is not None:
-        for tag in sorted(fresh):
-            _add_or_reactivate(state, tag, status, now, out)
-    last = swept.get(status)
-    for tag in entries if last is None else last:
-        if tag not in detected and (entry := entries[tag]).status is status:
-            entry.status = TagStatus.IN_USE
-    swept[status] = detected
+    if (held := swept.get(status)) is None:
+        held = swept[status] = {t for t, e in entries.items() if e.status is status}
+    if changed := detected ^ held:
+        for tag in sorted(changed) if len(changed) > 1 else changed:  # adds go out sorted
+            entry = entries.get(tag)
+            if tag in held:  # gone: seen last at the previous sweep of this kind
+                entry.status = TagStatus.IN_USE
+                entry.last_seen_s = max(entry.last_seen_s, state.swept_at.get(status, 0))
+            elif entry is None or entry.status is TagStatus.REMOVED_FROM_OR:
+                _add_or_reactivate(state, tag, status, now, out)
+            else:  # active: takes this status, leaving the other kind's set
+                state.unsweep(tag)
+                entry.status, entry.last_seen_s = status, now
+        swept[status] = detected
+    state.swept_at[status] = now
     return out
 
 

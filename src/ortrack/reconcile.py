@@ -111,6 +111,7 @@ def apply_scan_outcome(state: MtcState, cavity: frozenset[str], tray_reads: set[
         for tag in report.cavity_detected:
             entry = state.entries.get(tag)
             if entry is not None and entry.status is not TagStatus.REMOVED_FROM_OR:
+                state.unsweep(tag)
                 entry.status = TagStatus.IN_CAVITY_BELIEF
                 entry.last_seen_s = now
         out.alerts.append(Alert(

@@ -294,6 +294,9 @@ def _eval_inputs(tmp_path, needs, correlation, scores):
     pytest.param(_OK_NEEDS, "need,c1\nsafety,x\n", _OK_SCORES, None, id="non-numeric-cell"),
     pytest.param(_OK_NEEDS, "need,c1,c2\nsafety,9,0\n", "concept,c1,c2\nsolo,4,2\n", None,
                  id="zero-weight-characteristic"),
+    pytest.param(_OK_NEEDS, _OK_CORR, "concept,c1\n", None, id="header-only-scores"),
+    pytest.param(_OK_NEEDS, _OK_CORR, "concept,c1\n", "concept,q\n",
+                 id="header-only-scores-and-qualitative"),
 ])
 def test_eval_malformed_csv_is_an_input_error(tmp_path, capsys, needs, correlation, scores,
                                               qualitative):

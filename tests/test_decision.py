@@ -200,6 +200,12 @@ def test_plot_rejects_mismatched_concepts():
 # -- risk matrix
 
 
+@pytest.mark.parametrize("corner", ["need", "concept"])
+def test_a_header_only_table_names_its_corner(corner):
+    with pytest.raises(DimensionMismatchError, match=f"^{corner} CSV has a header and no rows"):
+        decision.load_matrix_csv(f"{corner},c1\n\n", corner)
+
+
 def test_risk_extremes():
     assert risk_score(RiskItem("minimal", 1, 1)) == (1, "Low")
     assert risk_score(RiskItem("maximal", 5, 5)) == (25, "High")

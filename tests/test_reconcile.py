@@ -27,6 +27,7 @@ from ortrack.protocol import (
     TagStatus,
     announce_closing,
     mtc_handle,
+    mtc_bin_sweep,
     mtc_staff_rescan,
     mtc_tray_sweep,
 )
@@ -273,15 +274,36 @@ def test_sweep_demotes_as_a_full_checklist_walk_does(hand_built, phase, steps):
         outputs = sweep_step(cart, step, now)
         with full_walk_sweeps():
             assert outputs == sweep_step(reference, step, now)
-        assert cart.entries == reference.entries
+        assert resolved(cart) == resolved(reference)
         assert cart.phase is reference.phase
+
+
+def resolved(cart):
+    """Every entry's status and resolved ``last_seen_s``, as the final case record has them."""
+    return {tag: (entry.status, cart.last_seen(tag)) for tag, entry in cart.entries.items()}
 
 
 def test_first_tray_sweep_on_a_hand_built_cart_demotes_an_unseen_entry():
     state = make_mtc({"T-1", "T-2"}, set())
     assert mtc_tray_sweep(state, {"T-2"}, 5) == Outputs()
-    assert state.entries["T-1"] == ChecklistEntry(TagStatus.IN_USE, 0)
-    assert state.entries["T-2"] == ChecklistEntry(TagStatus.ON_TRAY, 5)
+    assert resolved(state) == {"T-1": (TagStatus.IN_USE, 0), "T-2": (TagStatus.ON_TRAY, 5)}
+
+
+def test_a_tag_that_leaves_the_tray_keeps_the_tick_of_its_last_sighting():
+    state = make_mtc(set(), set())
+    for now in (5, 9):
+        mtc_tray_sweep(state, {"T-1", "T-2"}, now)
+    mtc_tray_sweep(state, {"T-2"}, 12)
+    assert resolved(state) == {"T-1": (TagStatus.IN_USE, 9), "T-2": (TagStatus.ON_TRAY, 12)}
+
+
+def test_a_tag_that_hops_from_the_tray_to_the_bin_leaves_the_tray_set():
+    state = make_mtc(set(), set())
+    mtc_tray_sweep(state, {"T-1", "T-2"}, 5)
+    mtc_bin_sweep(state, {"T-1"}, 8)
+    assert state.swept == {TagStatus.ON_TRAY: {"T-2"}, TagStatus.DISCARDED: {"T-1"}}
+    mtc_tray_sweep(state, {"T-2"}, 11)  # T-1 is no longer the tray's to demote
+    assert resolved(state) == {"T-1": (TagStatus.DISCARDED, 8), "T-2": (TagStatus.ON_TRAY, 11)}
 
 
 # -- location queries
@@ -406,6 +428,16 @@ def test_load_truncated_store(tmp_path):
     data = path.read_text()
     path.write_text(data[: len(data) - 7])  # tear the last record
     with pytest.raises(TraceIOError, match="truncated record"):
+        load(str(path))
+
+
+@pytest.mark.parametrize("line", ["1", "[]", '"x"', "null"])
+def test_load_a_record_that_is_not_an_object(tmp_path, line):
+    path = tmp_path / "store.ndjson"
+    persist(run(load_bundled("clean_case")), str(path))
+    path.write_text(path.read_text() + line + "\n")
+    records = len(path.read_text().splitlines())
+    with pytest.raises(TraceIOError, match=f"^record at line {records} is not a JSON object$"):
         load(str(path))
 
 
