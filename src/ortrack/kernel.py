@@ -431,7 +431,7 @@ class _Engine:
         self.heap: list[tuple[int, int, int, tuple]] = []
         self.seq = 0
         self.msg_seq = 0
-        self.cms = CmsState()
+        self.cms = CmsState(registered_tags={spec.tag_id for spec in scenario.items})
         self.room_sensors: dict[str, RoomSensorState] = {}
         self.mtcs: dict[str, MtcState] = {}  # keyed by room id
         self.mtcs_by_case: dict[str, MtcState] = {}  # the same carts, keyed by case id
@@ -456,7 +456,6 @@ class _Engine:
         _unique(item_ids, "item_id")
         for spec in scenario.items:
             self.world.create_item(spec.tag_id)
-            self.cms.register_tag(spec.tag_id)
         for site in list(FIXED_SITES) + scenario.rooms:
             state = RoomSensorState(room_id=site)
             if site == EQUIPMENT_ROOM:
@@ -679,8 +678,7 @@ class _Engine:
         bin_ = self._antenna_read(self._antenna(mtc.room_id, "bin"), mtc.case_id, now)
         if tray is None or bin_ is None:
             return  # antenna down; a later request will retry
-        outputs, _report = reconcile.apply_scan_outcome(mtc, cavity, tray, bin_, now)
-        self._emit(outputs, mtc.case_id, now)
+        self._emit(reconcile.apply_scan_outcome(mtc, cavity, tray, bin_, now), mtc.case_id, now)
 
     # -- main loop
 
@@ -721,34 +719,37 @@ def run(scenario: Scenario, observer=None) -> Trace:
 
 
 def validate_trace(trace: Trace) -> list[str]:
-    """Structural checks: tick order, phase paths, causality, unique msg ids."""
+    """Structural checks: well-formed records, tick order, phase paths, causality, msg ids."""
     problems = []
     last_t = 0
     phase_by_case: dict[str, CasePhase] = {}
     seen_msg_ids: set[int] = set()
     for idx, record in enumerate(trace.records):
-        t = record["t"]
-        if t < last_t:
-            problems.append(f"record {idx}: tick {t} before {last_t}")
-        last_t = max(last_t, t)
-        if record["type"] == "phase":
-            case = record["case"]
-            current = phase_by_case.get(case, CasePhase.SETUP)
-            frm, to = CasePhase(record["from"]), CasePhase(record["to"])
-            if frm is not current:
-                problems.append(f"record {idx}: case {case} phase record from "
-                                f"{frm.value}, believed {current.value}")
-            if to not in protocol.PHASE_GRAPH[frm]:
-                problems.append(f"record {idx}: illegal transition "
-                                f"{frm.value} -> {to.value}")
-            phase_by_case[case] = to
-        elif record["type"] == "msg":
-            msg_id = record["msg"]["msg_id"]
-            if msg_id in seen_msg_ids:
-                problems.append(f"record {idx}: duplicate msg_id {msg_id}")
-            seen_msg_ids.add(msg_id)
-            if record["status"] == "delivered" and record["sent_at"] > t:
-                problems.append(f"record {idx}: delivered before sent")
+        try:
+            t = record["t"]
+            if t < last_t:
+                problems.append(f"record {idx}: tick {t} before {last_t}")
+            last_t = max(last_t, t)
+            if record["type"] == "phase":
+                case = record["case"]
+                current = phase_by_case.get(case, CasePhase.SETUP)
+                frm, to = CasePhase(record["from"]), CasePhase(record["to"])
+                if frm is not current:
+                    problems.append(f"record {idx}: case {case} phase record from "
+                                    f"{frm.value}, believed {current.value}")
+                if to not in protocol.PHASE_GRAPH[frm]:
+                    problems.append(f"record {idx}: illegal transition "
+                                    f"{frm.value} -> {to.value}")
+                phase_by_case[case] = to
+            elif record["type"] == "msg":
+                msg_id = record["msg"]["msg_id"]
+                if msg_id in seen_msg_ids:
+                    problems.append(f"record {idx}: duplicate msg_id {msg_id}")
+                seen_msg_ids.add(msg_id)
+                if record["status"] == "delivered" and record["sent_at"] > t:
+                    problems.append(f"record {idx}: delivered before sent")
+        except (KeyError, TypeError, ValueError) as exc:
+            problems.append(f"record {idx}: malformed ({exc!r:.60})")
     return problems
 
 
@@ -760,17 +761,18 @@ def validate_trace(trace: Trace) -> list[str]:
 class TraceReading:
     """What post-run consumers read from a trace, collected in one pass.
 
-    ``alerts`` holds the alert records per case id (None for no case);
-    ``scan_passes`` the passes of each case's delivered cavity scans;
-    ``first_seen`` the first tick each tag is named in a move, message or
-    alert; ``cavity`` the ground-truth cavity contents per room; and
-    ``retained_at`` the phases some case entered while its room's cavity
-    really held an item.
+    ``alerts`` holds the alert records per case id (None for no case); ``belief`` each
+    tag's room (None once it left) and read tick from its last delivered ``RoomCrossing``;
+    ``scan_passes`` the passes of each case's delivered cavity scans; ``first_seen`` the
+    first tick each tag is named in a move, message or alert; ``cavity`` the ground-truth
+    cavity contents per room; and ``retained_at`` the phases some case entered while its
+    room's cavity really held an item.
     """
 
     meta: dict | None = None
     cases: dict[str, dict] = field(default_factory=dict)
     alerts: dict[str | None, list[dict]] = field(default_factory=dict)
+    belief: dict[str, tuple[str | None, int]] = field(default_factory=dict)
     scan_passes: dict[str, int] = field(default_factory=dict)
     first_seen: dict[str, int] = field(default_factory=dict)
     cavity: dict[str, set[str]] = field(default_factory=dict)
@@ -780,13 +782,17 @@ class TraceReading:
 def read_trace(trace: Trace) -> TraceReading:
     """Walk the records once, in order, and collect a ``TraceReading``."""
     reading = TraceReading()
-    seen, cavity, room_by_case = reading.first_seen.setdefault, reading.cavity, {}
+    seen, cavity, belief = reading.first_seen.setdefault, reading.cavity, reading.belief
+    room_by_case = {}
     for record in trace.records:
         kind, t = record["type"], record["t"]
         if kind == "msg":
             payload = record["msg"]["payload"]
             if "tag" in payload:
                 seen(payload["tag"], t)
+                if payload["kind"] == "RoomCrossing" and record["status"] == "delivered":
+                    room = payload["room"] if payload["direction"] == "in" else None
+                    belief[payload["tag"]] = room, record["sent_at"]
             if "scan" in payload:
                 for tag in payload["scan"]["detected"]:
                     seen(tag, t)

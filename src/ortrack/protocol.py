@@ -6,9 +6,9 @@ Node responsibilities:
   direction, so each sensor keeps a believed inside-set per tag and toggles
   it on every successful read; a missed read desynchronizes the toggle,
   which is exactly the failure mode worth simulating.
-* The central service (``CMS``) keeps a room-level location belief for
-  every registered tag plus a mirror of each case's checklist, and decides
-  when a crossing means new equipment arrived or tracked equipment left.
+* The central service (``CMS``) knows the registered tags and mirrors each
+  case's checklist, and decides when a crossing means new equipment arrived
+  or tracked equipment left.
 * The tool cart (``MTC:<room>``) is one ``MtcState`` holding its case's
   lifecycle, the monitoring checklist and the scan counters. Tray and bin
   antennas report full sweeps; everything else arrives as messages.
@@ -203,19 +203,10 @@ def room_sensor_on_reads(state: RoomSensorState, tags: list[str],
 
 
 @dataclass
-class TagBelief:
-    """Last believed room of a tag; ``site`` None means never seen or in transit."""
-
-    site: str | None
-    last_seen_s: int | None  # None = never read
-
-
-@dataclass
 class CmsState:
-    """Global locator plus per-case checklist mirror."""
+    """Registered tags plus per-case checklist mirror."""
 
     registered_tags: set[str] = field(default_factory=set)
-    belief: dict[str, TagBelief] = field(default_factory=dict)
     case_by_room: dict[str, str] = field(default_factory=dict)
     room_by_case: dict[str, str] = field(default_factory=dict)
     checklist_mirror: dict[str, set[str]] = field(default_factory=dict)
@@ -224,11 +215,6 @@ class CmsState:
         self.case_by_room[room_id] = case_id
         self.room_by_case[case_id] = room_id
         self.checklist_mirror[case_id] = set()
-
-    def register_tag(self, tag_id: str) -> None:
-        # Registration is administrative; location belief only ever comes
-        # from sensor reads.
-        self.registered_tags.add(tag_id)
 
 
 def cms_handle(state: CmsState, msg: ProtocolMessage) -> Outputs:
@@ -244,11 +230,9 @@ def cms_handle(state: CmsState, msg: ProtocolMessage) -> Outputs:
                 severity=Severity.WARNING, kind=AlertKind.UNKNOWN_TAG,
                 tags=frozenset([tag]), text=f"unregistered tag {tag} read at {room}"))
             return out
-        state.belief[tag] = TagBelief(site=room if direction == "in" else None,
-                                      last_seen_s=msg.time_s)
         case_id = state.case_by_room.get(room)
         if case_id is None:
-            return out  # non-OR room: location bookkeeping only
+            return out  # a room without a case has no cart to tell
         mirror = state.checklist_mirror[case_id]
         mtc = f"MTC:{room}"
         if direction == "in" and tag not in mirror:

@@ -1,4 +1,4 @@
-"""Closing-time counting, retention detection, location queries and reports.
+"""Closing-time counting, retention detection, reports, and location queries on a trace.
 
 Reconciliation is a pure set computation over the cart's checklist, the
 re-verification tray and bin reads, and the final cavity scan:
@@ -27,13 +27,11 @@ from .protocol import (
     Alert,
     AlertKind,
     CasePhase,
-    CmsState,
     InvalidPhaseError,
     MtcState,
     Outputs,
     ProtocolMessage,
     Severity,
-    TagBelief,
     TagStatus,
     UnknownCaseError,
     mtc_bin_sweep,
@@ -83,12 +81,12 @@ def reconcile(state: MtcState, tray_reads: set[str], bin_reads: set[str],
 
 
 def apply_scan_outcome(state: MtcState, cavity: frozenset[str], tray_reads: set[str],
-                       bin_reads: set[str], now: int) -> tuple[Outputs, ReconciliationReport]:
+                       bin_reads: set[str], now: int) -> Outputs:
     """One reconciliation pass: sweep, reconcile, and move the case lifecycle.
 
-    On a count mismatch within budget the returned outputs carry a fresh
-    scan request; past the budget a manual override is demanded and the
-    phase stays at the cavity scan.
+    Returns the pass's messages, alerts and phase changes. On a count mismatch
+    within budget they carry a fresh scan request; past the budget a manual
+    override is demanded and the phase stays at the cavity scan.
     """
     out = Outputs()
     if state.phase is CasePhase.CLOSING_ANNOUNCED:
@@ -138,14 +136,15 @@ def apply_scan_outcome(state: MtcState, cavity: frozenset[str], tray_reads: set[
                 severity=Severity.CRITICAL, kind=AlertKind.MANUAL_OVERRIDE,
                 tags=report.missing,
                 text="re-scan budget exhausted; manual override required"))
-    return out, report
+    return out
 
 
-def locate(tag_id: str, cms: CmsState) -> TagBelief:
-    """Room-level location query against the central service's belief."""
-    if tag_id not in cms.registered_tags:
+def locate(reading, tag_id: str) -> tuple[str | None, int | None]:
+    """A tag's believed room and read tick in a ``kernel.TraceReading``; (None, None)
+    if its entrance crossings were never read, a room of None once read leaving one."""
+    if reading.meta is None or tag_id not in {item["tag"] for item in reading.meta["items"]}:
         raise UnknownTagError(f"unknown tag: {tag_id}")
-    return cms.belief.get(tag_id) or TagBelief(site=None, last_seen_s=None)
+    return reading.belief.get(tag_id, (None, None))
 
 
 # --------------------------------------------------------------------------

@@ -27,6 +27,14 @@ def full_sensor_suite(p_detect: float = 1.0) -> dict[str, SensorModel]:
     return {sid: SensorModel(p_detect=p_detect) for sid in SENSOR_IDS}
 
 
+def one_room(events: list[StaffEvent], bus: BusConfig = BusConfig()) -> Scenario:
+    """One room, one case, two sponges and perfect readers."""
+    return Scenario(name="one-room", seed=0, horizon_s=60, rooms=[OR],
+                    items=[ItemSpec("T-1", ItemKind.SPONGE), ItemSpec("T-2", ItemKind.SPONGE)],
+                    sensors=full_sensor_suite(), cases=[CaseSpec("C-1", OR)],
+                    events=events, bus=bus)
+
+
 def random_scenario(seed: int, *, p_detect: float = 1.0, drop_rate: float = 0.0,
                     latency_s: int = 1) -> Scenario:
     """A random but valid single-room surgery.

@@ -11,12 +11,11 @@ import sys
 
 import pytest
 
-from helpers import OR, full_sensor_suite, load_bundled, random_scenario, scenario_text
+from helpers import OR, load_bundled, one_room, random_scenario, scenario_text
 from ortrack import kernel, sensing
 from ortrack.cli import run_summary
 from ortrack.kernel import (
     BusConfig,
-    CaseSpec,
     ItemSpec,
     LinkConfig,
     ParseError,
@@ -335,6 +334,20 @@ def test_all_goldens_validate():
         assert validate_trace(trace) == [], name
 
 
+@pytest.mark.parametrize("records", [
+    [{}],
+    [{"t": 0}],
+    [{"t": 0, "type": "meta"}, {"t": "x", "type": "meta"}],
+    [{"t": 0, "type": "phase", "case": "C-1", "from": "Nope", "to": "InProgress"}],
+    [{"t": 0, "type": "msg", "status": "dropped", "sent_at": 0, "msg": {}}],
+    [{"t": 0, "type": "msg", "status": "dropped", "sent_at": 0, "msg": 3}],
+], ids=["empty", "no-type", "tick-not-a-number", "unknown-phase", "msg-without-id",
+        "msg-not-an-object"])
+def test_validate_trace_reports_a_malformed_record_as_a_problem(records):
+    problems = validate_trace(Trace(records=records))
+    assert len(problems) == 1 and problems[0].startswith(f"record {len(records) - 1}: ")
+
+
 def test_trace_round_trips_through_ndjson():
     trace = run(load_bundled("clean_case"))
     assert Trace.from_ndjson(trace.to_ndjson()) == trace
@@ -505,17 +518,9 @@ def test_generated_scenarios_pass_validation():
         kernel.validate_scenario(random_scenario(seed))
 
 
-def _one_room(events, latency_s):
-    """One room, one case, two sponges and perfect readers."""
-    return Scenario(name="one-room", seed=0, horizon_s=60, rooms=[OR],
-                    items=[ItemSpec("T-1", ItemKind.SPONGE), ItemSpec("T-2", ItemKind.SPONGE)],
-                    sensors=full_sensor_suite(), cases=[CaseSpec("C-1", OR)],
-                    events=events, bus=BusConfig(latency_s=latency_s))
-
-
 def _final_entry(events, latency_s, tag="T-1"):
-    """``tag``'s checklist entry in the final case record of a ``_one_room`` run."""
-    return run(_one_room(events, latency_s)).records[-1]["entries"][tag]
+    """``tag``'s checklist entry in the final case record of a ``one_room`` run."""
+    return run(one_room(events, BusConfig(latency_s=latency_s))).records[-1]["entries"][tag]
 
 
 def test_a_sweep_after_a_reconcile_status_change_is_read():
@@ -558,12 +563,12 @@ def test_a_skipped_sweep_leaves_the_trace_a_read_sweep_leaves(monkeypatch):
 def test_a_bin_holding_its_last_set_is_not_read_again(monkeypatch):
     # The reconciliation at t=12 reads the bin itself; at t=20 the bin still
     # holds exactly that set, all Discarded, so the sweep is skipped.
-    scenario = _one_room([
+    scenario = one_room([
         StaffEvent(1, "move", tag="T-1", to_site=OR, to_sub="ToolTray"),
         StaffEvent(2, "move", tag="T-2", to_site=OR, to_sub="ToolTray"),
         StaffEvent(3, "discard", tag="T-2"),
         StaffEvent(10, "announce_closing", case="C-1"),
-        StaffEvent(20, "move", tag="T-1", to_site=OR, to_sub="RoomSpace")], latency_s=1)
+        StaffEvent(20, "move", tag="T-1", to_site=OR, to_sub="RoomSpace")])
     bin_reads = []
     read_tags = sensing.read_tags
 

@@ -32,9 +32,7 @@ def crossing(tag, direction, room="OR-1", t=0):
 
 
 def fresh_cms(tags=("T-1", "T-2", "T-3", "T-9"), room="OR-1", case="C-1"):
-    cms = CmsState()
-    for tag in tags:
-        cms.register_tag(tag)
+    cms = CmsState(registered_tags=set(tags))
     cms.register_case(case, room)
     return cms
 
@@ -79,12 +77,10 @@ def test_cms_checklist_tag_leaving_or_notifies_cart():
     assert out.messages[0].payload["tag"] == "T-3"
 
 
-def test_cms_non_or_room_updates_belief_only():
+def test_cms_non_or_room_crossing_sends_nothing():
     cms = fresh_cms()
     out = cms_handle(cms, crossing("T-1", "in", room="SPD", t=30))
     assert out.messages == [] and out.alerts == []
-    assert cms.belief["T-1"].site == "SPD"
-    assert cms.belief["T-1"].last_seen_s == 30
 
 
 def test_cms_unregistered_tag_warns():

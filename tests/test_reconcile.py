@@ -11,19 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import load_bundled
+from helpers import OR, load_bundled, one_room, random_scenario
 from ortrack import kernel, reconcile as reconcile_module
-from ortrack.kernel import read_trace, run
+from ortrack.kernel import BusConfig, LinkConfig, StaffEvent, read_trace, run
 from ortrack.protocol import (
     AlertKind,
     CasePhase,
     ChecklistEntry,
-    CmsState,
     InvalidPhaseError,
     MtcState,
     Outputs,
     ProtocolMessage,
-    TagBelief,
     TagStatus,
     announce_closing,
     mtc_handle,
@@ -148,12 +146,12 @@ def requests_rescan(out):
 
 def test_closing_loop_retention_then_staff_fix():
     state = make_mtc({"T-1", "T-2"}, {"T-4"})
-    first, report = apply_scan_outcome(state, scan_of(["T-4"]), {"T-1", "T-2"}, set(), 0)
-    assert report.cavity_detected == frozenset({"T-4"})
+    first = apply_scan_outcome(state, scan_of(["T-4"]), {"T-1", "T-2"}, set(), 0)
+    assert [alert.tags for alert in first.alerts] == [frozenset({"T-4"})]
     assert not requests_rescan(first)
     staff = mtc_staff_rescan(state, 0)  # staff pulled T-4 out onto the tray
     assert requests_rescan(staff)
-    second, _ = apply_scan_outcome(state, scan_of([]), {"T-1", "T-2", "T-4"}, set(), 0)
+    second = apply_scan_outcome(state, scan_of([]), {"T-1", "T-2", "T-4"}, set(), 0)
     kinds = [a.kind for a in first.alerts + staff.alerts + second.alerts]
     assert kinds == [AlertKind.RSB_SUSPECTED]
     assert state.scans_done == 2
@@ -162,7 +160,7 @@ def test_closing_loop_retention_then_staff_fix():
 
 def test_closing_loop_clean_single_pass():
     state = make_mtc({"T-1"}, set())
-    out, _ = apply_scan_outcome(state, scan_of([]), {"T-1"}, set(), 0)
+    out = apply_scan_outcome(state, scan_of([]), {"T-1"}, set(), 0)
     assert out.alerts == []
     assert not requests_rescan(out)
     assert state.scans_done == 1
@@ -174,7 +172,7 @@ def test_closing_loop_persistent_mismatch_demands_override():
     state = make_mtc({"T-1", "T-9"}, set(), max_rescans=2)
     alerts = []
     while True:  # each re-scan request comes back as another scan result
-        out, _ = apply_scan_outcome(state, scan_of([]), {"T-1"}, set(), 0)
+        out = apply_scan_outcome(state, scan_of([]), {"T-1"}, set(), 0)
         alerts += out.alerts
         if not requests_rescan(out):
             break
@@ -186,7 +184,7 @@ def test_closing_loop_persistent_mismatch_demands_override():
 
 def test_closing_loop_retention_without_staff_parks_case():
     state = make_mtc({"T-1"}, {"T-4"})
-    out, _ = apply_scan_outcome(state, scan_of(["T-4"]), {"T-1"}, set(), 0)
+    out = apply_scan_outcome(state, scan_of(["T-4"]), {"T-1"}, set(), 0)
     assert [a.kind for a in out.alerts] == [AlertKind.RSB_SUSPECTED]
     assert not requests_rescan(out)
     assert state.phase is CasePhase.CLOSING_ANNOUNCED
@@ -306,45 +304,48 @@ def test_a_tag_that_hops_from_the_tray_to_the_bin_leaves_the_tray_set():
     assert resolved(state) == {"T-1": (TagStatus.DISCARDED, 8), "T-2": (TagStatus.ON_TRAY, 11)}
 
 
-# -- location queries
+# -- location queries, read from a trace
+
+
+T1_INTO_OR = StaffEvent(10, "move", tag="T-1", to_site=OR, to_sub="ToolTray")
+
+
+def one_room_reading(events, bus=BusConfig(latency_s=3)):
+    return read_trace(run(one_room(events, bus)))
 
 
 def test_locate_follows_last_crossing():
-    cms = CmsState()
-    cms.register_tag("T-1")
-    cms.belief["T-1"] = TagBelief(site="OR-1", last_seen_s=55)
-    belief = locate("T-1", cms)
-    assert belief == TagBelief(site="OR-1", last_seen_s=55)
-    assert belief.last_seen_s is not None
+    # read at t=10 and delivered at 13: the belief carries the read tick
+    assert locate(one_room_reading([T1_INTO_OR]), "T-1") == (OR, 10)
+    to_spd = [T1_INTO_OR, StaffEvent(20, "move", tag="T-1", to_site="SPD")]
+    assert locate(one_room_reading(to_spd), "T-1") == ("SPD", 20)
 
 
 def test_locate_never_read_is_unknown():
-    cms = CmsState()
-    cms.register_tag("T-1")
-    belief = locate("T-1", cms)
-    assert belief == TagBelief(site=None, last_seen_s=None)
-    assert belief.site is None and belief.last_seen_s is None
+    assert locate(one_room_reading([T1_INTO_OR]), "T-2") == (None, None)
+    lossy = BusConfig(latency_s=3, links={"RS->CMS": LinkConfig(drop_rate=1.0)})
+    assert locate(one_room_reading([T1_INTO_OR], lossy), "T-1") == (None, None)
 
 
 def test_locate_unregistered_rejected():
     with pytest.raises(UnknownTagError):
-        locate("T-404", CmsState())
+        locate(one_room_reading([T1_INTO_OR]), "T-404")
+    with pytest.raises(UnknownTagError):  # no meta record, so no tag is registered
+        locate(read_trace(kernel.Trace()), "T-1")
 
 
 def test_locate_agrees_with_ground_truth_under_perfect_sensing():
-    for name in ("clean_case", "pocket_carry", "new_equipment"):
-        scenario = load_bundled(name)
-        captured = {}
-
-        def observer(time_s, world, engine):
-            captured["engine"] = engine
-            captured["world"] = world
-
-        run(scenario, observer=observer)
-        engine, world = captured["engine"], captured["world"]
-        for tag, location in world.placements.items():
-            belief = locate(tag, engine.cms)
-            assert belief.site == location.site, (name, tag)
+    # every tag of the bundled cases moves; of a random case, each tag that moves
+    scenarios = [(load_bundled(name), True)
+                 for name in ("clean_case", "pocket_carry", "new_equipment")]
+    scenarios += [(random_scenario(seed, latency_s=latency), False)
+                  for seed in range(100) for latency in (1, 3)]
+    for scenario, every_tag in scenarios:
+        trace = run(scenario)
+        reading = read_trace(trace)
+        site = {r["tag"]: r["to"]["site"] for r in trace.records if r["type"] == "gt"}
+        for tag in [item["tag"] for item in reading.meta["items"]] if every_tag else site:
+            assert locate(reading, tag)[0] == site[tag], (scenario.name, tag)
 
 
 # -- reports
