@@ -18,19 +18,10 @@ import os
 import sys
 
 from . import decision, kernel, reconcile
-from .protocol import AlertKind, CasePhase
-
-OUT_DIR_ENV = "ORTRACK_OUT"
+from .protocol import CasePhase
 
 SAFE_PHASES = {CasePhase.RECONCILED.value, CasePhase.AWAITING_SPD.value,
                CasePhase.COMPLETE.value}
-
-CRITICAL_KINDS = {AlertKind.RSB_SUSPECTED.value, AlertKind.COUNT_MISMATCH.value,
-                  AlertKind.MANUAL_OVERRIDE.value}
-
-
-def _out_dir(flag_value: str | None) -> str:
-    return os.environ.get(OUT_DIR_ENV) or flag_value or "out"
 
 
 def _load_scenario_file(path: str, seed: int | None) -> kernel.Scenario:
@@ -45,7 +36,7 @@ def safety_findings(reading: kernel.TraceReading) -> list[str]:
     """Cases with a critical finding that never reached reconciliation."""
     return [case_id for case_id, record in reading.cases.items()
             if record["phase"] not in SAFE_PHASES
-            and any(alert["kind"] in CRITICAL_KINDS for alert in reading.alerts.get(case_id, ()))]
+            and any(alert["severity"] == "Critical" for alert in reading.alerts.get(case_id, ()))]
 
 
 def run_summary(trace: kernel.Trace) -> dict:
@@ -109,14 +100,13 @@ def batch_summary(scenario: kernel.Scenario, runs: int, seed_base: int) -> dict:
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load_scenario_file(args.scenario, args.seed)
     trace = kernel.run(scenario)
-    out_dir = _out_dir(args.out)
-    reconcile.persist(trace, os.path.join(out_dir, "trace.ndjson"))
+    reconcile.persist(trace, os.path.join(args.out, "trace.ndjson"))
     reading = kernel.read_trace(trace)
     for spec in scenario.cases:
         report = reconcile.generate_report(reading, spec.case_id)
-        reconcile.write_atomic(os.path.join(out_dir, f"report_{spec.case_id}.json"),
+        reconcile.write_atomic(os.path.join(args.out, f"report_{spec.case_id}.json"),
                                json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
-        reconcile.write_atomic(os.path.join(out_dir, f"report_{spec.case_id}.csv"),
+        reconcile.write_atomic(os.path.join(args.out, f"report_{spec.case_id}.csv"),
                                report.to_csv())
     findings = safety_findings(reading)
     if findings:
@@ -130,9 +120,8 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     seed_base = args.seed_base if args.seed_base is not None else scenario.seed
     summary = batch_summary(scenario, args.runs, seed_base)
     text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    out_dir = os.environ.get(OUT_DIR_ENV) or args.out
-    if out_dir:
-        reconcile.write_atomic(os.path.join(out_dir, "summary.json"), text)
+    if args.out:
+        reconcile.write_atomic(os.path.join(args.out, "summary.json"), text)
     sys.stdout.write(text)
     return 0
 
@@ -191,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one scenario, write trace and reports")
     p_sim.add_argument("scenario")
     p_sim.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    p_sim.add_argument("--out", default=None, help="output directory (default ./out)")
+    p_sim.add_argument("--out", default="out", help="output directory (default ./out)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_mc = sub.add_parser("montecarlo", help="run many seeds, emit aggregate statistics")

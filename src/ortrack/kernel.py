@@ -28,7 +28,6 @@ from .model import (
     FIXED_SITES,
     ItemKind,
     Location,
-    MoveCause,
     SubLocation,
     WorldState,
 )
@@ -67,7 +66,7 @@ class ValidationError(Exception):
 
 SCENARIO_KEYS = {"name", "seed", "horizon_s", "rooms", "items", "sensors",
                  "cases", "events", "bus"}
-ITEM_KEYS = {"tag_id", "kind", "item_id", "sterile"}
+ITEM_KEYS = {"tag_id", "kind", "item_id"}
 SENSOR_KEYS = {"range_m", "p_detect", "mtbf_s", "mttr_s"}
 CASE_KEYS = {"case_id", "room_id", "scan_passes", "max_rescans"}
 EVENT_KEYS = {"t", "kind", "tag", "case", "to_site", "to_sub", "distance_m"}
@@ -96,16 +95,15 @@ _DEFAULT_SENSOR = SensorModel()  # frozen, so every unconfigured reader shares i
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 #: Staff event kind -> (sub-locations the item may start from, sub-location it
-#: ends at, cause). An end of None is a site the event names.
+#: ends at, cause the ``gt`` record names). An end of None is a site the event names.
 _OUT_OF_CAVITY = frozenset(SubLocation) - {SubLocation.NONE, SubLocation.PATIENT_CAVITY}
 _MOVE_RULES = {
-    "move": (frozenset(SubLocation), None, MoveCause.STAFF_MOVE),
-    "place_in_cavity": (_OUT_OF_CAVITY, SubLocation.PATIENT_CAVITY, MoveCause.PLACE_IN_CAVITY),
+    "move": (frozenset(SubLocation), None, "StaffMove"),
+    "place_in_cavity": (_OUT_OF_CAVITY, SubLocation.PATIENT_CAVITY, "PlaceInCavity"),
     "remove_from_cavity": ({SubLocation.PATIENT_CAVITY}, SubLocation.TOOL_TRAY,
-                           MoveCause.REMOVE_FROM_CAVITY),
-    "discard": (_OUT_OF_CAVITY - {SubLocation.TRASH_BIN}, SubLocation.TRASH_BIN,
-                MoveCause.DISCARD),
-    "carry_out": (_OUT_OF_CAVITY, None, MoveCause.ROOM_TRANSIT),
+                           "RemoveFromCavity"),
+    "discard": (_OUT_OF_CAVITY - {SubLocation.TRASH_BIN}, SubLocation.TRASH_BIN, "Discard"),
+    "carry_out": (_OUT_OF_CAVITY, None, "RoomTransit"),
 }
 EVENT_KINDS = {"announce_closing", "spd_ack", *_MOVE_RULES}
 
@@ -163,7 +161,6 @@ class ItemSpec:
     tag_id: str
     kind: ItemKind
     item_id: str | None = None
-    sterile: bool = True
 
 
 @dataclass(frozen=True)
@@ -275,8 +272,7 @@ def load_scenario(text: str) -> Scenario:
     items = [ItemSpec(tag_id=_field(spec, "tag_id", str, where),
                       kind=_KIND_BY_NAME[_field(spec, "kind", str, where,
                                                 choices=_KIND_BY_NAME)],
-                      item_id=_field(spec, "item_id", str, where, None),
-                      sterile=_field(spec, "sterile", bool, where, True))
+                      item_id=_field(spec, "item_id", str, where, None))
              for where, spec in _entries(top, "items", ITEM_KEYS)]
     sensors = {}
     for sensor_id, cfg in _field(top, "sensors", dict, "scenario").items():
@@ -377,7 +373,7 @@ def validate_scenario(scenario: Scenario) -> None:
                 _fail(f"events[{idx}]: {exc}")
 
 
-def destination(ev: StaffEvent, src: Location, rooms: list[str]) -> tuple[Location, MoveCause]:
+def destination(ev: StaffEvent, src: Location, rooms: list[str]) -> tuple[Location, str]:
     """Where staff event ``ev`` moves an item now at ``src``; ValueError if it cannot."""
     sources, sub, cause = _MOVE_RULES[ev.kind]
     if src.sub not in sources:
@@ -431,7 +427,7 @@ class _Engine:
         self.heap: list[tuple[int, int, int, tuple]] = []
         self.seq = 0
         self.msg_seq = 0
-        self.cms = CmsState(registered_tags={spec.tag_id for spec in scenario.items})
+        self.cms = CmsState()
         self.room_sensors: dict[str, RoomSensorState] = {}
         self.mtcs: dict[str, MtcState] = {}  # keyed by room id
         self.mtcs_by_case: dict[str, MtcState] = {}  # the same carts, keyed by case id
@@ -624,7 +620,7 @@ class _Engine:
         dst, cause = destination(ev, src, self.scenario.rooms)
         self.world.apply_ground_truth(ev.tag, dst)
         self.trace.records.append({
-            "t": now, "type": "gt", "tag": ev.tag, "cause": cause.value,
+            "t": now, "type": "gt", "tag": ev.tag, "cause": cause,
             "from": src.to_json(), "to": dst.to_json()})
 
         if src.site != dst.site:
@@ -649,7 +645,7 @@ class _Engine:
             return
         try:
             handler[0](self, handler[1], message, now)
-        except (StaleCaseError, InvalidPhaseError, UnknownCaseError) as exc:
+        except (StaleCaseError, InvalidPhaseError) as exc:
             self._record_error(message.payload["kind"], str(exc), now)
 
     def _on_cms(self, cms: CmsState, message: ProtocolMessage, now: int) -> None:
@@ -780,43 +776,47 @@ class TraceReading:
 
 
 def read_trace(trace: Trace) -> TraceReading:
-    """Walk the records once, in order, and collect a ``TraceReading``."""
+    """Walk the records once, in order, and collect a ``TraceReading``; a record
+    of the wrong shape raises ``reconcile.TraceIOError``."""
     reading = TraceReading()
     seen, cavity, belief = reading.first_seen.setdefault, reading.cavity, reading.belief
     room_by_case = {}
-    for record in trace.records:
-        kind, t = record["type"], record["t"]
-        if kind == "msg":
-            payload = record["msg"]["payload"]
-            if "tag" in payload:
-                seen(payload["tag"], t)
-                if payload["kind"] == "RoomCrossing" and record["status"] == "delivered":
-                    room = payload["room"] if payload["direction"] == "in" else None
-                    belief[payload["tag"]] = room, record["sent_at"]
-            if "scan" in payload:
-                for tag in payload["scan"]["detected"]:
-                    seen(tag, t)
-                if record["status"] == "delivered" and payload["kind"] == "CavityScanResult":
-                    case = payload["case"]
-                    reading.scan_passes[case] = (reading.scan_passes.get(case, 0)
-                                                 + payload["scan"]["passes"])
-        elif kind == "gt":
-            tag, src, dst = record["tag"], record["from"], record["to"]
-            seen(tag, t)
-            if src["sub"] == _CAVITY:
-                cavity.setdefault(src["site"], set()).discard(tag)
-            if dst["sub"] == _CAVITY:
-                cavity.setdefault(dst["site"], set()).add(tag)
-        elif kind == "alert":
-            for tag in record["tags"]:
+    try:
+        for idx, record in enumerate(trace.records):
+            kind, t = record["type"], record["t"]
+            if kind == "msg":
+                payload = record["msg"]["payload"]
+                if "tag" in payload:
+                    seen(payload["tag"], t)
+                    if payload["kind"] == "RoomCrossing" and record["status"] == "delivered":
+                        room = payload["room"] if payload["direction"] == "in" else None
+                        belief[payload["tag"]] = room, record["sent_at"]
+                if "scan" in payload:
+                    for tag in payload["scan"]["detected"]:
+                        seen(tag, t)
+                    if record["status"] == "delivered" and payload["kind"] == "CavityScanResult":
+                        case = payload["case"]
+                        reading.scan_passes[case] = (reading.scan_passes.get(case, 0)
+                                                     + payload["scan"]["passes"])
+            elif kind == "gt":
+                tag, src, dst = record["tag"], record["from"], record["to"]
                 seen(tag, t)
-            reading.alerts.setdefault(record["case"], []).append(record)
-        elif kind == "phase":
-            if cavity.get(room_by_case.get(record["case"])):
-                reading.retained_at.add(record["to"])
-        elif kind == "case":
-            reading.cases[record["case_id"]] = record
-        elif kind == "meta":
-            reading.meta = record
-            room_by_case = {case["case_id"]: case["room_id"] for case in record["cases"]}
+                if src["sub"] == _CAVITY:
+                    cavity.setdefault(src["site"], set()).discard(tag)
+                if dst["sub"] == _CAVITY:
+                    cavity.setdefault(dst["site"], set()).add(tag)
+            elif kind == "alert":
+                for tag in record["tags"]:
+                    seen(tag, t)
+                reading.alerts.setdefault(record["case"], []).append(record)
+            elif kind == "phase":
+                if cavity.get(room_by_case.get(record["case"])):
+                    reading.retained_at.add(record["to"])
+            elif kind == "case":
+                reading.cases[record["case_id"]] = record
+            elif kind == "meta":
+                reading.meta = record
+                room_by_case = {case["case_id"]: case["room_id"] for case in record["cases"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise reconcile.TraceIOError(f"record {idx}: malformed ({exc!r:.60})") from exc
     return reading

@@ -41,14 +41,6 @@ class SubLocation(Enum):
     __hash__ = object.__hash__  # members are singletons; Enum.__hash__ runs in Python
 
 
-class MoveCause(Enum):
-    STAFF_MOVE = "StaffMove"
-    DISCARD = "Discard"
-    PLACE_IN_CAVITY = "PlaceInCavity"
-    REMOVE_FROM_CAVITY = "RemoveFromCavity"
-    ROOM_TRANSIT = "RoomTransit"
-
-
 class Location(tuple):
     """A site (room) plus, inside an operating room, a sub-position; a tuple, so
     it hashes and compares in C."""

@@ -6,9 +6,8 @@ Node responsibilities:
   direction, so each sensor keeps a believed inside-set per tag and toggles
   it on every successful read; a missed read desynchronizes the toggle,
   which is exactly the failure mode worth simulating.
-* The central service (``CMS``) knows the registered tags and mirrors each
-  case's checklist, and decides when a crossing means new equipment arrived
-  or tracked equipment left.
+* The central service (``CMS``) mirrors each case's checklist and decides
+  when a crossing means new equipment arrived or tracked equipment left.
 * The tool cart (``MTC:<room>``) is one ``MtcState`` holding its case's
   lifecycle, the monitoring checklist and the scan counters. Tray and bin
   antennas report full sweeps; everything else arrives as messages.
@@ -87,7 +86,6 @@ class AlertKind(Enum):
     COUNT_MISMATCH = "CountMismatch"
     SENSOR_DOWN = "SensorDown"
     MANUAL_OVERRIDE = "ManualOverride"
-    UNKNOWN_TAG = "UnknownTag"
 
 
 class InvalidPhaseError(Exception):
@@ -204,9 +202,8 @@ def room_sensor_on_reads(state: RoomSensorState, tags: list[str],
 
 @dataclass
 class CmsState:
-    """Registered tags plus per-case checklist mirror."""
+    """Each case's room and checklist mirror."""
 
-    registered_tags: set[str] = field(default_factory=set)
     case_by_room: dict[str, str] = field(default_factory=dict)
     room_by_case: dict[str, str] = field(default_factory=dict)
     checklist_mirror: dict[str, set[str]] = field(default_factory=dict)
@@ -225,11 +222,6 @@ def cms_handle(state: CmsState, msg: ProtocolMessage) -> Outputs:
 
     if kind == "RoomCrossing":
         tag, room, direction = payload["tag"], payload["room"], payload["direction"]
-        if tag not in state.registered_tags:
-            out.alerts.append(Alert(
-                severity=Severity.WARNING, kind=AlertKind.UNKNOWN_TAG,
-                tags=frozenset([tag]), text=f"unregistered tag {tag} read at {room}"))
-            return out
         case_id = state.case_by_room.get(room)
         if case_id is None:
             return out  # a room without a case has no cart to tell
@@ -252,9 +244,7 @@ def cms_handle(state: CmsState, msg: ProtocolMessage) -> Outputs:
             mirror.discard(payload["tag"])
 
     elif kind == "SpdReadyAck":
-        room = state.room_by_case.get(payload["case"])
-        if room is None:
-            raise UnknownCaseError(f"unknown case: {payload['case']}")
+        room = state.room_by_case[payload["case"]]  # spd_acknowledge rejected an unknown case
         out.messages.append(ProtocolMessage(
             time_s=msg.time_s, from_node=CMS_NODE, to_node=f"MTC:{room}",
             payload=dict(payload)))

@@ -46,7 +46,7 @@ def test_simulate_writes_the_same_bytes_under_an_ascii_locale(tmp_path):
 
     src = os.path.dirname(os.path.dirname(kernel.__file__))
     env = {key: value for key, value in os.environ.items()
-           if key not in ("PYTHONIOENCODING", "LANG", "LC_CTYPE", "ORTRACK_OUT")}
+           if key not in ("PYTHONIOENCODING", "LANG", "LC_CTYPE")}
     env.update(PYTHONPATH=src, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
     done = subprocess.run([sys.executable, "-m", "ortrack.cli", "simulate", str(path),
                            "--out", str(tmp_path / "ascii")],
@@ -101,19 +101,12 @@ def test_simulate_rejects_a_case_id_that_leaves_the_out_dir(tmp_path, capsys):
 
 
 def test_simulate_seed_override_changes_trace(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    main(["simulate", scenario_path("cavity_retention"), "--seed", "1", "--out", str(out1)])
-    main(["simulate", scenario_path("cavity_retention"), "--seed", "1", "--out", str(out2)])
-    assert (out1 / "trace.ndjson").read_bytes() == (out2 / "trace.ndjson").read_bytes()
-
-
-def test_out_dir_env_override(tmp_path, monkeypatch):
-    env_dir = tmp_path / "from-env"
-    monkeypatch.setenv("ORTRACK_OUT", str(env_dir))
-    code = main(["simulate", scenario_path("clean_case"), "--out", str(tmp_path / "flag")])
-    assert code == 0
-    assert (env_dir / "trace.ndjson").exists()
-    assert not (tmp_path / "flag").exists()
+    seeded, default = tmp_path / "seeded", tmp_path / "default"
+    main(["simulate", scenario_path("cavity_retention"), "--seed", "1", "--out", str(seeded)])
+    main(["simulate", scenario_path("cavity_retention"), "--out", str(default)])
+    trace = (seeded / "trace.ndjson").read_bytes()
+    assert json.loads(trace.split(b"\n", 1)[0])["seed"] == 1  # the scenario's seed is 7
+    assert trace != (default / "trace.ndjson").read_bytes()
 
 
 def test_validate_ok_and_bad(tmp_path):

@@ -159,7 +159,7 @@ BAD_INPUTS = [
     ("t-bool", [(("events", 0, "t"), True)], ValidationError),
     ("seed-string", [(("seed",), "abc")], ValidationError),
     ("name-number", [(("name",), 5)], ValidationError),
-    ("sterile-string", [(("items", 0, "sterile"), "no")], ValidationError),
+    ("sterile-is-unknown", [(("items", 0, "sterile"), True)], ValidationError),
     ("item_id-number", [(("items", 0, "item_id"), 5)], ValidationError),
     ("item_id-duplicate", [(("items", 0, "item_id"), "X"), (("items", 1, "item_id"), "X")],
      ValidationError),
@@ -346,6 +346,20 @@ def test_all_goldens_validate():
 def test_validate_trace_reports_a_malformed_record_as_a_problem(records):
     problems = validate_trace(Trace(records=records))
     assert len(problems) == 1 and problems[0].startswith(f"record {len(records) - 1}: ")
+
+
+@pytest.mark.parametrize("records", [
+    [{}],
+    [{"t": 0}],
+    [{"t": 0, "type": "meta"}, {"t": "x", "type": "meta"}],
+    [{"t": 0, "type": "msg", "status": "dropped", "sent_at": 0, "msg": {}}],
+    [{"t": 0, "type": "msg", "status": "dropped", "sent_at": 0, "msg": 3}],
+    [3],
+], ids=["empty", "no-type", "meta-without-cases", "msg-without-payload", "msg-not-an-object",
+        "record-not-an-object"])
+def test_read_trace_reports_a_malformed_record_as_a_trace_error(records):
+    with pytest.raises(TraceIOError, match=r"^record 0: malformed \("):
+        kernel.read_trace(Trace(records=records))
 
 
 def test_trace_round_trips_through_ndjson():
@@ -545,6 +559,21 @@ def test_a_sweep_after_a_late_removal_is_read():
         StaffEvent(21, "move", tag="T-1", to_site=OR, to_sub="ToolTray"),
         StaffEvent(40, "move", tag="T-2", to_site=OR, to_sub="RoomSpace")], latency_s=5)
     assert entry == {"status": "OnTray", "last_seen_s": 40}
+
+
+def test_a_message_for_a_completed_case_is_recorded_as_an_error():
+    # T-2 enters and T-1 leaves after the SPD ack completed the case at t=22
+    trace = run(one_room([
+        StaffEvent(1, "move", tag="T-1", to_site=OR, to_sub="ToolTray"),
+        StaffEvent(10, "announce_closing", case="C-1"),
+        StaffEvent(20, "spd_ack", case="C-1"),
+        StaffEvent(30, "move", tag="T-2", to_site=OR, to_sub="ToolTray"),
+        StaffEvent(40, "carry_out", tag="T-1")]))
+    stale = "case C-1 already complete"
+    assert [r for r in trace.records if r["type"] == "error"] == [
+        {"t": 32, "type": "error", "op": "NewEquipmentInOR", "detail": stale},
+        {"t": 42, "type": "error", "op": "EquipmentLeftOR", "detail": stale}]
+    assert validate_trace(trace) == []
 
 
 def test_a_skipped_sweep_leaves_the_trace_a_read_sweep_leaves(monkeypatch):

@@ -31,8 +31,8 @@ def crossing(tag, direction, room="OR-1", t=0):
                                     "room": room, "direction": direction})
 
 
-def fresh_cms(tags=("T-1", "T-2", "T-3", "T-9"), room="OR-1", case="C-1"):
-    cms = CmsState(registered_tags=set(tags))
+def fresh_cms(room="OR-1", case="C-1"):
+    cms = CmsState()
     cms.register_case(case, room)
     return cms
 
@@ -81,14 +81,6 @@ def test_cms_non_or_room_crossing_sends_nothing():
     cms = fresh_cms()
     out = cms_handle(cms, crossing("T-1", "in", room="SPD", t=30))
     assert out.messages == [] and out.alerts == []
-
-
-def test_cms_unregistered_tag_warns():
-    cms = fresh_cms(tags=())
-    out = cms_handle(cms, crossing("T-ghost", "in"))
-    assert out.messages == []
-    assert out.alerts[0].kind is AlertKind.UNKNOWN_TAG
-    assert out.alerts[0].severity is Severity.WARNING
 
 
 def test_cms_known_tag_not_on_checklist_leaving_sends_nothing():
