@@ -18,10 +18,9 @@ import os
 import sys
 
 from . import decision, kernel, reconcile
-from .protocol import CasePhase
+from .protocol import CasePhase, Severity
 
-SAFE_PHASES = {CasePhase.RECONCILED.value, CasePhase.AWAITING_SPD.value,
-               CasePhase.COMPLETE.value}
+SAFE_PHASES = {CasePhase.RECONCILED, CasePhase.AWAITING_SPD, CasePhase.COMPLETE}
 
 
 def _load_scenario_file(path: str, seed: int | None) -> kernel.Scenario:
@@ -36,7 +35,7 @@ def safety_findings(reading: kernel.TraceReading) -> list[str]:
     """Cases with a critical finding that never reached reconciliation."""
     return [case_id for case_id, record in reading.cases.items()
             if record["phase"] not in SAFE_PHASES
-            and any(alert["severity"] == "Critical" for alert in reading.alerts.get(case_id, ()))]
+            and Severity.CRITICAL in (a["severity"] for a in reading.alerts.get(case_id, ()))]
 
 
 def run_summary(trace: kernel.Trace) -> dict:
@@ -53,8 +52,8 @@ def run_summary(trace: kernel.Trace) -> dict:
     return {
         "alert_counts": alert_counts,
         "outcome_counts": outcome_counts,
-        "retained_at_reconcile": CasePhase.RECONCILED.value in reading.retained_at,
-        "retained_at_complete": CasePhase.COMPLETE.value in reading.retained_at,
+        "retained_at_reconcile": CasePhase.RECONCILED in reading.retained_at,
+        "retained_at_complete": CasePhase.COMPLETE in reading.retained_at,
         "safety_findings": safety_findings(reading),
     }
 

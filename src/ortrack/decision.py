@@ -256,15 +256,18 @@ def _check_name(corner: str, what: str, name: str, seen: list[str]) -> None:
 def load_matrix_csv(text: str, corner: str) -> tuple[list[str], list[str], list[list[float]]]:
     """A labeled matrix: a header of ``corner`` (any case) then unique column names,
     then at least one uniquely named row of finite numbers per line; blank lines are skipped."""
-    reader = csv.reader(io.StringIO(text))
-    header = [h.strip() for h in next(reader, [])]
+    try:
+        lines = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+        raise DimensionMismatchError(f"{corner} CSV: {exc}") from exc
+    header = [h.strip() for h in (lines[0] if lines else [])]
     if len(header) < 2 or header[0].lower() != corner:
         raise DimensionMismatchError(f"{corner} CSV header must be {corner!r} then column names")
     columns = header[1:]
     for i, name in enumerate(columns):
         _check_name(corner, "column", name, columns[:i])
     rows, values = [], []
-    for row in reader:
+    for row in lines[1:]:
         if not any(cell.strip() for cell in row):
             continue
         name = row[0].strip()

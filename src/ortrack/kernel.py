@@ -86,7 +86,7 @@ MAX_RESCANS = 100
 
 _KIND_BY_NAME = {k.value: k for k in ItemKind}
 _SUB_BY_NAME = {s.value: s for s in SubLocation}
-_CAVITY = SubLocation.PATIENT_CAVITY.value
+_CAVITY = SubLocation.PATIENT_CAVITY
 _NUMBER = (int, float)
 _MAX = sys.float_info.max
 _REQUIRED = object()
@@ -196,10 +196,10 @@ class Trace:
 
     @classmethod
     def from_ndjson(cls, text: str) -> "Trace":
-        """Parse NDJSON text; a torn record (no final newline, a line that is
-        not JSON, a blank line) or a line that is not a JSON object raises
-        ``reconcile.TraceIOError``. Only ``\n`` ends a record: a raw U+2028
-        inside a JSON string is valid."""
+        """Parse NDJSON text; a torn record (no final newline, a blank or non-JSON
+        line), a line too deep or with an integer too long to parse, or a line that
+        is not a JSON object raises ``reconcile.TraceIOError``. Only ``\n`` ends a
+        record: a raw U+2028 inside a JSON string is valid."""
         if text and not text.endswith("\n"):
             raise reconcile.TraceIOError("truncated record")
         records = []
@@ -208,6 +208,8 @@ class Trace:
                 records.append(record := json.loads(line))
             except json.JSONDecodeError as exc:
                 raise reconcile.TraceIOError(f"truncated record at line {lineno}") from exc
+            except (ValueError, RecursionError) as exc:  # too deep, or an int too long
+                raise reconcile.TraceIOError(f"unreadable record at line {lineno}: {exc}") from exc
             if not isinstance(record, dict):
                 raise reconcile.TraceIOError(f"record at line {lineno} is not a JSON object")
         return cls(records=records)
@@ -378,7 +380,7 @@ def destination(ev: StaffEvent, src: Location, rooms: list[str]) -> tuple[Locati
     sources, sub, cause = _MOVE_RULES[ev.kind]
     if src.sub not in sources:
         raise ValueError(f"{ev.tag} is not in a cavity" if ev.kind == "remove_from_cavity"
-                         else f"{ev.tag} cannot {ev.kind} from {src.site}/{src.sub.value}")
+                         else f"{ev.tag} cannot {ev.kind} from {src.site}/{src.sub}")
     if sub is not None:
         return Location(src.site, sub), cause
     site = ev.to_site or (EQUIPMENT_ROOM if ev.kind == "carry_out" else None)
@@ -469,7 +471,7 @@ class _Engine:
         self.trace.records.append({
             "t": 0, "type": "meta", "name": scenario.name, "seed": scenario.seed,
             "horizon_s": scenario.horizon_s, "rooms": sorted(scenario.rooms),
-            "items": [{"tag": s.tag_id, "kind": s.kind.value, "item_id": item_id}
+            "items": [{"tag": s.tag_id, "kind": s.kind, "item_id": item_id}
                       for s, item_id in zip(scenario.items, item_ids)],
             "cases": [{"case_id": s.case_id, "room_id": s.room_id}
                       for s in scenario.cases]})
@@ -511,7 +513,7 @@ class _Engine:
     def _record_phases(self, changes, now: int) -> None:
         for case_id, old, new in changes:
             self.trace.records.append({"t": now, "type": "phase", "case": case_id,
-                                       "from": old.value, "to": new.value})
+                                       "from": old, "to": new})
             if new is CasePhase.COMPLETE:
                 self.mtcs_by_case[case_id].completed_s = now
 
@@ -695,9 +697,9 @@ class _Engine:
         for mtc in self.mtcs_by_case.values():
             self.trace.records.append({
                 "t": horizon, "type": "case", "case_id": mtc.case_id,
-                "room_id": mtc.room_id, "phase": mtc.phase.value,
+                "room_id": mtc.room_id, "phase": mtc.phase,
                 "spd_acked": mtc.spd_acked,
-                "entries": {tag: {"status": e.status.value, "last_seen_s": mtc.last_seen(tag)}
+                "entries": {tag: {"status": e.status, "last_seen_s": mtc.last_seen(tag)}
                             for tag, e in sorted(mtc.entries.items())},
                 "scans_done": mtc.scans_done, "rescans_used": mtc.rescans_used,
                 "outcomes": ([mtc.last_outcome] if mtc.last_outcome else []),
@@ -732,10 +734,9 @@ def validate_trace(trace: Trace) -> list[str]:
                 frm, to = CasePhase(record["from"]), CasePhase(record["to"])
                 if frm is not current:
                     problems.append(f"record {idx}: case {case} phase record from "
-                                    f"{frm.value}, believed {current.value}")
+                                    f"{frm}, believed {current}")
                 if to not in protocol.PHASE_GRAPH[frm]:
-                    problems.append(f"record {idx}: illegal transition "
-                                    f"{frm.value} -> {to.value}")
+                    problems.append(f"record {idx}: illegal transition {frm} -> {to}")
                 phase_by_case[case] = to
             elif record["type"] == "msg":
                 msg_id = record["msg"]["msg_id"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import StrEnum
 from operator import itemgetter
 
 EQUIPMENT_ROOM = "EquipmentRoom"
@@ -20,7 +20,7 @@ SPD = "SPD"
 FIXED_SITES = (EQUIPMENT_ROOM, SPD)
 
 
-class ItemKind(Enum):
+class ItemKind(StrEnum):
     SPONGE = "Sponge"
     NEEDLE = "Needle"
     BLADE = "Blade"
@@ -29,7 +29,7 @@ class ItemKind(Enum):
     CONSUMABLE = "Consumable"
 
 
-class SubLocation(Enum):
+class SubLocation(StrEnum):
     """Position inside an operating room; NONE everywhere else."""
 
     NONE = "None"
@@ -38,7 +38,6 @@ class SubLocation(Enum):
     PATIENT_CAVITY = "PatientCavity"
     STAFF_CARRIED = "StaffCarried"
     ROOM_SPACE = "RoomSpace"
-    __hash__ = object.__hash__  # members are singletons; Enum.__hash__ runs in Python
 
 
 class Location(tuple):
@@ -49,13 +48,13 @@ class Location(tuple):
 
     def __new__(cls, site: str, sub: SubLocation = SubLocation.NONE) -> "Location":
         if sub is not SubLocation.NONE and site in FIXED_SITES:
-            raise ValueError(f"sub-location {sub.value} not allowed at {site}")
+            raise ValueError(f"sub-location {sub} not allowed at {site}")
         return tuple.__new__(cls, (site, sub))
 
     site, sub = property(itemgetter(0)), property(itemgetter(1))
 
     def to_json(self) -> dict:
-        return {"site": self[0], "sub": self[1].value}
+        return {"site": self[0], "sub": self[1]}
 
 
 @dataclass

@@ -23,7 +23,7 @@ handler ever runs concurrently with another.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import StrEnum
 
 from .sensing import DEFAULT_SCAN_PASSES, ScanResult
 
@@ -39,16 +39,15 @@ def node_type(node_id: str) -> str:
     return node_id.split(":", 1)[0]
 
 
-class TagStatus(Enum):
+class TagStatus(StrEnum):
     ON_TRAY = "OnTray"
     IN_USE = "InUse"
     IN_CAVITY_BELIEF = "InCavityBelief"
     DISCARDED = "Discarded"
     REMOVED_FROM_OR = "RemovedFromOR"
-    __hash__ = object.__hash__  # members are singletons; Enum.__hash__ runs in Python
 
 
-class CasePhase(Enum):
+class CasePhase(StrEnum):
     SETUP = "Setup"
     IN_PROGRESS = "InProgress"
     CLOSING_ANNOUNCED = "ClosingAnnounced"
@@ -56,7 +55,6 @@ class CasePhase(Enum):
     RECONCILED = "Reconciled"
     AWAITING_SPD = "AwaitingSpd"
     COMPLETE = "Complete"
-    __hash__ = object.__hash__
 
 
 #: Legal phase transitions. The cavity-scan loop may return to
@@ -73,13 +71,13 @@ PHASE_GRAPH: dict[CasePhase, tuple[CasePhase, ...]] = {
 }
 
 
-class Severity(Enum):
+class Severity(StrEnum):
     INFO = "Info"
     WARNING = "Warning"
     CRITICAL = "Critical"
 
 
-class AlertKind(Enum):
+class AlertKind(StrEnum):
     NEW_EQUIPMENT_DETECTED = "NewEquipmentDetected"
     EQUIPMENT_LEFT_OR = "EquipmentLeftOR"
     RSB_SUSPECTED = "RsbSuspected"
@@ -114,7 +112,7 @@ class Alert:
             self.severity = Severity.CRITICAL
 
     def to_json(self) -> dict:
-        return {"severity": self.severity.value, "kind": self.kind.value,
+        return {"severity": self.severity, "kind": self.kind,
                 "tags": sorted(self.tags), "text": self.text}
 
 
@@ -315,8 +313,7 @@ class MtcState:
 
     def advance(self, to: CasePhase) -> tuple[str, CasePhase, CasePhase]:
         if to not in PHASE_GRAPH[self.phase]:
-            raise InvalidPhaseError(
-                f"{self.case_id}: illegal transition {self.phase.value} -> {to.value}")
+            raise InvalidPhaseError(f"{self.case_id}: illegal transition {self.phase} -> {to}")
         if to is CasePhase.COMPLETE and not self.spd_acked:
             raise InvalidPhaseError(f"{self.case_id}: cannot complete without SPD ack")
         change = (self.case_id, self.phase, to)
@@ -385,8 +382,7 @@ def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
 
     elif kind == "SpdReadyAck":
         if state.phase not in (CasePhase.RECONCILED, CasePhase.AWAITING_SPD):
-            raise InvalidPhaseError(
-                f"SPD ack for {state.case_id} in phase {state.phase.value}")
+            raise InvalidPhaseError(f"SPD ack for {state.case_id} in phase {state.phase}")
         state.spd_acked = True
         if state.phase is CasePhase.RECONCILED:
             out.phase_changes.append(state.advance(CasePhase.AWAITING_SPD))
@@ -438,8 +434,7 @@ def mtc_bin_sweep(state: MtcState, detected: set[str], now: int) -> Outputs:
 def announce_closing(state: MtcState, now: int) -> Outputs:
     """Staff announced closing: request a cavity scan from the detector."""
     if state.phase is not CasePhase.IN_PROGRESS:
-        raise InvalidPhaseError(
-            f"cannot announce closing in phase {state.phase.value}")
+        raise InvalidPhaseError(f"cannot announce closing in phase {state.phase}")
     out = Outputs()
     out.phase_changes.append(state.advance(CasePhase.CLOSING_ANNOUNCED))
     out.messages.append(ProtocolMessage(
@@ -483,8 +478,7 @@ def spd_acknowledge(case_id: str, carts: dict[str, MtcState], now: int) -> Proto
     if cart is None:
         raise UnknownCaseError(f"unknown case: {case_id}")
     if cart.phase not in (CasePhase.RECONCILED, CasePhase.AWAITING_SPD):
-        raise InvalidPhaseError(
-            f"SPD ack for {case_id} in phase {cart.phase.value}")
+        raise InvalidPhaseError(f"SPD ack for {case_id} in phase {cart.phase}")
     return ProtocolMessage(
         time_s=now, from_node=SPD_NODE, to_node=CMS_NODE,
         payload={"kind": "SpdReadyAck", "case": case_id})

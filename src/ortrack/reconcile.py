@@ -21,7 +21,7 @@ import io
 import os
 import tempfile
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import StrEnum
 
 from .protocol import (
     Alert,
@@ -47,7 +47,7 @@ class TraceIOError(Exception):
     """A persisted trace could not be read back intact."""
 
 
-class Outcome(Enum):
+class Outcome(StrEnum):
     CLEAN = "Clean"
     RSB_SUSPECTED = "RsbSuspected"
     COUNT_MISMATCH = "CountMismatch"
@@ -92,13 +92,13 @@ def apply_scan_outcome(state: MtcState, cavity: frozenset[str], tray_reads: set[
     if state.phase is CasePhase.CLOSING_ANNOUNCED:
         out.phase_changes.append(state.advance(CasePhase.CAVITY_SCAN))
     elif state.phase is not CasePhase.CAVITY_SCAN:
-        raise InvalidPhaseError(f"scan result in phase {state.phase.value}")
+        raise InvalidPhaseError(f"scan result in phase {state.phase}")
 
     out.extend(mtc_tray_sweep(state, set(tray_reads), now))
     out.extend(mtc_bin_sweep(state, set(bin_reads), now))
     report = reconcile(state, tray_reads, bin_reads, cavity)
     state.scans_done += 1
-    state.last_outcome = report.outcome.value
+    state.last_outcome = report.outcome
 
     if report.outcome is Outcome.CLEAN:
         state.awaiting_staff_removal = False
@@ -223,12 +223,14 @@ def persist(trace, store_path: str) -> None:
 
 
 def load(store_path: str):
-    """Read a persisted trace back; complains about any torn record."""
+    """Read a persisted trace back; a file that cannot be opened or is not UTF-8, or a
+    record ``Trace.from_ndjson`` rejects (torn, too deep, an integer too long, not an
+    object), raises ``TraceIOError``."""
     from .kernel import Trace  # local import to keep module layering acyclic
 
     try:
         with open(store_path, encoding="utf-8") as handle:
             data = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceIOError(str(exc)) from exc
     return Trace.from_ndjson(data)

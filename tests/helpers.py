@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from importlib import resources
 
+from hypothesis import strategies as st
+
 from ortrack import kernel
 from ortrack.kernel import BusConfig, CaseSpec, ItemSpec, Scenario, StaffEvent
 from ortrack.model import ItemKind
@@ -13,6 +15,42 @@ from ortrack.sensing import SensorModel
 OR = "OR-1"
 SENSOR_IDS = ("entrance:EquipmentRoom", "entrance:SPD", f"entrance:{OR}",
               f"tray:{OR}", f"bin:{OR}", f"med:{OR}")
+
+#: Any JSON value, small: what a mutation writes in place of a field.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12)
+
+#: Names of the bundled golden scenarios.
+GOLDENS = sorted(path.name.removesuffix(".json") for path in
+                 resources.files("ortrack").joinpath("data/scenarios").iterdir())
+
+
+def _paths(obj, prefix=()):
+    if isinstance(obj, (dict, list)):
+        keys = obj.keys() if isinstance(obj, dict) else range(len(obj))
+        for key in keys:
+            yield prefix + (key,)
+            yield from _paths(obj[key], prefix + (key,))
+
+
+def mutate_one_field(data, obj) -> None:
+    """Replace, delete or add one value somewhere below ``obj``, drawn from ``data``."""
+    *parents, key = data.draw(st.sampled_from(list(_paths(obj))))
+    target = obj
+    for parent in parents:
+        target = target[parent]
+    action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "replace":
+        target[key] = data.draw(json_values)
+    elif action == "delete":
+        del target[key]
+    elif isinstance(target, dict):
+        target[data.draw(st.text(max_size=8))] = data.draw(json_values)
+    else:
+        target.insert(key, data.draw(json_values))
 
 
 def scenario_text(name: str) -> str:

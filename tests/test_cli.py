@@ -290,6 +290,8 @@ def _eval_inputs(tmp_path, needs, correlation, scores):
     pytest.param(_OK_NEEDS, _OK_CORR, "concept,c1\n", None, id="header-only-scores"),
     pytest.param(_OK_NEEDS, _OK_CORR, "concept,c1\n", "concept,q\n",
                  id="header-only-scores-and-qualitative"),
+    pytest.param(_OK_NEEDS, _OK_CORR, "concept,c1\nsolo," + "4" * 131_073 + "\n", None,
+                 id="score-cell-over-csv-field-limit"),
 ])
 def test_eval_malformed_csv_is_an_input_error(tmp_path, capsys, needs, correlation, scores,
                                               qualitative):

@@ -7,12 +7,11 @@ horizon, ``validate_trace`` accepts the trace it produces, and
 """
 
 import json
-from importlib import resources
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import scenario_text
+from helpers import GOLDENS, json_values, mutate_one_field, scenario_text
 from ortrack.kernel import (
     ParseError,
     ValidationError,
@@ -24,18 +23,9 @@ from ortrack.kernel import (
 from ortrack.model import Location, SubLocation
 from ortrack.protocol import NODE_PRIORITY
 
-GOLDENS = sorted(path.name.removesuffix(".json") for path in
-                 resources.files("ortrack").joinpath("data/scenarios").iterdir())
-
 FIXED = ("EquipmentRoom", "SPD")
 OR_SUBS = ("ToolTray", "RoomSpace", "StaffCarried", "TrashBin", "PatientCavity")
 LINK_KEYS = [f"{a}->{b}" for a in NODE_PRIORITY for b in NODE_PRIORITY]
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
-    max_leaves=12)
 
 
 def load_and_run(text: str):
@@ -55,31 +45,11 @@ def test_any_json_value_loads_or_is_rejected(value):
     load_and_run(json.dumps(value))
 
 
-def _paths(obj, prefix=()):
-    if isinstance(obj, (dict, list)):
-        keys = obj.keys() if isinstance(obj, dict) else range(len(obj))
-        for key in keys:
-            yield prefix + (key,)
-            yield from _paths(obj[key], prefix + (key,))
-
-
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_golden_with_one_field_mutated_loads_or_is_rejected(data):
     obj = json.loads(scenario_text(data.draw(st.sampled_from(GOLDENS))))
-    *parents, key = data.draw(st.sampled_from(list(_paths(obj))))
-    target = obj
-    for parent in parents:
-        target = target[parent]
-    action = data.draw(st.sampled_from(["replace", "delete", "add"]))
-    if action == "replace":
-        target[key] = data.draw(json_values)
-    elif action == "delete":
-        del target[key]
-    elif isinstance(target, dict):
-        target[data.draw(st.text(max_size=8))] = data.draw(json_values)
-    else:
-        target.insert(key, data.draw(json_values))
+    mutate_one_field(data, obj)
     load_and_run(json.dumps(obj))
 
 

@@ -1,9 +1,12 @@
 """Node state machines: crossings, checklist upkeep, lifecycle gating."""
 
 import copy
+import json
 
 import pytest
 
+from ortrack.kernel import _ENCODER
+from ortrack.model import ItemKind, SubLocation
 from ortrack.protocol import (
     Alert,
     AlertKind,
@@ -25,6 +28,9 @@ from ortrack.protocol import (
     room_sensor_on_reads,
     spd_acknowledge,
 )
+from ortrack.reconcile import Outcome
+
+
 def crossing(tag, direction, room="OR-1", t=0):
     return ProtocolMessage(time_s=t, from_node=f"RS:{room}", to_node="CMS",
                            payload={"kind": "RoomCrossing", "tag": tag,
@@ -277,3 +283,23 @@ def test_checklist_entry_uniqueness():
     mtc_handle(mtc, new_equipment("T-1", t=3))
     assert list(mtc.entries) == ["T-1"]
     assert isinstance(mtc.entries["T-1"], ChecklistEntry)
+
+
+# --------------------------------------------------------------------------
+# State members are their trace strings
+
+
+STATE_MEMBERS = [member for enum in (TagStatus, CasePhase, Severity, AlertKind, Outcome,
+                                     SubLocation, ItemKind) for member in enum]
+
+
+@pytest.mark.parametrize("member", STATE_MEMBERS, ids=lambda m: f"{type(m).__name__}.{m.name}")
+def test_state_member_is_its_trace_string(member):
+    value = member.value
+    assert type(value) is str
+    assert _ENCODER.encode(member) == _ENCODER.encode(value)
+    assert json.dumps(member, indent=2) == json.dumps(value, indent=2)
+    assert _ENCODER.encode({member: [member]}) == _ENCODER.encode({value: [value]})
+    assert json.dumps({member: [member]}, indent=2) == json.dumps({value: [value]}, indent=2)
+    assert f"{member}" == value
+    assert member == value and hash(member) == hash(value)

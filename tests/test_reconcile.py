@@ -442,6 +442,18 @@ def test_load_a_record_that_is_not_an_object(tmp_path, line):
         load(str(path))
 
 
+@pytest.mark.parametrize("data", [
+    pytest.param(b"[" * 100_000 + b"\n", id="nested-too-deep"),
+    pytest.param(b'{"t":' + b"9" * 4_301 + b"}\n", id="integer-too-long"),
+    pytest.param(b'\xff\xfe{"t":0}\n', id="not-utf-8"),
+])
+def test_load_an_unreadable_file_raises_trace_io_error(tmp_path, data):
+    path = tmp_path / "store.ndjson"
+    path.write_bytes(data)
+    with pytest.raises(TraceIOError):
+        load(str(path))
+
+
 def test_persisted_runs_are_identical_files(tmp_path):
     scenario = load_bundled("pocket_carry")
     p1, p2 = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
