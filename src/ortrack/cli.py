@@ -72,8 +72,9 @@ def batch_summary(scenario: kernel.Scenario, runs: int, seed_base: int) -> dict:
     retained = 0
     retained_complete = 0
     finding_runs = 0
+    plan = kernel.plan(scenario)  # the seed-free set-up, shared by every run
     for seed in range(seed_base, seed_base + runs):
-        summary = run_summary(kernel.run(dataclasses.replace(scenario, seed=seed)))
+        summary = run_summary(plan.run(seed))
         _merge_counts(alert_counts, summary["alert_counts"])
         _merge_counts(outcome_counts, summary["outcome_counts"])
         retained += summary["retained_at_reconcile"]

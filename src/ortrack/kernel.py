@@ -1,10 +1,13 @@
 """Deterministic discrete-event scheduler, scenario loader, trace emitter and reader.
 
-A run is a pure function of (scenario, seed): one logical seed is split
-into independent named streams, made on first use and only where a draw
-can change an outcome: ``sensor:<id>`` for a reader with ``p_detect < 1``
-and ``bus:<FROM>-><TO>`` for a link with ``drop_rate > 0``. So adding a
-sensor never perturbs anyone else's draws. The future-event list is a
+A run is a pure function of (scenario, seed). ``plan(s)`` does the seed-free
+set-up once (id checks, initial world, staff-event heap, links), and
+``plan(s).run(seed)`` copies it, so a Monte Carlo batch pays per run only for
+what its seed changes; ``run(s)`` is ``plan(s).run(s.seed)``. One logical seed
+is split into independent named streams, made on first use and only where a
+draw can change an outcome: ``sensor:<id>`` for a reader with ``p_detect < 1``
+and ``bus:<FROM>-><TO>`` for a link with ``drop_rate > 0``. So adding a sensor
+never perturbs anyone else's draws. The future-event list is a
 heap ordered by (time, receiver priority, sequence number); staff and
 world events sort before any message at the same tick.
 
@@ -87,6 +90,7 @@ MAX_RESCANS = 100
 _KIND_BY_NAME = {k.value: k for k in ItemKind}
 _SUB_BY_NAME = {s.value: s for s in SubLocation}
 _CAVITY = SubLocation.PATIENT_CAVITY
+_HOME = Location(EQUIPMENT_ROOM)
 _NUMBER = (int, float)
 _MAX = sys.float_info.max
 _REQUIRED = object()
@@ -421,20 +425,62 @@ def deliver(latency: int, drop_rate: float, now: int,
 # Simulation engine
 
 
-class _Engine:
+class Plan:
+    """A scenario's seed-free run set-up: its ids checked, each tag's ``(creation
+    index, tag)`` entry, the heapified staff events, the sites, the meta record's
+    parts and each link resolved on its first message in any run. ``run(seed)``
+    makes a run's state from C-level copies; a run only adds links to the plan."""
+
     def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self.world = WorldState()
-        self.trace = Trace()
-        self.heap: list[tuple[int, int, int, tuple]] = []
-        self.seq = 0
+        items, item_ids = scenario.items, _item_ids(scenario.items)
+        self.scenario, self.tags = scenario, [spec.tag_id for spec in items]
+        # run() does not validate; the world is keyed by tag and the trace names each item
+        _unique(self.tags, "tag_id")
+        _unique(item_ids, "item_id")
+        self.entry_of = {tag: (idx, tag) for idx, tag in enumerate(self.tags)}
+        self.sites = [*FIXED_SITES, *scenario.rooms]
+        self.heap = [(ev.time_s, 0, seq, ("staff", ev)) for seq, ev in enumerate(scenario.events)]
+        heapq.heapify(self.heap)
+        self.meta = {"t": 0, "type": "meta", "name": scenario.name,
+                     "horizon_s": scenario.horizon_s}
+        self.items = [{"tag": s.tag_id, "kind": s.kind, "item_id": item_id}
+                      for s, item_id in zip(items, item_ids)]
+        self.cases = [{"case_id": s.case_id, "room_id": s.room_id} for s in scenario.cases]
+        self.links: dict[tuple, tuple] = {}  # (from, to) -> (priority, latency, drop, stream name)
+
+    def link(self, ends: tuple[str, str]) -> tuple:
+        """Resolve the link between two nodes: receiver priority, latency, drop
+        rate and the name of its ``bus:`` stream, None for a lossless link."""
+        src, dst = node_type(ends[0]), node_type(ends[1])
+        latency, drop_rate = self.scenario.bus.link_params(src, dst)
+        link = self.links[ends] = (protocol.NODE_PRIORITY.get(dst, 9), latency, drop_rate,
+                                   f"bus:{src}->{dst}" if drop_rate > 0.0 else None)
+        return link
+
+    def run(self, seed: int, observer=None) -> Trace:
+        """Execute the scenario to its horizon under ``seed``."""
+        return _Engine(self, seed).run(observer=observer)
+
+
+class _Engine:
+    def __init__(self, plan: Plan, seed: int):
+        self.plan, self.scenario, self.seed = plan, plan.scenario, seed
+        self.world = WorldState(dict.fromkeys(plan.tags, _HOME),
+                                {_HOME: [*plan.entry_of.values()]}, plan.entry_of)
+        self.trace = Trace([{**plan.meta, "seed": seed, "rooms": sorted(plan.scenario.rooms),
+                             "items": list(map(dict.copy, plan.items)),
+                             "cases": list(map(dict.copy, plan.cases))}])
+        self.heap: list[tuple[int, int, int, tuple]] = list(plan.heap)
+        self.seq = len(self.heap)
         self.msg_seq = 0
         self.cms = CmsState()
-        self.room_sensors: dict[str, RoomSensorState] = {}
+        self.room_sensors = {site: RoomSensorState(site) for site in plan.sites}
+        # Registration places fresh stock in the equipment room, so its
+        # entrance sensor starts believing those tags inside.
+        self.room_sensors[EQUIPMENT_ROOM].believed_inside = set(plan.tags)
         self.mtcs: dict[str, MtcState] = {}  # keyed by room id
         self.mtcs_by_case: dict[str, MtcState] = {}  # the same carts, keyed by case id
         self.rngs: dict[str, random.Random] = {}  # named streams, made on first use
-        self.links: dict[tuple, tuple] = {}  # (from, to) -> (priority, latency, drop, stream)
         self.readers: dict[str, tuple] = {}  # sensor id -> (id, model, stream or None, outages)
         # (room, which) -> (Location, status its sweep sets, handler, reader, the
         # location's list in world.at, whether the reader is certain)
@@ -442,45 +488,13 @@ class _Engine:
         # node id -> (plain function, its state), called as fn(self, state, message, now);
         # a bound method here would tie every engine into a reference cycle
         self.handlers: dict[str, tuple] = {protocol.CMS_NODE: (_Engine._on_cms, self.cms)}
-        self._setup()
-
-    # -- initialization
-
-    def _setup(self) -> None:
-        scenario = self.scenario
-        item_ids = _item_ids(scenario.items)
-        # run() does not validate; the world is keyed by tag and the trace names each item
-        _unique([spec.tag_id for spec in scenario.items], "tag_id")
-        _unique(item_ids, "item_id")
-        for spec in scenario.items:
-            self.world.create_item(spec.tag_id)
-        for site in list(FIXED_SITES) + scenario.rooms:
-            state = RoomSensorState(room_id=site)
-            if site == EQUIPMENT_ROOM:
-                # Registration places fresh stock in the equipment room, so
-                # its entrance sensor starts believing those tags inside.
-                state.believed_inside = {s.tag_id for s in scenario.items}
-            self.room_sensors[site] = state
-        for spec in scenario.cases:
+        for spec in self.scenario.cases:
             mtc = self.mtcs[spec.room_id] = self.mtcs_by_case[spec.case_id] = MtcState(
                 case_id=spec.case_id, room_id=spec.room_id,
                 scan_passes=spec.scan_passes, max_rescans=spec.max_rescans)
             self.cms.register_case(spec.case_id, spec.room_id)
             self.handlers[mtc.node_id] = (_Engine._on_mtc, mtc)
             self.handlers[mtc.med_node] = (_Engine._med_scan, mtc)
-        self.trace.records.append({
-            "t": 0, "type": "meta", "name": scenario.name, "seed": scenario.seed,
-            "horizon_s": scenario.horizon_s, "rooms": sorted(scenario.rooms),
-            "items": [{"tag": s.tag_id, "kind": s.kind, "item_id": item_id}
-                      for s, item_id in zip(scenario.items, item_ids)],
-            "cases": [{"case_id": s.case_id, "room_id": s.room_id}
-                      for s in scenario.cases]})
-        for ev in scenario.events:
-            self._schedule(ev.time_s, 0, ("staff", ev))
-
-    def _schedule(self, time_s: int, priority: int, action: tuple) -> None:
-        heapq.heappush(self.heap, (time_s, priority, self.seq, action))
-        self.seq += 1
 
     def _reader(self, sensor_id: str) -> tuple:
         """A reader's id, model, stream (only when ``p_detect < 1``) and outage
@@ -490,14 +504,14 @@ class _Engine:
             model_ = scenario.sensors.get(sensor_id, _DEFAULT_SENSOR)
             rng = self._rng(f"sensor:{sensor_id}") if model_.p_detect < 1.0 else None
             outages = () if model_.mtbf_s is None else sensing.sensor_failure_schedule(
-                model_, scenario.horizon_s, rng_stream(scenario.seed, f"failures:{sensor_id}"))
+                model_, scenario.horizon_s, rng_stream(self.seed, f"failures:{sensor_id}"))
             reader = self.readers[sensor_id] = (sensor_id, model_, rng, outages)
         return reader
 
     def _rng(self, name: str) -> random.Random:
         rng = self.rngs.get(name)
         if rng is None:
-            rng = self.rngs[name] = rng_stream(self.scenario.seed, name)
+            rng = self.rngs[name] = rng_stream(self.seed, name)
         return rng
 
     # -- trace helpers
@@ -528,18 +542,15 @@ class _Engine:
         message.msg_id = self.msg_seq
         self.msg_seq += 1
         ends = message.from_node, message.to_node
-        if (link := self.links.get(ends)) is None:
-            src, dst = node_type(ends[0]), node_type(ends[1])
-            latency, drop_rate = self.scenario.bus.link_params(src, dst)
-            link = self.links[ends] = (
-                protocol.NODE_PRIORITY.get(dst, 9), latency, drop_rate,
-                self._rng(f"bus:{src}->{dst}") if drop_rate > 0.0 else None)
-        outcome = deliver(link[1], link[2], now, link[3])
+        priority, latency, drop_rate, stream = self.plan.links.get(ends) or self.plan.link(ends)
+        outcome = deliver(latency, drop_rate, now, None if stream is None else self._rng(stream))
         if not outcome.delivered:
             self.trace.records.append({"t": now, "type": "msg", "status": "dropped",
                                        "sent_at": now, "msg": message.to_json()})
             return
-        self._schedule(outcome.at_time, link[0], ("deliver", message, now))
+        heapq.heappush(self.heap, (outcome.at_time, priority, self.seq,
+                                   ("deliver", message, now)))
+        self.seq += 1
 
     def _emit(self, outputs: Outputs, case_id: str | None, now: int) -> None:
         for message in outputs.messages:
@@ -707,9 +718,14 @@ class _Engine:
         return self.trace
 
 
+def plan(scenario: Scenario) -> Plan:
+    """The seed-free run plan: ``plan(s).run(seed)`` is ``run(replace(s, seed=seed))``."""
+    return Plan(scenario)
+
+
 def run(scenario: Scenario, observer=None) -> Trace:
     """Execute a scenario to its horizon; deterministic in (scenario, seed)."""
-    return _Engine(scenario).run(observer=observer)
+    return plan(scenario).run(scenario.seed, observer)
 
 
 # --------------------------------------------------------------------------

@@ -67,24 +67,25 @@ class WorldState:
     ``at`` indexes each location's items as sorted ``(creation index, tag)``
     pairs: tags stay in creation order even after an item leaves and comes
     back, and sensing draws its random numbers in that order. A location's
-    list, once made, is kept and changed in place. Moves are not checked here:
+    list, once made, is kept and changed in place; ``entry_of`` holds each tag's
+    pair, which no move changes. Moves are not checked here:
     ``kernel.destination`` has proven each one before the kernel makes it.
     """
 
     placements: dict[str, Location] = field(default_factory=dict)
-    at: dict[Location, list[tuple[int, str]]] = field(default_factory=dict, init=False)
-    _entry: dict[str, tuple[int, str]] = field(default_factory=dict, init=False, repr=False)
+    at: dict[Location, list[tuple[int, str]]] = field(default_factory=dict)
+    entry_of: dict[str, tuple[int, str]] = field(default_factory=dict, repr=False)
 
     def create_item(self, tag_id: str) -> None:
         """Register a new tagged item in the equipment room; its tag must be new."""
         home = Location(EQUIPMENT_ROOM)
-        entry = self._entry[tag_id] = (len(self.placements), tag_id)
+        entry = self.entry_of[tag_id] = (len(self.placements), tag_id)
         self.at.setdefault(home, []).append(entry)
         self.placements[tag_id] = home
 
     def apply_ground_truth(self, tag_id: str, dst: Location) -> None:
         """Move a tagged item to ``dst``; the index and the placement, nothing else."""
-        entry, old = self._entry[tag_id], self.at[self.placements[tag_id]]
+        entry, old = self.entry_of[tag_id], self.at[self.placements[tag_id]]
         del old[bisect_left(old, entry)]
         insort(self.at.setdefault(dst, []), entry)
         self.placements[tag_id] = dst

@@ -135,13 +135,20 @@ class ProtocolMessage:
                 "payload": self.payload}
 
 
-@dataclass
 class Outputs:
-    """Everything a handler wants the kernel to do or record."""
+    """Everything a handler wants the kernel to do or record (slotted: most stay empty)."""
 
-    messages: list[ProtocolMessage] = field(default_factory=list)
-    alerts: list[Alert] = field(default_factory=list)
-    phase_changes: list[tuple[str, CasePhase, CasePhase]] = field(default_factory=list)
+    __slots__ = ("messages", "alerts", "phase_changes")
+
+    def __init__(self) -> None:
+        self.messages: list[ProtocolMessage] = []
+        self.alerts: list[Alert] = []
+        self.phase_changes: list[tuple[str, CasePhase, CasePhase]] = []
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Outputs) and (
+            self.messages, self.alerts, self.phase_changes) == (
+            other.messages, other.alerts, other.phase_changes)
 
     def extend(self, other: "Outputs") -> None:
         self.messages.extend(other.messages)

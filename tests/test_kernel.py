@@ -234,7 +234,7 @@ def test_run_rejects_a_bad_item_id_in_a_scenario_built_in_python(item_ids):
 
 
 def test_delivery_to_a_node_without_a_handler_is_recorded_each_time():
-    engine = kernel._Engine(load_bundled("clean_case"))  # one cart, in OR-1
+    engine = kernel._Engine(kernel.plan(load_bundled("clean_case")), 0)  # one cart, in OR-1
     for node in ("SPD", "RS:OR-1", "MTC:OR-9", "MED:OR-9"):
         for now in (3, 4):
             engine._on_deliver(ProtocolMessage(time_s=now, from_node="CMS", to_node=node,
@@ -288,13 +288,15 @@ def test_per_link_override():
                  id="noisy-3-room-day"),
 ])
 def test_each_link_is_resolved_once_per_run(scenario, monkeypatch):
+    # and once in total over the runs of one plan
     calls = []
     link_params = BusConfig.link_params
     monkeypatch.setattr(BusConfig, "link_params",
                         lambda bus, *ends: calls.append(ends) or link_params(bus, *ends))
-    engine = kernel._Engine(scenario())
-    engine.run()
-    assert len(calls) == len(engine.links) > 1
+    plan = kernel.plan(scenario())
+    for seed in range(5):
+        plan.run(seed)
+    assert len(calls) == len(plan.links) > 1
 
 
 # -- run determinism and golden traces
@@ -332,6 +334,34 @@ def test_all_goldens_validate():
     for name in GOLDENS:
         trace = run(load_bundled(name))
         assert validate_trace(trace) == [], name
+
+
+def _plan_cases():
+    """(scenario, seeds): the goldens over 20 seeds, and lossy, noisy random
+    surgeries, whose bus and reader streams a run makes on first use."""
+    for name in GOLDENS:
+        yield load_bundled(name), range(20)
+    for latency_s in (1, 3):
+        for seed in range(100):
+            yield (random_scenario(seed, p_detect=0.8, drop_rate=0.1, latency_s=latency_s),
+                   range(seed, seed + 3))
+
+
+def test_one_plan_run_over_many_seeds_gives_fresh_runs():
+    # a run that changed the plan, or kept a list the plan or an earlier trace
+    # holds, would show in a later run of the same plan
+    for scenario, seeds in _plan_cases():
+        fresh = {seed: run(dataclasses.replace(scenario, seed=seed)).to_ndjson()
+                 for seed in seeds}
+        plan = kernel.plan(scenario)
+        for seed in [*seeds, *reversed(seeds)]:
+            trace = plan.run(seed)
+            assert trace.to_ndjson() == fresh[seed], (scenario.name, seed)
+            meta = trace.records[0]
+            meta["rooms"].append("OR-9")
+            meta["items"][0]["tag"] = "T-mutated"
+            meta["items"].append({"tag": "T-extra"})
+            meta["cases"].clear()
 
 
 @pytest.mark.parametrize("records", [
