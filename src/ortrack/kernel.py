@@ -8,8 +8,9 @@ is split into independent named streams, made on first use and only where a
 draw can change an outcome: ``sensor:<id>`` for a reader with ``p_detect < 1``
 and ``bus:<FROM>-><TO>`` for a link with ``drop_rate > 0``. So adding a sensor
 never perturbs anyone else's draws. The future-event list is a
-heap ordered by (time, receiver priority, sequence number); staff and
-world events sort before any message at the same tick.
+heap of flat ``(time, receiver priority, sequence number, sent_at, item)``
+entries, ``sent_at`` None for a staff event; staff and world events sort
+before any message at the same tick.
 
 Traces serialize as newline-delimited JSON with alphabetically ordered
 keys, which makes byte-identity across runs a meaningful check.
@@ -152,7 +153,7 @@ class BusConfig:
 
     def link_params(self, from_type: str, to_type: str) -> tuple[int, float]:
         """Latency and drop rate of the link between two node types."""
-        override = self.links.get(f"{from_type}->{to_type}")
+        override = self.links.get(f"{from_type}->{to_type}") if self.links else None
         if override is None:
             return self.latency_s, self.drop_rate
         latency = override.latency_s if override.latency_s is not None else self.latency_s
@@ -385,8 +386,8 @@ def destination(ev: StaffEvent, src: Location, rooms: list[str]) -> tuple[Locati
     if src.sub not in sources:
         raise ValueError(f"{ev.tag} is not in a cavity" if ev.kind == "remove_from_cavity"
                          else f"{ev.tag} cannot {ev.kind} from {src.site}/{src.sub}")
-    if sub is not None:
-        return Location(src.site, sub), cause
+    if sub is not None:  # src.sub is not NONE, so src.site is a room
+        return tuple.__new__(Location, (src.site, sub)), cause
     site = ev.to_site or (EQUIPMENT_ROOM if ev.kind == "carry_out" else None)
     if site in rooms:
         sub = (_SUB_BY_NAME.get(ev.to_sub or "RoomSpace") if ev.kind == "move"
@@ -412,13 +413,17 @@ class DeliveryOutcome(NamedTuple):
     at_time: int | None = None
 
 
+_DROPPED = DeliveryOutcome(False)
+
+
 def deliver(latency: int, drop_rate: float, now: int,
             rng: random.Random | None) -> DeliveryOutcome:
     """Decide one message's fate on a resolved link: dropped, or delivered
-    after its latency. ``rng`` may be None when ``drop_rate`` is 0."""
+    after its latency. ``rng`` may be None when ``drop_rate`` is 0. Every drop
+    shares one outcome, and a delivery skips the NamedTuple's ``__new__``."""
     if drop_rate > 0.0 and rng.random() < drop_rate:
-        return DeliveryOutcome(delivered=False)
-    return DeliveryOutcome(delivered=True, at_time=now + latency)
+        return _DROPPED
+    return tuple.__new__(DeliveryOutcome, (True, now + latency))
 
 
 # --------------------------------------------------------------------------
@@ -439,7 +444,7 @@ class Plan:
         _unique(item_ids, "item_id")
         self.entry_of = {tag: (idx, tag) for idx, tag in enumerate(self.tags)}
         self.sites = [*FIXED_SITES, *scenario.rooms]
-        self.heap = [(ev.time_s, 0, seq, ("staff", ev)) for seq, ev in enumerate(scenario.events)]
+        self.heap = [(ev.time_s, 0, seq, None, ev) for seq, ev in enumerate(scenario.events)]
         heapq.heapify(self.heap)
         self.meta = {"t": 0, "type": "meta", "name": scenario.name,
                      "horizon_s": scenario.horizon_s}
@@ -470,7 +475,7 @@ class _Engine:
         self.trace = Trace([{**plan.meta, "seed": seed, "rooms": sorted(plan.scenario.rooms),
                              "items": list(map(dict.copy, plan.items)),
                              "cases": list(map(dict.copy, plan.cases))}])
-        self.heap: list[tuple[int, int, int, tuple]] = list(plan.heap)
+        self.heap: list[tuple] = list(plan.heap)
         self.seq = len(self.heap)
         self.msg_seq = 0
         self.cms = CmsState()
@@ -482,6 +487,7 @@ class _Engine:
         self.mtcs_by_case: dict[str, MtcState] = {}  # the same carts, keyed by case id
         self.rngs: dict[str, random.Random] = {}  # named streams, made on first use
         self.readers: dict[str, tuple] = {}  # sensor id -> (id, model, stream or None, outages)
+        self.entrances: dict[str, tuple] = {}  # site -> its entrance reader
         # (room, which) -> (Location, status its sweep sets, handler, reader, the
         # location's list in world.at, whether the reader is certain)
         self.antennas: dict[tuple, tuple] = {}
@@ -491,7 +497,9 @@ class _Engine:
         for spec in self.scenario.cases:
             mtc = self.mtcs[spec.room_id] = self.mtcs_by_case[spec.case_id] = MtcState(
                 case_id=spec.case_id, room_id=spec.room_id,
-                scan_passes=spec.scan_passes, max_rescans=spec.max_rescans)
+                scan_passes=spec.scan_passes, max_rescans=spec.max_rescans,
+                # no entry has a sweep status yet, so a first sweep can be skipped too
+                swept={TagStatus.ON_TRAY: set(), TagStatus.DISCARDED: set()})
             self.cms.register_case(spec.case_id, spec.room_id)
             self.handlers[mtc.node_id] = (_Engine._on_mtc, mtc)
             self.handlers[mtc.med_node] = (_Engine._med_scan, mtc)
@@ -548,11 +556,12 @@ class _Engine:
             self.trace.records.append({"t": now, "type": "msg", "status": "dropped",
                                        "sent_at": now, "msg": message.to_json()})
             return
-        heapq.heappush(self.heap, (outcome.at_time, priority, self.seq,
-                                   ("deliver", message, now)))
+        heapq.heappush(self.heap, (outcome.at_time, priority, self.seq, now, message))
         self.seq += 1
 
     def _emit(self, outputs: Outputs, case_id: str | None, now: int) -> None:
+        if not (outputs.messages or outputs.alerts or outputs.phase_changes):
+            return
         for message in outputs.messages:
             self._send(message, now)
         for alert in outputs.alerts:
@@ -572,7 +581,9 @@ class _Engine:
             return None
 
     def _entrance_read(self, site: str, tag: str, distance_m: float, now: int) -> None:
-        reads = self._read(self._reader(f"entrance:{site}"), [tag], None, now, distance_m)
+        if (reader := self.entrances.get(site)) is None:
+            reader = self.entrances[site] = self._reader(f"entrance:{site}")
+        reads = self._read(reader, [tag], None, now, distance_m)
         if reads is None:
             return
         for message in room_sensor_on_reads(self.room_sensors[site], reads, now):
@@ -584,7 +595,7 @@ class _Engine:
         the tick of that kind of sweep."""
         antenna = self._antenna(mtc.room_id, which)
         _, status, handler, _, at, certain = antenna
-        if certain and (swept := mtc.swept.get(status)) is not None and len(swept) == len(at):
+        if certain and len(swept := mtc.swept[status]) == len(at):
             for _, tag in at:
                 if tag not in swept:
                     break
@@ -692,17 +703,17 @@ class _Engine:
     # -- main loop
 
     def run(self, observer=None) -> Trace:
-        horizon = self.scenario.horizon_s
-        while self.heap:
-            time_s = self.heap[0][0]
+        horizon, heap, pop = self.scenario.horizon_s, self.heap, heapq.heappop
+        while heap:
+            time_s = heap[0][0]
             if time_s > horizon:
                 break
-            while self.heap and self.heap[0][0] == time_s:
-                _, _, _, action = heapq.heappop(self.heap)
-                if action[0] == "staff":
-                    self._on_staff(action[1], time_s)
+            while heap and heap[0][0] == time_s:
+                _, _, _, sent_at, item = pop(heap)
+                if sent_at is None:
+                    self._on_staff(item, time_s)
                 else:
-                    self._on_deliver(action[1], action[2], time_s)
+                    self._on_deliver(item, sent_at, time_s)
             if observer is not None:
                 observer(time_s, self.world, self)
         for mtc in self.mtcs_by_case.values():

@@ -76,13 +76,6 @@ class WorldState:
     at: dict[Location, list[tuple[int, str]]] = field(default_factory=dict)
     entry_of: dict[str, tuple[int, str]] = field(default_factory=dict, repr=False)
 
-    def create_item(self, tag_id: str) -> None:
-        """Register a new tagged item in the equipment room; its tag must be new."""
-        home = Location(EQUIPMENT_ROOM)
-        entry = self.entry_of[tag_id] = (len(self.placements), tag_id)
-        self.at.setdefault(home, []).append(entry)
-        self.placements[tag_id] = home
-
     def apply_ground_truth(self, tag_id: str, dst: Location) -> None:
         """Move a tagged item to ``dst``; the index and the placement, nothing else."""
         entry, old = self.entry_of[tag_id], self.at[self.placements[tag_id]]

@@ -116,19 +116,28 @@ class Alert:
                 "tags": sorted(self.tags), "text": self.text}
 
 
-@dataclass
 class ProtocolMessage:
-    """Typed message between nodes. ``msg_id`` is stamped by the bus on send."""
+    """Typed message between nodes. ``msg_id`` is stamped by the bus on send
+    (slotted, with a plain ``__init__``: a run builds one per send)."""
 
-    time_s: int
-    from_node: str
-    to_node: str
-    payload: dict
-    msg_id: int = 0
+    __slots__ = ("time_s", "from_node", "to_node", "payload", "msg_id")
 
-    def __post_init__(self) -> None:
-        if self.from_node == self.to_node:
+    def __init__(self, time_s: int, from_node: str, to_node: str, payload: dict,
+                 msg_id: int = 0) -> None:
+        if from_node == to_node:
             raise ValueError("a node cannot message itself")
+        self.time_s, self.from_node, self.to_node = time_s, from_node, to_node
+        self.payload, self.msg_id = payload, msg_id
+
+    def _astuple(self) -> tuple:
+        return self.time_s, self.from_node, self.to_node, self.payload, self.msg_id
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ProtocolMessage) and self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        return ("ProtocolMessage(time_s={!r}, from_node={!r}, to_node={!r}, payload={!r}, "
+                "msg_id={!r})".format(*self._astuple()))
 
     def to_json(self) -> dict:
         return {"msg_id": self.msg_id, "from": self.from_node, "to": self.to_node,
@@ -231,15 +240,15 @@ def cms_handle(state: CmsState, msg: ProtocolMessage) -> Outputs:
         if case_id is None:
             return out  # a room without a case has no cart to tell
         mirror = state.checklist_mirror[case_id]
-        mtc = f"MTC:{room}"
         if direction == "in" and tag not in mirror:
-            out.messages.append(ProtocolMessage(
-                time_s=msg.time_s, from_node=CMS_NODE, to_node=mtc,
-                payload={"kind": "NewEquipmentInOR", "tag": tag, "case": case_id}))
+            news = "NewEquipmentInOR"
         elif direction == "out" and tag in mirror:
-            out.messages.append(ProtocolMessage(
-                time_s=msg.time_s, from_node=CMS_NODE, to_node=mtc,
-                payload={"kind": "EquipmentLeftOR", "tag": tag, "case": case_id}))
+            news = "EquipmentLeftOR"
+        else:
+            return out  # the cart already knows
+        out.messages.append(ProtocolMessage(
+            time_s=msg.time_s, from_node=CMS_NODE, to_node=f"MTC:{room}",
+            payload={"kind": news, "tag": tag, "case": case_id}))
 
     elif kind == "ChecklistUpdate":
         mirror = state.checklist_mirror[payload["case"]]

@@ -17,7 +17,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "bench"))
 import tracing  # noqa: E402
 
-#: Layers the engine calls directly while running ``cavity_retention``.
+#: Layers the engine calls directly while running ``cavity_retention`` (which
+#: draws from a random stream) and ``clean_case`` (whose discard makes a bin sweep read).
 ENGINE_CALLS = ("kernel.rng_stream", "kernel.deliver",
                 "sensing.read_tags", "sensing.med_scan", "model.WorldState.tags_at",
                 "protocol.room_sensor_on_reads", "protocol.cms_handle",
@@ -26,15 +27,15 @@ ENGINE_CALLS = ("kernel.rng_stream", "kernel.deliver",
 
 
 def test_traced_run_matches_untraced_and_uninstall_restores():
-    scenario = load_bundled("cavity_retention")
+    scenarios = [load_bundled(name) for name in ("cavity_retention", "clean_case")]
     originals = [(owner, attr, owner.__dict__[attr])
                  for places in tracing.TARGETS.values() for owner, attr in places]
-    plain = kernel.run(scenario).to_ndjson()
+    plain = [kernel.run(scenario).to_ndjson() for scenario in scenarios]
 
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        traced = kernel.run(scenario).to_ndjson()
+        traced = [kernel.run(scenario).to_ndjson() for scenario in scenarios]
     finally:
         tracer.uninstall()
 
@@ -55,9 +56,23 @@ def test_traced_run_counts_reads():
     def calls(name):
         return sum(edge[0] for (_, callee), edge in tracer.edges.items() if callee == name)
 
-    # The tray and bin readers are certain: of the engine's 8 cart sweeps, the 6
-    # that meet an unchanged antenna, handed set and status take no read.
+    # The tray and bin readers are certain: of the engine's 8 cart sweeps, the 7
+    # that meet an unchanged antenna, handed set and status take no read (a new
+    # cart's sweep sets start empty, so its first sweep of an empty bin is one).
     counts = tracer.counts
     assert (calls("sensing.read_tags"), counts["sensing.read_tags.candidates"],
-            counts["sensing.read_tags.hits"], counts["sensing.read_tags.down"]) == (8, 6, 4, 0)
+            counts["sensing.read_tags.hits"], counts["sensing.read_tags.down"]) == (7, 6, 4, 0)
     assert (calls("sensing.med_scan"), counts["sensing.med_scan.detected"]) == (1, 1)
+
+
+def test_traced_drop_count_matches_the_dropped_messages():
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        trace = kernel.run(load_bundled("dropped_link"))
+    finally:
+        tracer.uninstall()
+
+    dropped = sum(r["type"] == "msg" and r["status"] == "dropped" for r in trace.records)
+    assert dropped > 0
+    assert tracer.counts["kernel.deliver.dropped"] == dropped

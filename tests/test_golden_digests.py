@@ -20,6 +20,7 @@ from ortrack.cli import batch_summary, main, run_summary
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "bench"))
 import hospital_day  # noqa: E402
+import workloads  # noqa: E402
 
 #: sha256 of ``run(scenario).to_ndjson()`` per (golden, seed offset 0, 1, 2).
 TRACE_DIGESTS = {
@@ -156,6 +157,18 @@ def test_random_scenario_traces_digest():
             trace = kernel.run(random_scenario(seed, latency_s=latency_s))
             digest.update(trace.to_ndjson().encode())
     assert digest.hexdigest() == RANDOM_TRACES_DIGEST
+
+
+def test_oracle_checklists_match_the_benchmark_pin():
+    # the benchmark's oracle workload at its default seed and depth, digested as it does
+    with open(os.path.join(os.path.dirname(workloads.__file__), "pins.json")) as handle:
+        pin = json.load(handle)["oracle"]
+    digest = hashlib.sha256()
+    for scenario, fold in workloads.oracle_cases(0, workloads.ORACLE_DEPTH):
+        case = kernel.run(scenario).records[-1]
+        assert {tag: e["status"] for tag, e in case["entries"].items()} == fold
+        digest.update(json.dumps(case, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == pin
 
 
 def test_eval_output_digest(capsys):

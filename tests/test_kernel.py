@@ -275,6 +275,19 @@ def test_deliver_binomial_drop_fraction():
     assert abs(dropped / n - 0.25) <= 3 * sigma
 
 
+def test_deliver_outcomes_on_lossless_lossy_and_dead_links():
+    # a drop is decided by one draw against the drop rate, and only on a lossy link
+    for drop_rate in (0.0, 0.3, 1.0):
+        rng, twin = random.Random(5), random.Random(5)
+        for now in range(200):
+            outcome = deliver(4, drop_rate, now, rng)
+            dropped = drop_rate > 0.0 and twin.random() < drop_rate
+            assert type(outcome) is kernel.DeliveryOutcome
+            assert (outcome.delivered, outcome.at_time) == (
+                (False, None) if dropped else (True, now + 4)), (drop_rate, now)
+        assert rng.getstate() == twin.getstate()
+
+
 def test_per_link_override():
     bus = BusConfig(latency_s=1, drop_rate=0.0,
                     links={"CMS->MTC": LinkConfig(drop_rate=1.0)})
@@ -620,6 +633,7 @@ def test_a_skipped_sweep_leaves_the_trace_a_read_sweep_leaves(monkeypatch):
 
 
 def test_a_bin_holding_its_last_set_is_not_read_again(monkeypatch):
+    # A cart starts with empty sweep sets, so the empty bin at t=1 is not read.
     # The reconciliation at t=12 reads the bin itself; at t=20 the bin still
     # holds exactly that set, all Discarded, so the sweep is skipped.
     scenario = one_room([
@@ -638,7 +652,7 @@ def test_a_bin_holding_its_last_set_is_not_read_again(monkeypatch):
 
     monkeypatch.setattr(sensing, "read_tags", counting)
     trace = run(scenario).to_ndjson()
-    assert bin_reads == [1, 3, 12]
+    assert bin_reads == [3, 12]
     # the trace a read at t=20 leaves
     assert hashlib.sha256(trace.encode()).hexdigest() == \
         "26bd0ca256acc6b7f63849cc8af6f7304974ee94f7185aea3412f7fd36b1f782"

@@ -17,24 +17,28 @@ GOLDENS = ("clean_case", "sponge_in_cavity", "sponge_in_cavity_recovered",
            "pocket_carry", "new_equipment", "dropped_link", "cavity_retention")
 
 
+def _created(tags: list[str]) -> WorldState:
+    """A world holding ``tags`` in the equipment room in creation order, as the kernel
+    builds one: each tag's ``(creation index, tag)`` entry, all in one location list."""
+    home = Location(EQUIPMENT_ROOM)
+    entry_of = {tag: (idx, tag) for idx, tag in enumerate(tags)}
+    return WorldState(dict.fromkeys(tags, home), {home: list(entry_of.values())}, entry_of)
+
+
 def test_create_item_starts_in_equipment_room():
-    world = WorldState()
-    world.create_item("T-001")
+    world = _created(["T-001"])
     assert world.placements["T-001"] == Location(EQUIPMENT_ROOM)
     assert world.placements["T-001"].sub is SubLocation.NONE
 
 
 def test_ten_creations_all_placed():
-    world = WorldState()
-    for i in range(10):
-        world.create_item(f"T-{i:03d}")
+    world = _created([f"T-{i:03d}" for i in range(10)])
     assert len(world.placements) == 10
     assert all(loc == Location(EQUIPMENT_ROOM) for loc in world.placements.values())
 
 
 def test_apply_ground_truth_moves_item():
-    world = WorldState()
-    world.create_item("T-1")
+    world = _created(["T-1"])
     world.apply_ground_truth("T-1", Location("OR-1", SubLocation.TOOL_TRAY))
     world.apply_ground_truth("T-1", Location("OR-1", SubLocation.PATIENT_CAVITY))
     assert world.placements["T-1"].sub is SubLocation.PATIENT_CAVITY
@@ -80,9 +84,7 @@ def _scan(world: WorldState, location: Location) -> list[str]:
 
 
 def _walk(n_items: int, steps: list[tuple[int, int]], after_step=None) -> WorldState:
-    world = WorldState()
-    for i in range(n_items):
-        world.create_item(f"T-{i}")
+    world = _created([f"T-{i}" for i in range(n_items)])
     previous: dict[str, Location] = {}
     for item_idx, spot_idx in steps:
         tag = f"T-{item_idx % n_items}"
@@ -110,8 +112,7 @@ def _rebuild(trace) -> WorldState:
     world = WorldState()
     for record in trace.records:
         if record["type"] == "meta":
-            for item in record["items"]:
-                world.create_item(item["tag"])
+            world = _created([item["tag"] for item in record["items"]])
         elif record["type"] == "gt":
             assert world.placements[record["tag"]] == _location(record["from"])
             world.apply_ground_truth(record["tag"], _location(record["to"]))
@@ -156,9 +157,7 @@ def test_tags_at_index_matches_scan(n_items, steps):
 
 def test_tags_at_cost_does_not_grow_with_item_count(monkeypatch):
     """One read of a location compares locations a constant number of times."""
-    world = WorldState()
-    for i in range(10_000):
-        world.create_item(f"T-{i}")
+    world = _created([f"T-{i}" for i in range(10_000)])
     world.apply_ground_truth("T-4999", Location("OR-1", SubLocation.TOOL_TRAY))
     calls = []
     original = Location.__eq__

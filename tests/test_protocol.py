@@ -276,6 +276,23 @@ def test_handlers_deterministic_on_equal_states():
     assert [a.kind for a in out1.alerts] == [a.kind for a in out2.alerts]
 
 
+def test_message_equals_another_only_when_all_five_fields_do():
+    fields = dict(time_s=4, from_node="CMS", to_node="MTC:OR-1",
+                  payload={"kind": "NewEquipmentInOR", "tag": "T-1", "case": "C-1"}, msg_id=7)
+    message = ProtocolMessage(**fields)
+    assert message == ProtocolMessage(**copy.deepcopy(fields))
+    for name, other in (("time_s", 5), ("from_node", "RS:OR-1"), ("to_node", "MED:OR-1"),
+                        ("payload", {"kind": "EquipmentLeftOR"}), ("msg_id", 8)):
+        assert message != ProtocolMessage(**{**fields, name: other}), name
+    assert message != tuple(fields.values())
+    assert repr(message) == ("ProtocolMessage(time_s=4, from_node='CMS', to_node='MTC:OR-1', "
+                             "payload={'kind': 'NewEquipmentInOR', 'tag': 'T-1', "
+                             "'case': 'C-1'}, msg_id=7)")
+    assert ProtocolMessage(1, "CMS", "SPD", {}).msg_id == 0
+    with pytest.raises(ValueError, match="cannot message itself"):
+        ProtocolMessage(time_s=0, from_node="CMS", to_node="CMS", payload={})
+
+
 def test_checklist_entry_uniqueness():
     mtc = fresh_mtc()
     mtc_handle(mtc, new_equipment("T-1"))
