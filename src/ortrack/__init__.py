@@ -1,6 +1,6 @@
 """Deterministic tracking simulator for surgical equipment safety.
 
-The package has three layers:
+The package has four layers:
 
 * ``model`` holds the ground-truth world: tagged equipment items and where
   they really are at every simulated second.
@@ -9,6 +9,8 @@ The package has three layers:
   machines (room sensors, the tool cart, the handheld detector, the central
   service) whose job is to keep a monitoring checklist sound and to block
   case completion while anything may still be inside the patient.
+* ``trace`` is the record a run leaves: its NDJSON file form, its one
+  reader, and ``locate``, the central service's location belief.
 * ``decision`` is a standalone concept-selection toolkit (morphological
   matrix, QFD weighting, Pugh screening/scoring, risk matrix) used to rank
   candidate system designs.

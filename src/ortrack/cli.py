@@ -19,6 +19,7 @@ import sys
 
 from . import decision, kernel, reconcile
 from .protocol import CasePhase, Severity
+from .trace import Trace, TraceIOError, TraceReading, read_trace
 
 SAFE_PHASES = {CasePhase.RECONCILED, CasePhase.AWAITING_SPD, CasePhase.COMPLETE}
 
@@ -31,16 +32,16 @@ def _load_scenario_file(path: str, seed: int | None) -> kernel.Scenario:
     return scenario
 
 
-def safety_findings(reading: kernel.TraceReading) -> list[str]:
+def safety_findings(reading: TraceReading) -> list[str]:
     """Cases with a critical finding that never reached reconciliation."""
     return [case_id for case_id, record in reading.cases.items()
             if record["phase"] not in SAFE_PHASES
             and Severity.CRITICAL in (a["severity"] for a in reading.alerts.get(case_id, ()))]
 
 
-def run_summary(trace: kernel.Trace) -> dict:
+def run_summary(trace: Trace) -> dict:
     """Order-independent statistics for one run."""
-    reading = kernel.read_trace(trace)
+    reading = read_trace(trace)
     alert_counts: dict[str, int] = {}
     for alerts in reading.alerts.values():
         for alert in alerts:
@@ -72,7 +73,7 @@ def batch_summary(scenario: kernel.Scenario, runs: int, seed_base: int) -> dict:
     retained = 0
     retained_complete = 0
     finding_runs = 0
-    plan = kernel.plan(scenario)  # the seed-free set-up, shared by every run
+    plan = kernel.Plan(scenario)  # the seed-free set-up, shared by every run
     for seed in range(seed_base, seed_base + runs):
         summary = run_summary(plan.run(seed))
         _merge_counts(alert_counts, summary["alert_counts"])
@@ -101,7 +102,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load_scenario_file(args.scenario, args.seed)
     trace = kernel.run(scenario)
     reconcile.persist(trace, os.path.join(args.out, "trace.ndjson"))
-    reading = kernel.read_trace(trace)
+    reading = read_trace(trace)
     for spec in scenario.cases:
         report = reconcile.generate_report(reading, spec.case_id)
         reconcile.write_atomic(os.path.join(args.out, f"report_{spec.case_id}.json"),
@@ -218,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
             decision.KeyMismatchError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, reconcile.TraceIOError, ValueError) as exc:
+    except (OSError, TraceIOError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

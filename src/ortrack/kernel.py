@@ -1,9 +1,9 @@
-"""Deterministic discrete-event scheduler, scenario loader, trace emitter and reader.
+"""Deterministic discrete-event scheduler, scenario loader, trace emitter and validator.
 
-A run is a pure function of (scenario, seed). ``plan(s)`` does the seed-free
+A run is a pure function of (scenario, seed). ``Plan(s)`` does the seed-free
 set-up once (id checks, initial world, staff-event heap, links), and
-``plan(s).run(seed)`` copies it, so a Monte Carlo batch pays per run only for
-what its seed changes; ``run(s)`` is ``plan(s).run(s.seed)``. One logical seed
+``Plan(s).run(seed)`` copies it, so a Monte Carlo batch pays per run only for
+what its seed changes; ``run(s)`` is ``Plan(s).run(s.seed)``. One logical seed
 is split into independent named streams, made on first use and only where a
 draw can change an outcome: ``sensor:<id>`` for a reader with ``p_detect < 1``
 and ``bus:<FROM>-><TO>`` for a link with ``drop_rate > 0``. So adding a sensor
@@ -12,8 +12,7 @@ heap of flat ``(time, receiver priority, sequence number, sent_at, item)``
 entries, ``sent_at`` None for a staff event; staff and world events sort
 before any message at the same tick.
 
-Traces serialize as newline-delimited JSON with alphabetically ordered
-keys, which makes byte-identity across runs a meaningful check.
+A run appends its records to a ``trace.Trace``; ``validate_trace`` checks one.
 """
 
 from __future__ import annotations
@@ -58,6 +57,7 @@ from .protocol import (
     spd_acknowledge,
 )
 from .sensing import SensorDownError, SensorModel
+from .trace import Trace
 
 
 class ParseError(Exception):
@@ -90,14 +90,11 @@ MAX_RESCANS = 100
 
 _KIND_BY_NAME = {k.value: k for k in ItemKind}
 _SUB_BY_NAME = {s.value: s for s in SubLocation}
-_CAVITY = SubLocation.PATIENT_CAVITY
 _HOME = Location(EQUIPMENT_ROOM)
 _NUMBER = (int, float)
 _MAX = sys.float_info.max
 _REQUIRED = object()
 _DEFAULT_SENSOR = SensorModel()  # frozen, so every unconfigured reader shares it
-#: What ``json.dumps(r, sort_keys=True, separators=(",", ":"))`` builds on every call.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 #: Staff event kind -> (sub-locations the item may start from, sub-location it
 #: ends at, cause the ``gt`` record names). An end of None is a site the event names.
@@ -187,37 +184,6 @@ class Scenario:
     cases: list[CaseSpec]
     events: list[StaffEvent]
     bus: BusConfig = field(default_factory=BusConfig)
-
-
-@dataclass
-class Trace:
-    """Ordered run records; equal traces serialize to identical bytes."""
-
-    records: list[dict] = field(default_factory=list)
-
-    def to_ndjson(self) -> str:
-        encode = _ENCODER.encode
-        return "".join(encode(r) + "\n" for r in self.records)
-
-    @classmethod
-    def from_ndjson(cls, text: str) -> "Trace":
-        """Parse NDJSON text; a torn record (no final newline, a blank or non-JSON
-        line), a line too deep or with an integer too long to parse, or a line that
-        is not a JSON object raises ``reconcile.TraceIOError``. Only ``\n`` ends a
-        record: a raw U+2028 inside a JSON string is valid."""
-        if text and not text.endswith("\n"):
-            raise reconcile.TraceIOError("truncated record")
-        records = []
-        for lineno, line in enumerate(text.split("\n")[:-1], start=1):
-            try:
-                records.append(record := json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise reconcile.TraceIOError(f"truncated record at line {lineno}") from exc
-            except (ValueError, RecursionError) as exc:  # too deep, or an int too long
-                raise reconcile.TraceIOError(f"unreadable record at line {lineno}: {exc}") from exc
-            if not isinstance(record, dict):
-                raise reconcile.TraceIOError(f"record at line {lineno} is not a JSON object")
-        return cls(records=records)
 
 
 # --------------------------------------------------------------------------
@@ -458,7 +424,7 @@ class Plan:
         rate and the name of its ``bus:`` stream, None for a lossless link."""
         src, dst = node_type(ends[0]), node_type(ends[1])
         latency, drop_rate = self.scenario.bus.link_params(src, dst)
-        link = self.links[ends] = (protocol.NODE_PRIORITY.get(dst, 9), latency, drop_rate,
+        link = self.links[ends] = (protocol.NODE_PRIORITY[dst], latency, drop_rate,
                                    f"bus:{src}->{dst}" if drop_rate > 0.0 else None)
         return link
 
@@ -664,11 +630,9 @@ class _Engine:
     def _on_deliver(self, message: ProtocolMessage, sent_at: int, now: int) -> None:
         self.trace.records.append({"t": now, "type": "msg", "status": "delivered",
                                    "sent_at": sent_at, "msg": message.to_json()})
-        if (handler := self.handlers.get(message.to_node)) is None:
-            self._record_error("deliver", f"no handler for node {message.to_node}", now)
-            return
+        handler, state = self.handlers[message.to_node]
         try:
-            handler[0](self, handler[1], message, now)
+            handler(self, state, message, now)
         except (StaleCaseError, InvalidPhaseError) as exc:
             self._record_error(message.payload["kind"], str(exc), now)
 
@@ -729,14 +693,9 @@ class _Engine:
         return self.trace
 
 
-def plan(scenario: Scenario) -> Plan:
-    """The seed-free run plan: ``plan(s).run(seed)`` is ``run(replace(s, seed=seed))``."""
-    return Plan(scenario)
-
-
 def run(scenario: Scenario, observer=None) -> Trace:
     """Execute a scenario to its horizon; deterministic in (scenario, seed)."""
-    return plan(scenario).run(scenario.seed, observer)
+    return Plan(scenario).run(scenario.seed, observer)
 
 
 # --------------------------------------------------------------------------
@@ -775,76 +734,3 @@ def validate_trace(trace: Trace) -> list[str]:
         except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"record {idx}: malformed ({exc!r:.60})")
     return problems
-
-
-# --------------------------------------------------------------------------
-# Trace reading: the one pass that reports, summaries and findings project from
-
-
-@dataclass
-class TraceReading:
-    """What post-run consumers read from a trace, collected in one pass.
-
-    ``alerts`` holds the alert records per case id (None for no case); ``belief`` each
-    tag's room (None once it left) and read tick from its last delivered ``RoomCrossing``;
-    ``scan_passes`` the passes of each case's delivered cavity scans; ``first_seen`` the
-    first tick each tag is named in a move, message or alert; ``cavity`` the ground-truth
-    cavity contents per room; and ``retained_at`` the phases some case entered while its
-    room's cavity really held an item.
-    """
-
-    meta: dict | None = None
-    cases: dict[str, dict] = field(default_factory=dict)
-    alerts: dict[str | None, list[dict]] = field(default_factory=dict)
-    belief: dict[str, tuple[str | None, int]] = field(default_factory=dict)
-    scan_passes: dict[str, int] = field(default_factory=dict)
-    first_seen: dict[str, int] = field(default_factory=dict)
-    cavity: dict[str, set[str]] = field(default_factory=dict)
-    retained_at: set[str] = field(default_factory=set)
-
-
-def read_trace(trace: Trace) -> TraceReading:
-    """Walk the records once, in order, and collect a ``TraceReading``; a record
-    of the wrong shape raises ``reconcile.TraceIOError``."""
-    reading = TraceReading()
-    seen, cavity, belief = reading.first_seen.setdefault, reading.cavity, reading.belief
-    room_by_case = {}
-    try:
-        for idx, record in enumerate(trace.records):
-            kind, t = record["type"], record["t"]
-            if kind == "msg":
-                payload = record["msg"]["payload"]
-                if "tag" in payload:
-                    seen(payload["tag"], t)
-                    if payload["kind"] == "RoomCrossing" and record["status"] == "delivered":
-                        room = payload["room"] if payload["direction"] == "in" else None
-                        belief[payload["tag"]] = room, record["sent_at"]
-                if "scan" in payload:
-                    for tag in payload["scan"]["detected"]:
-                        seen(tag, t)
-                    if record["status"] == "delivered" and payload["kind"] == "CavityScanResult":
-                        case = payload["case"]
-                        reading.scan_passes[case] = (reading.scan_passes.get(case, 0)
-                                                     + payload["scan"]["passes"])
-            elif kind == "gt":
-                tag, src, dst = record["tag"], record["from"], record["to"]
-                seen(tag, t)
-                if src["sub"] == _CAVITY:
-                    cavity.setdefault(src["site"], set()).discard(tag)
-                if dst["sub"] == _CAVITY:
-                    cavity.setdefault(dst["site"], set()).add(tag)
-            elif kind == "alert":
-                for tag in record["tags"]:
-                    seen(tag, t)
-                reading.alerts.setdefault(record["case"], []).append(record)
-            elif kind == "phase":
-                if cavity.get(room_by_case.get(record["case"])):
-                    reading.retained_at.add(record["to"])
-            elif kind == "case":
-                reading.cases[record["case_id"]] = record
-            elif kind == "meta":
-                reading.meta = record
-                room_by_case = {case["case_id"]: case["room_id"] for case in record["cases"]}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise reconcile.TraceIOError(f"record {idx}: malformed ({exc!r:.60})") from exc
-    return reading

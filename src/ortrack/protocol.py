@@ -30,8 +30,7 @@ from .sensing import DEFAULT_SCAN_PASSES, ScanResult
 CMS_NODE = "CMS"
 SPD_NODE = "SPD"
 
-#: Tie-break order for simultaneous deliveries (staff/world actions are 0,
-#: a node of any other type 9).
+#: Tie-break order for simultaneous deliveries; staff/world actions are 0.
 NODE_PRIORITY = {"RS": 1, "MED": 2, "MTC": 3, "CMS": 4, "SPD": 5}
 
 
@@ -116,11 +115,16 @@ class Alert:
                 "tags": sorted(self.tags), "text": self.text}
 
 
+@dataclass(init=False, slots=True)
 class ProtocolMessage:
     """Typed message between nodes. ``msg_id`` is stamped by the bus on send
     (slotted, with a plain ``__init__``: a run builds one per send)."""
 
-    __slots__ = ("time_s", "from_node", "to_node", "payload", "msg_id")
+    time_s: int
+    from_node: str
+    to_node: str
+    payload: dict
+    msg_id: int
 
     def __init__(self, time_s: int, from_node: str, to_node: str, payload: dict,
                  msg_id: int = 0) -> None:
@@ -129,35 +133,21 @@ class ProtocolMessage:
         self.time_s, self.from_node, self.to_node = time_s, from_node, to_node
         self.payload, self.msg_id = payload, msg_id
 
-    def _astuple(self) -> tuple:
-        return self.time_s, self.from_node, self.to_node, self.payload, self.msg_id
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ProtocolMessage) and self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return ("ProtocolMessage(time_s={!r}, from_node={!r}, to_node={!r}, payload={!r}, "
-                "msg_id={!r})".format(*self._astuple()))
-
     def to_json(self) -> dict:
         return {"msg_id": self.msg_id, "from": self.from_node, "to": self.to_node,
                 "payload": self.payload}
 
 
+@dataclass(init=False, slots=True)
 class Outputs:
     """Everything a handler wants the kernel to do or record (slotted: most stay empty)."""
 
-    __slots__ = ("messages", "alerts", "phase_changes")
+    messages: list[ProtocolMessage]
+    alerts: list[Alert]
+    phase_changes: list[tuple[str, CasePhase, CasePhase]]
 
     def __init__(self) -> None:
-        self.messages: list[ProtocolMessage] = []
-        self.alerts: list[Alert] = []
-        self.phase_changes: list[tuple[str, CasePhase, CasePhase]] = []
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Outputs) and (
-            self.messages, self.alerts, self.phase_changes) == (
-            other.messages, other.alerts, other.phase_changes)
+        self.messages, self.alerts, self.phase_changes = [], [], []
 
     def extend(self, other: "Outputs") -> None:
         self.messages.extend(other.messages)

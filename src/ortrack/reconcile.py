@@ -1,4 +1,4 @@
-"""Closing-time counting, retention detection, reports, and location queries on a trace.
+"""Closing-time counting, retention detection, per-case reports and the history store.
 
 Reconciliation is a pure set computation over the cart's checklist, the
 re-verification tray and bin reads, and the final cavity scan:
@@ -37,14 +37,6 @@ from .protocol import (
     mtc_bin_sweep,
     mtc_tray_sweep,
 )
-
-
-class UnknownTagError(Exception):
-    """Location query for a tag that was never registered."""
-
-
-class TraceIOError(Exception):
-    """A persisted trace could not be read back intact."""
 
 
 class Outcome(StrEnum):
@@ -139,14 +131,6 @@ def apply_scan_outcome(state: MtcState, cavity: frozenset[str], tray_reads: set[
     return out
 
 
-def locate(reading, tag_id: str) -> tuple[str | None, int | None]:
-    """A tag's believed room and read tick in a ``kernel.TraceReading``; (None, None)
-    if its entrance crossings were never read, a room of None once read leaving one."""
-    if reading.meta is None or tag_id not in {item["tag"] for item in reading.meta["items"]}:
-        raise UnknownTagError(f"unknown tag: {tag_id}")
-    return reading.belief.get(tag_id, (None, None))
-
-
 # --------------------------------------------------------------------------
 # Reports
 
@@ -178,13 +162,12 @@ class SurgeryReport:
 
 
 def generate_report(reading, case_id: str) -> SurgeryReport:
-    """Deterministic per-case summary projected from a ``kernel.TraceReading``."""
+    """Deterministic per-case summary projected from a ``trace.TraceReading``."""
     case_record = reading.cases.get(case_id)
     if case_record is None:
         raise UnknownCaseError(f"unknown case: {case_id}")
     meta = reading.meta
-    kinds = {item["tag"]: item["kind"] for item in meta["items"]} if meta else {}
-    items = [{"tag_id": tag, "kind": kinds.get(tag, "?"),
+    items = [{"tag_id": tag, "kind": reading.kinds.get(tag, "?"),
               "first_seen_s": reading.first_seen.get(tag, entry["last_seen_s"]),
               "last_seen_s": entry["last_seen_s"], "final_status": entry["status"]}
              for tag, entry in sorted(case_record["entries"].items())]
@@ -218,19 +201,5 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def persist(trace, store_path: str) -> None:
-    """Write a trace atomically as newline-delimited JSON."""
+    """Write a trace atomically as newline-delimited JSON; ``trace.load`` reads it back."""
     write_atomic(store_path, trace.to_ndjson())
-
-
-def load(store_path: str):
-    """Read a persisted trace back; a file that cannot be opened or is not UTF-8, or a
-    record ``Trace.from_ndjson`` rejects (torn, too deep, an integer too long, not an
-    object), raises ``TraceIOError``."""
-    from .kernel import Trace  # local import to keep module layering acyclic
-
-    try:
-        with open(store_path, encoding="utf-8") as handle:
-            data = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise TraceIOError(str(exc)) from exc
-    return Trace.from_ndjson(data)

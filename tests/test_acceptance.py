@@ -35,6 +35,7 @@ from ortrack.sensing import (
     availability,
     med_scan,
 )
+from ortrack.trace import read_trace
 
 GOLDENS = ("clean_case", "sponge_in_cavity", "sponge_in_cavity_recovered",
            "pocket_carry", "new_equipment", "dropped_link", "cavity_retention")
@@ -57,7 +58,7 @@ def test_1_rsb_safety_under_perfect_sensing():
         for seed in range(1000):
             scenario = random_scenario(seed, p_detect=1.0, drop_rate=0.0)
             trace = run(scenario)
-            retained_at = kernel.read_trace(trace).retained_at
+            retained_at = read_trace(trace).retained_at
             assert CasePhase.COMPLETE.value not in retained_at, f"seed {seed}"
             assert CasePhase.RECONCILED.value not in retained_at, f"seed {seed}"
             for record in trace.records:

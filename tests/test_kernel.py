@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,6 @@ from ortrack.kernel import (
     ParseError,
     Scenario,
     StaffEvent,
-    Trace,
     ValidationError,
     deliver,
     load_scenario,
@@ -31,7 +31,7 @@ from ortrack.kernel import (
 )
 from ortrack.model import ItemKind
 from ortrack.protocol import ProtocolMessage
-from ortrack.reconcile import TraceIOError
+from ortrack.trace import Trace, TraceIOError, read_trace
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "bench"))
@@ -233,14 +233,18 @@ def test_run_rejects_a_bad_item_id_in_a_scenario_built_in_python(item_ids):
         run(scenario)
 
 
-def test_delivery_to_a_node_without_a_handler_is_recorded_each_time():
-    engine = kernel._Engine(kernel.plan(load_bundled("clean_case")), 0)  # one cart, in OR-1
-    for node in ("SPD", "RS:OR-1", "MTC:OR-9", "MED:OR-9"):
-        for now in (3, 4):
-            engine._on_deliver(ProtocolMessage(time_s=now, from_node="CMS", to_node=node,
-                                               payload={"kind": "Ping"}), now, now)
-            assert engine.trace.records[-1] == {"t": now, "type": "error", "op": "deliver",
-                                                "detail": f"no handler for node {node}"}
+def test_messages_due_at_one_tick_are_delivered_med_then_mtc_then_cms():
+    # the receiver's NODE_PRIORITY breaks the tie, whatever order they were sent in
+    receivers = ["MED:OR-1", "MTC:OR-1", "CMS"]
+    for sends in itertools.permutations(receivers):
+        engine = kernel._Engine(kernel.Plan(one_room([])), 0)
+        delivered = []
+        engine.handlers = dict.fromkeys(receivers, (
+            lambda _, __, message, now: delivered.append((now, message.to_node)), None))
+        for node in sends:
+            engine._send(ProtocolMessage(5, "SPD", node, {"kind": "Ping"}), 5)
+        engine.run()
+        assert delivered == [(6, node) for node in receivers], sends
 
 
 def test_engine_bug_is_not_recorded_as_an_error(monkeypatch):
@@ -306,7 +310,7 @@ def test_each_link_is_resolved_once_per_run(scenario, monkeypatch):
     link_params = BusConfig.link_params
     monkeypatch.setattr(BusConfig, "link_params",
                         lambda bus, *ends: calls.append(ends) or link_params(bus, *ends))
-    plan = kernel.plan(scenario())
+    plan = kernel.Plan(scenario())
     for seed in range(5):
         plan.run(seed)
     assert len(calls) == len(plan.links) > 1
@@ -366,7 +370,7 @@ def test_one_plan_run_over_many_seeds_gives_fresh_runs():
     for scenario, seeds in _plan_cases():
         fresh = {seed: run(dataclasses.replace(scenario, seed=seed)).to_ndjson()
                  for seed in seeds}
-        plan = kernel.plan(scenario)
+        plan = kernel.Plan(scenario)
         for seed in [*seeds, *reversed(seeds)]:
             trace = plan.run(seed)
             assert trace.to_ndjson() == fresh[seed], (scenario.name, seed)
@@ -402,7 +406,7 @@ def test_validate_trace_reports_a_malformed_record_as_a_problem(records):
         "record-not-an-object"])
 def test_read_trace_reports_a_malformed_record_as_a_trace_error(records):
     with pytest.raises(TraceIOError, match=r"^record 0: malformed \("):
-        kernel.read_trace(Trace(records=records))
+        read_trace(Trace(records=records))
 
 
 def test_trace_round_trips_through_ndjson():
@@ -532,14 +536,14 @@ def test_a_run_leaves_no_cyclic_garbage():
 
 def test_final_cavity_occupancy_from_trace():
     trace = run(load_bundled("sponge_in_cavity"))
-    assert kernel.read_trace(trace).cavity == {"OR-1": {"T-4"}}
+    assert read_trace(trace).cavity == {"OR-1": {"T-4"}}
     trace = run(load_bundled("sponge_in_cavity_recovered"))
-    assert kernel.read_trace(trace).cavity == {"OR-1": set()}
+    assert read_trace(trace).cavity == {"OR-1": set()}
 
 
 def test_read_trace_first_seen_counts_every_record_naming_a_tag():
     scan = {"kind": "CavityScanResult", "case": "C-1", "scan": {"detected": ["C"], "passes": 2}}
-    reading = kernel.read_trace(Trace(records=[
+    reading = read_trace(Trace(records=[
         {"t": 1, "type": "msg", "status": "dropped", "msg": {"payload": {"kind": "K", "tag": "A"}}},
         {"t": 2, "type": "alert", "case": None, "kind": "K", "tags": ["B", "A"]},
         {"t": 3, "type": "msg", "status": "delivered", "msg": {"payload": scan}},

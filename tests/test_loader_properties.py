@@ -16,12 +16,12 @@ from ortrack.kernel import (
     ParseError,
     ValidationError,
     load_scenario,
-    read_trace,
     run,
     validate_trace,
 )
 from ortrack.model import Location, SubLocation
 from ortrack.protocol import NODE_PRIORITY
+from ortrack.trace import read_trace
 
 FIXED = ("EquipmentRoom", "SPD")
 OR_SUBS = ("ToolTray", "RoomSpace", "StaffCarried", "TrashBin", "PatientCavity")

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from ortrack.kernel import _ENCODER
 from ortrack.model import ItemKind, SubLocation
 from ortrack.protocol import (
     Alert,
@@ -15,6 +14,7 @@ from ortrack.protocol import (
     CmsState,
     InvalidPhaseError,
     MtcState,
+    Outputs,
     ProtocolMessage,
     RoomSensorState,
     Severity,
@@ -29,6 +29,7 @@ from ortrack.protocol import (
     spd_acknowledge,
 )
 from ortrack.reconcile import Outcome
+from ortrack.trace import _ENCODER
 
 
 def crossing(tag, direction, room="OR-1", t=0):
@@ -291,6 +292,17 @@ def test_message_equals_another_only_when_all_five_fields_do():
     assert ProtocolMessage(1, "CMS", "SPD", {}).msg_id == 0
     with pytest.raises(ValueError, match="cannot message itself"):
         ProtocolMessage(time_s=0, from_node="CMS", to_node="CMS", payload={})
+
+
+def test_outputs_differing_in_one_list_compare_unequal():
+    assert Outputs() == Outputs()
+    for name, value in (
+            ("messages", ProtocolMessage(1, "CMS", "MTC:OR-1", {"kind": "Ping"})),
+            ("alerts", Alert(Severity.WARNING, AlertKind.SENSOR_DOWN, frozenset(), "down")),
+            ("phase_changes", ("C-1", CasePhase.SETUP, CasePhase.IN_PROGRESS))):
+        out = Outputs()
+        getattr(out, name).append(value)
+        assert out != Outputs() and Outputs() != out, name
 
 
 def test_checklist_entry_uniqueness():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import OR, load_bundled, one_room, random_scenario
 from ortrack import kernel, reconcile as reconcile_module
-from ortrack.kernel import BusConfig, LinkConfig, StaffEvent, read_trace, run
+from ortrack.kernel import BusConfig, LinkConfig, StaffEvent, run
 from ortrack.protocol import (
     AlertKind,
     CasePhase,
@@ -31,15 +31,12 @@ from ortrack.protocol import (
 )
 from ortrack.reconcile import (
     Outcome,
-    TraceIOError,
-    UnknownTagError,
     apply_scan_outcome,
     generate_report,
-    load,
-    locate,
     persist,
     reconcile as reconcile_sets,
 )
+from ortrack.trace import Trace, TraceIOError, UnknownTagError, load, locate, read_trace
 
 
 def cart_of(active, removed=()):
@@ -331,7 +328,7 @@ def test_locate_unregistered_rejected():
     with pytest.raises(UnknownTagError):
         locate(one_room_reading([T1_INTO_OR]), "T-404")
     with pytest.raises(UnknownTagError):  # no meta record, so no tag is registered
-        locate(read_trace(kernel.Trace()), "T-1")
+        locate(read_trace(Trace()), "T-1")
 
 
 def test_locate_agrees_with_ground_truth_under_perfect_sensing():

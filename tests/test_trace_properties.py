@@ -1,19 +1,22 @@
 """Reading a trace is total.
 
 A golden trace's NDJSON with one record mutated, dropped, added, swapped with
-another or replaced by arbitrary bytes ends, through ``reconcile.load``,
+another or replaced by arbitrary bytes ends, through ``trace.load``,
 ``validate_trace`` and ``read_trace``, in a trace, a problem list and a
-reading, or in a ``TraceIOError``; nothing else escapes.
+reading, or in a ``TraceIOError``; nothing else escapes. ``locate`` on any
+reading gives a belief for a tag the reading registers and ``UnknownTagError``
+for any other.
 """
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import GOLDENS, load_bundled, mutate_one_field
-from ortrack.kernel import read_trace, run, validate_trace
-from ortrack.reconcile import TraceIOError, load
+from ortrack.kernel import run, validate_trace
+from ortrack.trace import Trace, TraceIOError, UnknownTagError, load, locate, read_trace
 
 NDJSON = {name: run(load_bundled(name)).to_ndjson() for name in GOLDENS}
 
@@ -40,6 +43,21 @@ def test_golden_trace_with_one_record_changed_is_read_or_rejected(tmp_path_facto
         return
     assert isinstance(validate_trace(trace), list)
     try:
-        read_trace(trace)
+        reading = read_trace(trace)
     except TraceIOError:
-        pass
+        return
+    for tag in [*reading.kinds, "T-404"]:
+        try:
+            assert len(locate(reading, tag)) == 2
+        except UnknownTagError:
+            assert tag not in reading.kinds
+
+
+@pytest.mark.parametrize("meta", [
+    {"t": 0, "type": "meta", "cases": []},
+    {"t": 0, "type": "meta", "cases": [], "items": [{"tag": ["T-1"], "kind": "Sponge"}]},
+    {"t": 0, "type": "meta", "cases": [], "items": "T-1"},
+], ids=["no-items", "unhashable-tag", "items-not-a-list"])
+def test_locate_on_a_readable_foreign_trace_raises_only_trace_errors(meta):
+    with pytest.raises((TraceIOError, UnknownTagError)):
+        locate(read_trace(Trace([meta])), "T-1")
