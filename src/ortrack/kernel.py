@@ -35,6 +35,7 @@ from .model import (
     WorldState,
 )
 from .protocol import (
+    NOTHING,
     Alert,
     AlertKind,
     CasePhase,
@@ -52,7 +53,6 @@ from .protocol import (
     med_on_request,
     mtc_handle,
     mtc_staff_rescan,
-    node_type,
     room_sensor_on_reads,
     spd_acknowledge,
 )
@@ -110,7 +110,7 @@ _MOVE_RULES = {
 EVENT_KINDS = {"announce_closing", "spd_ack", *_MOVE_RULES}
 
 #: Cart antenna -> (sub-location it covers, status its sweep sets, name of its
-#: sweep handler in ``protocol``, looked up on the antenna's first read in a run).
+#: sweep handler in ``protocol``, looked up on the cart's first sweep in a run).
 _ANTENNAS = {"tray": (SubLocation.TOOL_TRAY, TagStatus.ON_TRAY, "mtc_tray_sweep"),
              "bin": (SubLocation.TRASH_BIN, TagStatus.DISCARDED, "mtc_bin_sweep")}
 
@@ -398,9 +398,10 @@ def deliver(latency: int, drop_rate: float, now: int,
 
 class Plan:
     """A scenario's seed-free run set-up: its ids checked, each tag's ``(creation
-    index, tag)`` entry, the heapified staff events, the sites, the meta record's
-    parts and each link resolved on its first message in any run. ``run(seed)``
-    makes a run's state from C-level copies; a run only adds links to the plan."""
+    index, tag)`` entry, the heapified staff events, the meta record's parts and
+    each link, resolved by its (from type, to type) pair on the first message
+    between two nodes in any run. ``run(seed)`` makes a run's state from C-level
+    copies; a run only adds links to the plan."""
 
     def __init__(self, scenario: Scenario):
         items, item_ids = scenario.items, _item_ids(scenario.items)
@@ -409,7 +410,6 @@ class Plan:
         _unique(self.tags, "tag_id")
         _unique(item_ids, "item_id")
         self.entry_of = {tag: (idx, tag) for idx, tag in enumerate(self.tags)}
-        self.sites = [*FIXED_SITES, *scenario.rooms]
         self.heap = [(ev.time_s, 0, seq, None, ev) for seq, ev in enumerate(scenario.events)]
         heapq.heapify(self.heap)
         self.meta = {"t": 0, "type": "meta", "name": scenario.name,
@@ -417,15 +417,21 @@ class Plan:
         self.items = [{"tag": s.tag_id, "kind": s.kind, "item_id": item_id}
                       for s, item_id in zip(items, item_ids)]
         self.cases = [{"case_id": s.case_id, "room_id": s.room_id} for s in scenario.cases]
-        self.links: dict[tuple, tuple] = {}  # (from, to) -> (priority, latency, drop, stream name)
+        # (from type, to type) -> (receiver priority, latency, drop rate, stream name),
+        # and the same link by (from node, to node)
+        self.links: dict[tuple, tuple] = {}
+        self.routes: dict[tuple, tuple] = {}
 
     def link(self, ends: tuple[str, str]) -> tuple:
-        """Resolve the link between two nodes: receiver priority, latency, drop
-        rate and the name of its ``bus:`` stream, None for a lossless link."""
-        src, dst = node_type(ends[0]), node_type(ends[1])
-        latency, drop_rate = self.scenario.bus.link_params(src, dst)
-        link = self.links[ends] = (protocol.NODE_PRIORITY[dst], latency, drop_rate,
-                                   f"bus:{src}->{dst}" if drop_rate > 0.0 else None)
+        """The link between two nodes: receiver priority, latency, drop rate and
+        the name of its ``bus:`` stream, None for a lossless link."""
+        types = ends[0].partition(":")[0], ends[1].partition(":")[0]
+        if (link := self.links.get(types)) is None:
+            src, dst = types
+            latency, drop_rate = self.scenario.bus.link_params(src, dst)
+            link = self.links[types] = (protocol.NODE_PRIORITY[dst], latency, drop_rate,
+                                        f"bus:{src}->{dst}" if drop_rate > 0.0 else None)
+        self.routes[ends] = link
         return link
 
     def run(self, seed: int, observer=None) -> Trace:
@@ -445,21 +451,16 @@ class _Engine:
         self.seq = len(self.heap)
         self.msg_seq = 0
         self.cms = CmsState()
-        self.room_sensors = {site: RoomSensorState(site) for site in plan.sites}
-        # Registration places fresh stock in the equipment room, so its
-        # entrance sensor starts believing those tags inside.
-        self.room_sensors[EQUIPMENT_ROOM].believed_inside = set(plan.tags)
         self.mtcs: dict[str, MtcState] = {}  # keyed by room id
         self.mtcs_by_case: dict[str, MtcState] = {}  # the same carts, keyed by case id
         self.rngs: dict[str, random.Random] = {}  # named streams, made on first use
         self.readers: dict[str, tuple] = {}  # sensor id -> (id, model, stream or None, outages)
-        self.entrances: dict[str, tuple] = {}  # site -> its entrance reader
-        # (room, which) -> (Location, status its sweep sets, handler, reader, the
-        # location's list in world.at, whether the reader is certain)
-        self.antennas: dict[tuple, tuple] = {}
-        # node id -> (plain function, its state), called as fn(self, state, message, now);
-        # a bound method here would tie every engine into a reference cycle
-        self.handlers: dict[str, tuple] = {protocol.CMS_NODE: (_Engine._on_cms, self.cms)}
+        self.entrances: dict[str, tuple] = {}  # site -> (its reader, its RoomSensorState)
+        self.antennas: dict[str, tuple] = {}  # room -> its cart's tray and bin antennas
+        # node id -> (plain function, its state), called as fn(self, state, message, now),
+        # or (None, CMS state) for cms_handle; a bound method here would tie every
+        # engine into a reference cycle
+        self.handlers: dict[str, tuple] = {protocol.CMS_NODE: (None, self.cms)}
         for spec in self.scenario.cases:
             mtc = self.mtcs[spec.room_id] = self.mtcs_by_case[spec.case_id] = MtcState(
                 case_id=spec.case_id, room_id=spec.room_id,
@@ -498,13 +499,6 @@ class _Engine:
         self.trace.records.append({"t": now, "type": "error", "op": op,
                                    "detail": detail})
 
-    def _record_phases(self, changes, now: int) -> None:
-        for case_id, old, new in changes:
-            self.trace.records.append({"t": now, "type": "phase", "case": case_id,
-                                       "from": old, "to": new})
-            if new is CasePhase.COMPLETE:
-                self.mtcs_by_case[case_id].completed_s = now
-
     def _sensor_down(self, exc: SensorDownError, case_id: str | None, now: int) -> None:
         self._record_alert(Alert(severity=Severity.WARNING, kind=AlertKind.SENSOR_DOWN,
                                  tags=frozenset(), text=str(exc)),
@@ -516,7 +510,7 @@ class _Engine:
         message.msg_id = self.msg_seq
         self.msg_seq += 1
         ends = message.from_node, message.to_node
-        priority, latency, drop_rate, stream = self.plan.links.get(ends) or self.plan.link(ends)
+        priority, latency, drop_rate, stream = self.plan.routes.get(ends) or self.plan.link(ends)
         outcome = deliver(latency, drop_rate, now, None if stream is None else self._rng(stream))
         if not outcome.delivered:
             self.trace.records.append({"t": now, "type": "msg", "status": "dropped",
@@ -532,7 +526,11 @@ class _Engine:
             self._send(message, now)
         for alert in outputs.alerts:
             self._record_alert(alert, case_id, now)
-        self._record_phases(outputs.phase_changes, now)
+        for case, old, new in outputs.phase_changes:
+            self.trace.records.append({"t": now, "type": "phase", "case": case,
+                                       "from": old, "to": new})
+            if new is CasePhase.COMPLETE:
+                self.mtcs_by_case[case].completed_s = now
 
     # -- sensing hooks
 
@@ -547,20 +545,22 @@ class _Engine:
             return None
 
     def _entrance_read(self, site: str, tag: str, distance_m: float, now: int) -> None:
-        if (reader := self.entrances.get(site)) is None:
-            reader = self.entrances[site] = self._reader(f"entrance:{site}")
-        reads = self._read(reader, [tag], None, now, distance_m)
+        if (entrance := self.entrances.get(site)) is None:
+            # registration places fresh stock in the equipment room, so its
+            # entrance sensor starts believing those tags inside
+            sensor = RoomSensorState(site, set(self.plan.tags if site == EQUIPMENT_ROOM else ()))
+            entrance = self.entrances[site] = self._reader(f"entrance:{site}"), sensor
+        reads = self._read(entrance[0], [tag], None, now, distance_m)
         if reads is None:
             return
-        for message in room_sensor_on_reads(self.room_sensors[site], reads, now):
+        for message in room_sensor_on_reads(entrance[1], reads, now):
             self._send(message, now)
 
-    def _sweep(self, mtc: MtcState, which: str, now: int) -> None:
+    def _sweep(self, mtc: MtcState, antenna: tuple, now: int) -> None:
         """Sweep one cart antenna; a certain one is not read when its location holds
         exactly the cart's tags of that sweep's status: the read would only move
         the tick of that kind of sweep."""
-        antenna = self._antenna(mtc.room_id, which)
-        _, status, handler, _, at, certain = antenna
+        location, status, handler, reader, at, certain = antenna
         if certain and len(swept := mtc.swept[status]) == len(at):
             for _, tag in at:
                 if tag not in swept:
@@ -568,24 +568,22 @@ class _Engine:
             else:
                 mtc.swept_at[status] = now
                 return
-        detected = self._antenna_read(antenna, mtc.case_id, now)
-        if detected is not None:
-            self._emit(handler(mtc, detected, now), mtc.case_id, now)
+        detected = self._read(reader, self.world.tags_at(location), mtc.case_id, now)
+        if detected is not None and (outputs := handler(mtc, set(detected), now)) is not NOTHING:
+            self._emit(outputs, mtc.case_id, now)
+
+    def _cart_antennas(self, room: str) -> tuple:
+        """A cart's tray and bin antennas, each resolved once per run."""
+        antennas = self.antennas[room] = self._antenna(room, "tray"), self._antenna(room, "bin")
+        return antennas
 
     def _antenna(self, room: str, which: str) -> tuple:
-        if (antenna := self.antennas.get((room, which))) is None:
-            sub, status, handler = _ANTENNAS[which]
-            location, reader = Location(room, sub), self._reader(f"{which}:{room}")
-            antenna = self.antennas[room, which] = (
-                location, status, getattr(protocol, handler), reader,
-                self.world.at.setdefault(location, []),
-                reader[2] is None and not reader[3])  # certain: no stream, no outage
-        return antenna
-
-    def _antenna_read(self, antenna: tuple, case_id: str, now: int) -> set[str] | None:
-        """Read everything physically on the tray/bin antenna; None if it is down."""
-        reads = self._read(antenna[3], self.world.tags_at(antenna[0]), case_id, now)
-        return None if reads is None else set(reads)
+        """(Location, status its sweep sets, handler, reader, the location's list in
+        world.at, whether the reader is certain: no stream, no outage)."""
+        sub, status, handler = _ANTENNAS[which]
+        location, reader = Location(room, sub), self._reader(f"{which}:{room}")
+        return (location, status, getattr(protocol, handler), reader,
+                self.world.at.setdefault(location, []), reader[2] is None and not reader[3])
 
     # -- staff/world event handling
 
@@ -618,8 +616,9 @@ class _Engine:
             self._entrance_read(dst.site, ev.tag, ev.distance_m, now)
         for room in (src.site, dst.site):  # a room without a cart has no sweep
             if (mtc := self.mtcs.get(room)) is not None and mtc.phase is not CasePhase.COMPLETE:
-                self._sweep(mtc, "tray", now)
-                self._sweep(mtc, "bin", now)
+                tray, bin_ = self.antennas.get(room) or self._cart_antennas(room)
+                self._sweep(mtc, tray, now)
+                self._sweep(mtc, bin_, now)
         if ev.kind == "remove_from_cavity":
             mtc = self.mtcs.get(src.site)
             if mtc is not None:
@@ -632,12 +631,12 @@ class _Engine:
                                    "sent_at": sent_at, "msg": message.to_json()})
         handler, state = self.handlers[message.to_node]
         try:
-            handler(self, state, message, now)
+            if handler is not None:
+                handler(self, state, message, now)
+            elif (outputs := cms_handle(state, message)) is not NOTHING:
+                self._emit(outputs, message.payload.get("case"), now)
         except (StaleCaseError, InvalidPhaseError) as exc:
             self._record_error(message.payload["kind"], str(exc), now)
-
-    def _on_cms(self, cms: CmsState, message: ProtocolMessage, now: int) -> None:
-        self._emit(cms_handle(cms, message), message.payload.get("case"), now)
 
     def _med_scan(self, mtc: MtcState, message: ProtocolMessage, now: int) -> None:
         case_id = message.payload["case"]
@@ -658,11 +657,13 @@ class _Engine:
         if mtc.phase is CasePhase.COMPLETE:
             raise StaleCaseError(f"case {mtc.case_id} already complete")
         cavity = frozenset(message.payload["scan"]["detected"])
-        tray = self._antenna_read(self._antenna(mtc.room_id, "tray"), mtc.case_id, now)
-        bin_ = self._antenna_read(self._antenna(mtc.room_id, "bin"), mtc.case_id, now)
+        tray, bin_ = [self._read(reader, self.world.tags_at(location), mtc.case_id, now)
+                      for location, _, _, reader, _, _ in
+                      self.antennas.get(mtc.room_id) or self._cart_antennas(mtc.room_id)]
         if tray is None or bin_ is None:
             return  # antenna down; a later request will retry
-        self._emit(reconcile.apply_scan_outcome(mtc, cavity, tray, bin_, now), mtc.case_id, now)
+        self._emit(reconcile.apply_scan_outcome(mtc, cavity, set(tray), set(bin_), now),
+                   mtc.case_id, now)
 
     # -- main loop
 

@@ -34,10 +34,6 @@ SPD_NODE = "SPD"
 NODE_PRIORITY = {"RS": 1, "MED": 2, "MTC": 3, "CMS": 4, "SPD": 5}
 
 
-def node_type(node_id: str) -> str:
-    return node_id.split(":", 1)[0]
-
-
 class TagStatus(StrEnum):
     ON_TRAY = "OnTray"
     IN_USE = "InUse"
@@ -155,6 +151,11 @@ class Outputs:
         self.phase_changes.extend(other.phase_changes)
 
 
+#: The one empty ``Outputs``, returned by every handler call with nothing to
+#: return; nothing may append to it.
+NOTHING = Outputs()
+
+
 @dataclass
 class ChecklistEntry:
     """A tag on a cart's checklist; an ``OnTray`` or ``Discarded`` entry's
@@ -220,7 +221,6 @@ class CmsState:
 
 def cms_handle(state: CmsState, msg: ProtocolMessage) -> Outputs:
     """Route one message through the central service."""
-    out = Outputs()
     payload = msg.payload
     kind = payload["kind"]
 
@@ -228,17 +228,15 @@ def cms_handle(state: CmsState, msg: ProtocolMessage) -> Outputs:
         tag, room, direction = payload["tag"], payload["room"], payload["direction"]
         case_id = state.case_by_room.get(room)
         if case_id is None:
-            return out  # a room without a case has no cart to tell
+            return NOTHING  # a room without a case has no cart to tell
         mirror = state.checklist_mirror[case_id]
         if direction == "in" and tag not in mirror:
             news = "NewEquipmentInOR"
         elif direction == "out" and tag in mirror:
             news = "EquipmentLeftOR"
         else:
-            return out  # the cart already knows
-        out.messages.append(ProtocolMessage(
-            time_s=msg.time_s, from_node=CMS_NODE, to_node=f"MTC:{room}",
-            payload={"kind": news, "tag": tag, "case": case_id}))
+            return NOTHING  # the cart already knows
+        payload = {"kind": news, "tag": tag, "case": case_id}
 
     elif kind == "ChecklistUpdate":
         mirror = state.checklist_mirror[payload["case"]]
@@ -246,18 +244,20 @@ def cms_handle(state: CmsState, msg: ProtocolMessage) -> Outputs:
             mirror.add(payload["tag"])
         else:
             mirror.discard(payload["tag"])
+        return NOTHING
 
     elif kind == "SpdReadyAck":
         room = state.room_by_case[payload["case"]]  # spd_acknowledge rejected an unknown case
-        out.messages.append(ProtocolMessage(
-            time_s=msg.time_s, from_node=CMS_NODE, to_node=f"MTC:{room}",
-            payload=dict(payload)))
+        payload = dict(payload)
 
     elif kind == "ClosingAnnounced":
-        pass  # report bookkeeping only; the trace already records it
+        return NOTHING  # report bookkeeping only; the trace already records it
 
     else:
         raise ValueError(f"CMS cannot handle payload kind {kind!r}")
+    out = Outputs()
+    out.messages.append(ProtocolMessage(
+        time_s=msg.time_s, from_node=CMS_NODE, to_node=f"MTC:{room}", payload=payload))
     return out
 
 
@@ -407,7 +407,7 @@ def _sweep(state: MtcState, detected: set[str], now: int, status: TagStatus) -> 
     seen at. A cart's first sweep of a kind builds the set with one walk."""
     if state.phase is CasePhase.COMPLETE:
         raise StaleCaseError(f"case {state.case_id} already complete")
-    out = Outputs()
+    out = NOTHING  # until a tag is added or reactivated
     entries, swept = state.entries, state.swept
     if (held := swept.get(status)) is None:
         held = swept[status] = {t for t, e in entries.items() if e.status is status}
@@ -418,6 +418,7 @@ def _sweep(state: MtcState, detected: set[str], now: int, status: TagStatus) -> 
                 entry.status = TagStatus.IN_USE
                 entry.last_seen_s = max(entry.last_seen_s, state.swept_at.get(status, 0))
             elif entry is None or entry.status is TagStatus.REMOVED_FROM_OR:
+                out = Outputs() if out is NOTHING else out
                 _add_or_reactivate(state, tag, status, now, out)
             else:  # active: takes this status, leaving the other kind's set
                 state.unsweep(tag)
@@ -454,12 +455,13 @@ def announce_closing(state: MtcState, now: int) -> Outputs:
 
 def mtc_staff_rescan(state: MtcState, now: int) -> Outputs:
     """Staff acted after a retention alert and asked for a verification re-scan."""
+    if not (state.awaiting_staff_removal and state.phase is CasePhase.CLOSING_ANNOUNCED):
+        return NOTHING
+    state.awaiting_staff_removal = False
     out = Outputs()
-    if state.awaiting_staff_removal and state.phase is CasePhase.CLOSING_ANNOUNCED:
-        state.awaiting_staff_removal = False
-        out.messages.append(ProtocolMessage(
-            time_s=now, from_node=state.node_id, to_node=state.med_node,
-            payload={"kind": "RequestCavityScan", "case": state.case_id}))
+    out.messages.append(ProtocolMessage(
+        time_s=now, from_node=state.node_id, to_node=state.med_node,
+        payload={"kind": "RequestCavityScan", "case": state.case_id}))
     return out
 
 

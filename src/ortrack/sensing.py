@@ -104,9 +104,13 @@ def read_tags(sensor_id: str,
     Every candidate is ``distance_m`` from the reader and takes one draw,
     in order, in range or not; with ``model.p_detect`` 1 none is drawn and
     ``rng`` may be None. Raises SensorDownError if ``now_s`` falls inside
-    a scheduled outage.
+    a scheduled outage. A certain reader with every candidate in range
+    calls no helper.
     """
-    raise_if_down(sensor_id, outages, now_s)
+    if outages:
+        raise_if_down(sensor_id, outages, now_s)
+    if model.p_detect == 1.0 and 0 <= distance_m <= model.range_m:
+        return list(candidates)
     p = detect_probability(distance_m, model)
     if model.p_detect == 1.0:
         return list(candidates) if p else []

@@ -127,13 +127,16 @@ def read_trace(trace: Trace) -> TraceReading:
             elif kind == "phase":
                 if cavity.get(room_by_case.get(record["case"])):
                     reading.retained_at.add(record["to"])
-            elif kind == "case":
+            elif kind == "case":  # with every field a report or a summary reads
+                _ = record["phase"], record["outcomes"]
+                for entry in record["entries"].values():
+                    _ = entry["status"], entry["last_seen_s"]
                 reading.cases[record["case_id"]] = record
             elif kind == "meta":
                 reading.meta = record
                 reading.kinds = {item["tag"]: item["kind"] for item in record["items"]}
                 room_by_case = {case["case_id"]: case["room_id"] for case in record["cases"]}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # entries not a mapping
         raise TraceIOError(f"record {idx}: malformed ({exc!r:.60})") from exc
     return reading
 

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from helpers import OR, load_bundled, one_room, random_scenario, scenario_text
-from ortrack import kernel, sensing
+from ortrack import kernel, protocol, sensing
 from ortrack.cli import run_summary
 from ortrack.kernel import (
     BusConfig,
@@ -305,7 +305,8 @@ def test_per_link_override():
                  id="noisy-3-room-day"),
 ])
 def test_each_link_is_resolved_once_per_run(scenario, monkeypatch):
-    # and once in total over the runs of one plan
+    # and once in total over the runs of one plan; a link is a (from type, to type)
+    # pair, which the nodes of every room share
     calls = []
     link_params = BusConfig.link_params
     monkeypatch.setattr(BusConfig, "link_params",
@@ -313,7 +314,8 @@ def test_each_link_is_resolved_once_per_run(scenario, monkeypatch):
     plan = kernel.Plan(scenario())
     for seed in range(5):
         plan.run(seed)
-    assert len(calls) == len(plan.links) > 1
+    assert sorted(calls) == sorted(plan.links) and len(calls) > 1
+    assert len(plan.routes) >= len(plan.links)
 
 
 # -- run determinism and golden traces
@@ -660,3 +662,49 @@ def test_a_bin_holding_its_last_set_is_not_read_again(monkeypatch):
     # the trace a read at t=20 leaves
     assert hashlib.sha256(trace.encode()).hexdigest() == \
         "26bd0ca256acc6b7f63849cc8af6f7304974ee94f7185aea3412f7fd36b1f782"
+
+
+def test_a_removal_from_the_cavity_with_no_retention_alert_asks_for_no_scan():
+    # T-1 leaves the cavity while the scan asked for at closing is in flight;
+    # no retention alert is pending, so only that one scan is asked for
+    trace = run(one_room([
+        StaffEvent(1, "move", tag="T-1", to_site=OR, to_sub="ToolTray"),
+        StaffEvent(2, "place_in_cavity", tag="T-1"),
+        StaffEvent(10, "announce_closing", case="C-1"),
+        StaffEvent(10, "remove_from_cavity", tag="T-1")]))
+    requests = [r["t"] for r in trace.records if r["type"] == "msg"
+                and r["msg"]["payload"]["kind"] == "RequestCavityScan"]
+    assert requests == [11]
+    assert trace.records[-1]["outcomes"] == ["Clean"]
+
+
+@pytest.mark.parametrize("down", ["tray", "bin"])
+def test_a_scan_result_with_one_cart_antenna_down_does_not_reconcile(down, monkeypatch):
+    # the scan result arrives at t=12, the one tick the antenna is down
+    monkeypatch.setattr(sensing, "sensor_failure_schedule", lambda *args: [(12.0, 13.0)])
+    scenario = one_room([StaffEvent(1, "move", tag="T-1", to_site=OR, to_sub="ToolTray"),
+                         StaffEvent(10, "announce_closing", case="C-1")])
+    scenario.sensors[f"{down}:{OR}"] = sensing.SensorModel(p_detect=1.0, mtbf_s=1e9, mttr_s=1.0)
+    trace = run(scenario)
+    alerts = [(r["t"], r["kind"]) for r in trace.records if r["type"] == "alert"]
+    assert alerts == [(12, "SensorDown")]
+    case = trace.records[-1]
+    assert (case["phase"], case["scans_done"], case["outcomes"]) == ("ClosingAnnounced", 0, [])
+
+
+def test_an_event_and_a_delivery_at_the_horizon_tick_are_processed():
+    # T-1's move at t=59 sends messages that are delivered at the horizon, t=60
+    scenario = one_room([StaffEvent(59, "move", tag="T-1", to_site=OR, to_sub="ToolTray"),
+                         StaffEvent(60, "move", tag="T-2", to_site=OR, to_sub="ToolTray")])
+    assert scenario.horizon_s == 60
+    at_horizon = [r for r in run(scenario).records if r["t"] == 60]
+    assert any(r["type"] == "gt" and r["tag"] == "T-2" for r in at_horizon)
+    assert any(r["type"] == "msg" and r["status"] == "delivered" for r in at_horizon)
+
+
+def test_no_handler_appends_to_the_shared_empty_outputs():
+    scenarios = [load_bundled(name) for name in GOLDENS]
+    scenarios += [random_scenario(seed, p_detect=0.8, drop_rate=0.1) for seed in range(50)]
+    for scenario in scenarios:
+        run(scenario)
+        assert protocol.NOTHING == protocol.Outputs(), scenario.name

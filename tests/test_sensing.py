@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ortrack import sensing
 from ortrack.sensing import (
     DEFAULT_RANGE_M,
     InvalidParamError,
@@ -74,6 +75,33 @@ def test_certain_reader_takes_no_draw():
         assert med_scan(cands, passes, model, None).detected == frozenset(cands)
     with pytest.raises(InvalidParamError):
         read_tags("s", model, cands, None, distance_m=-0.1)
+
+
+@pytest.mark.parametrize("p_detect, distance_m, outages, probability_calls, down_calls", [
+    (1.0, 0.5, (), 0, 0),  # certain, in range, no outage schedule: no helper
+    (1.0, 0.9, (), 0, 0),  # the range's edge is in range
+    (1.0, 2.5, (), 1, 0),  # out of range
+    (0.8, 0.5, (), 1, 0),  # noisy
+    (1.0, 0.5, [(40, 60)], 0, 1),  # has an outage schedule, up at t=10
+    (0.8, 0.5, [(40, 60)], 1, 1),
+])
+def test_read_tags_calls_a_helper_only_where_it_can_change_the_read(
+        monkeypatch, p_detect, distance_m, outages, probability_calls, down_calls):
+    model = SensorModel(range_m=0.9, p_detect=p_detect)
+    cands = [f"T-{i}" for i in range(5)]
+    expected = read_tags("s", model, cands, random.Random(3), distance_m=distance_m)
+    calls = []
+
+    def counting(name):
+        helper = getattr(sensing, name)
+        return lambda *args: calls.append(name) or helper(*args)
+
+    for name in ("detect_probability", "raise_if_down"):
+        monkeypatch.setattr(sensing, name, counting(name))
+    assert read_tags("s", model, cands, random.Random(3), now_s=10, outages=outages,
+                     distance_m=distance_m) == expected
+    assert (calls.count("detect_probability"), calls.count("raise_if_down")) == (
+        probability_calls, down_calls)
 
 
 def test_read_tags_empty():

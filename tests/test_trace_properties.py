@@ -5,7 +5,8 @@ another or replaced by arbitrary bytes ends, through ``trace.load``,
 ``validate_trace`` and ``read_trace``, in a trace, a problem list and a
 reading, or in a ``TraceIOError``; nothing else escapes. ``locate`` on any
 reading gives a belief for a tag the reading registers and ``UnknownTagError``
-for any other.
+for any other, and a report or run summary of a readable foreign trace whose
+case record lacks a field they read ends in a ``TraceIOError``.
 """
 
 import json
@@ -15,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import GOLDENS, load_bundled, mutate_one_field
+from ortrack.cli import run_summary
 from ortrack.kernel import run, validate_trace
+from ortrack.reconcile import generate_report
 from ortrack.trace import Trace, TraceIOError, UnknownTagError, load, locate, read_trace
 
 NDJSON = {name: run(load_bundled(name)).to_ndjson() for name in GOLDENS}
@@ -61,3 +64,18 @@ def test_golden_trace_with_one_record_changed_is_read_or_rejected(tmp_path_facto
 def test_locate_on_a_readable_foreign_trace_raises_only_trace_errors(meta):
     with pytest.raises((TraceIOError, UnknownTagError)):
         locate(read_trace(Trace([meta])), "T-1")
+
+
+@pytest.mark.parametrize("case", [
+    {"t": 0, "type": "case", "case_id": "C-1"},
+    {"t": 0, "type": "case", "case_id": "C-1", "phase": "Setup", "outcomes": [],
+     "entries": {"T-1": {"status": "OnTray"}}},
+    {"t": 0, "type": "case", "case_id": "C-1", "phase": "Setup", "outcomes": [], "entries": []},
+], ids=["no-entries", "entry-without-last-seen", "entries-not-an-object"])
+@pytest.mark.parametrize("consumer", [
+    lambda trace: generate_report(read_trace(trace), "C-1"),
+    run_summary,
+], ids=["generate_report", "run_summary"])
+def test_a_report_or_summary_of_a_readable_foreign_trace_raises_only_trace_errors(case, consumer):
+    with pytest.raises(TraceIOError, match=r"^record 0: malformed \("):
+        consumer(Trace([case]))
