@@ -397,10 +397,10 @@ def deliver(latency: int, drop_rate: float, now: int,
 
 
 class Plan:
-    """A scenario's seed-free run set-up: its ids checked, each tag's ``(creation
-    index, tag)`` entry, the heapified staff events, the meta record's parts and
-    each link, resolved by its (from type, to type) pair on the first message
-    between two nodes in any run. ``run(seed)`` makes a run's state from C-level
+    """A scenario's seed-free run set-up: its ids checked, each tag's creation
+    index, the heapified staff events, the meta record's parts and each link,
+    resolved by its (from type, to type) pair on the first message between two
+    nodes in any run. ``run(seed)`` makes a run's state from C-level
     copies; a run only adds links to the plan."""
 
     def __init__(self, scenario: Scenario):
@@ -409,7 +409,7 @@ class Plan:
         # run() does not validate; the world is keyed by tag and the trace names each item
         _unique(self.tags, "tag_id")
         _unique(item_ids, "item_id")
-        self.entry_of = {tag: (idx, tag) for idx, tag in enumerate(self.tags)}
+        self.rank = {tag: idx for idx, tag in enumerate(self.tags)}
         self.heap = [(ev.time_s, 0, seq, None, ev) for seq, ev in enumerate(scenario.events)]
         heapq.heapify(self.heap)
         self.meta = {"t": 0, "type": "meta", "name": scenario.name,
@@ -442,8 +442,8 @@ class Plan:
 class _Engine:
     def __init__(self, plan: Plan, seed: int):
         self.plan, self.scenario, self.seed = plan, plan.scenario, seed
-        self.world = WorldState(dict.fromkeys(plan.tags, _HOME),
-                                {_HOME: [*plan.entry_of.values()]}, plan.entry_of)
+        self.world = WorldState(dict.fromkeys(plan.tags, _HOME), {_HOME: [*plan.tags]},
+                                plan.rank)
         self.trace = Trace([{**plan.meta, "seed": seed, "rooms": sorted(plan.scenario.rooms),
                              "items": list(map(dict.copy, plan.items)),
                              "cases": list(map(dict.copy, plan.cases))}])
@@ -561,13 +561,9 @@ class _Engine:
         exactly the cart's tags of that sweep's status: the read would only move
         the tick of that kind of sweep."""
         location, status, handler, reader, at, certain = antenna
-        if certain and len(swept := mtc.swept[status]) == len(at):
-            for _, tag in at:
-                if tag not in swept:
-                    break
-            else:
-                mtc.swept_at[status] = now
-                return
+        if certain and len(swept := mtc.swept[status]) == len(at) and swept.issuperset(at):
+            mtc.swept_at[status] = now
+            return
         detected = self._read(reader, self.world.tags_at(location), mtc.case_id, now)
         if detected is not None and (outputs := handler(mtc, set(detected), now)) is not NOTHING:
             self._emit(outputs, mtc.case_id, now)
@@ -578,8 +574,8 @@ class _Engine:
         return antennas
 
     def _antenna(self, room: str, which: str) -> tuple:
-        """(Location, status its sweep sets, handler, reader, the location's list in
-        world.at, whether the reader is certain: no stream, no outage)."""
+        """(Location, status its sweep sets, handler, reader, the location's own tag
+        list in world.at, whether the reader is certain: no stream, no outage)."""
         sub, status, handler = _ANTENNAS[which]
         location, reader = Location(room, sub), self._reader(f"{which}:{room}")
         return (location, status, getattr(protocol, handler), reader,
@@ -641,18 +637,20 @@ class _Engine:
     def _med_scan(self, mtc: MtcState, message: ProtocolMessage, now: int) -> None:
         case_id = message.payload["case"]
         sensor_id, model_, rng, outages = self._reader(f"med:{mtc.room_id}")
-        try:
-            sensing.raise_if_down(sensor_id, outages, now)
-        except SensorDownError as exc:
-            self._sensor_down(exc, case_id, now)
-            return
+        if outages:
+            try:
+                sensing.raise_if_down(sensor_id, outages, now)
+            except SensorDownError as exc:
+                self._sensor_down(exc, case_id, now)
+                return
         cavity = self.world.tags_at(Location(mtc.room_id, SubLocation.PATIENT_CAVITY))
         scan = sensing.med_scan(cavity, mtc.scan_passes, model_, rng)
         self._send(med_on_request(mtc.room_id, case_id, scan, now), now)
 
     def _on_mtc(self, mtc: MtcState, message: ProtocolMessage, now: int) -> None:
         if message.payload["kind"] != "CavityScanResult":
-            self._emit(mtc_handle(mtc, message), mtc.case_id, now)
+            if (outputs := mtc_handle(mtc, message)) is not NOTHING:
+                self._emit(outputs, mtc.case_id, now)
             return
         if mtc.phase is CasePhase.COMPLETE:
             raise StaleCaseError(f"case {mtc.case_id} already complete")

@@ -64,25 +64,25 @@ class WorldState:
     ``placements`` maps every registered tag to exactly one location,
     so location exclusivity and conservation hold by construction.
 
-    ``at`` indexes each location's items as sorted ``(creation index, tag)``
-    pairs: tags stay in creation order even after an item leaves and comes
-    back, and sensing draws its random numbers in that order. A location's
-    list, once made, is kept and changed in place; ``entry_of`` holds each tag's
-    pair, which no move changes. Moves are not checked here:
+    ``at`` indexes each location's tags in creation order, ``rank`` giving each
+    tag's creation index: tags keep that order even after an item leaves and comes
+    back, and sensing draws its random numbers in that order. A location's list,
+    once made, is kept and changed in place, and ``tags_at`` hands it out as it is,
+    for callers to read and never change. Moves are not checked here:
     ``kernel.destination`` has proven each one before the kernel makes it.
     """
 
     placements: dict[str, Location] = field(default_factory=dict)
-    at: dict[Location, list[tuple[int, str]]] = field(default_factory=dict)
-    entry_of: dict[str, tuple[int, str]] = field(default_factory=dict, repr=False)
+    at: dict[Location, list[str]] = field(default_factory=dict)
+    rank: dict[str, int] = field(default_factory=dict, repr=False)
 
     def apply_ground_truth(self, tag_id: str, dst: Location) -> None:
         """Move a tagged item to ``dst``; the index and the placement, nothing else."""
-        entry, old = self.entry_of[tag_id], self.at[self.placements[tag_id]]
-        del old[bisect_left(old, entry)]
-        insort(self.at.setdefault(dst, []), entry)
+        rank, old = self.rank.__getitem__, self.at[self.placements[tag_id]]
+        del old[bisect_left(old, rank(tag_id), key=rank)]
+        insort(self.at.setdefault(dst, []), tag_id, key=rank)
         self.placements[tag_id] = dst
 
     def tags_at(self, location: Location) -> list[str]:
-        """Tags of all items at exactly ``location``, in creation order (one lookup)."""
-        return [tag for _, tag in self.at.get(location, ())]
+        """Tags at exactly ``location`` in creation order: the index's own list, read-only."""
+        return self.at.get(location) or []

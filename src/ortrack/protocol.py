@@ -334,62 +334,65 @@ def _checklist_update(state: MtcState, action: str, tag: str, now: int) -> Proto
                  "action": action, "tag": tag})
 
 
-def _add_or_reactivate(state: MtcState, tag: str, status: TagStatus, now: int,
-                       out: Outputs) -> bool:
-    """Put a tag on the active checklist; returns False if already active."""
-    entry = state.entries.get(tag)
+def _add_or_reactivate(state: MtcState, tag: str, entry: ChecklistEntry | None,
+                       status: TagStatus, now: int, out: Outputs) -> None:
+    """Put a tag that is off the active checklist (no ``entry``, or a removed one) on it."""
     if entry is None:
         state.entries[tag] = ChecklistEntry(status=status, last_seen_s=now)
     else:
-        entry.last_seen_s = now
-        if entry.status is not TagStatus.REMOVED_FROM_OR:
-            return False
-        entry.status = status
+        entry.status, entry.last_seen_s = status, now
     out.messages.append(_checklist_update(state, "add", tag, now))
     if state.phase is CasePhase.SETUP:
         out.phase_changes.append(state.advance(CasePhase.IN_PROGRESS))
-    return True
 
 
 def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
-    """Apply one message from the central service to the cart's checklist."""
+    """Apply one message from the central service to the cart's checklist; one that
+    changes no output returns the shared ``NOTHING``."""
     if state.phase is CasePhase.COMPLETE:
         raise StaleCaseError(f"case {state.case_id} already complete")
-    out = Outputs()
     payload = msg.payload
     kind = payload["kind"]
     now = msg.time_s
 
     if kind == "NewEquipmentInOR":
-        # idempotent: a tag already on the checklist raises no second alert
-        if _add_or_reactivate(state, payload["tag"], TagStatus.IN_USE, now, out):
-            out.alerts.append(Alert(
-                severity=Severity.INFO, kind=AlertKind.NEW_EQUIPMENT_DETECTED,
-                tags=frozenset([payload["tag"]]),
-                text=f"new equipment {payload['tag']} detected in {state.room_id}, "
-                     f"added to monitoring checklist"))
+        tag = payload["tag"]
+        entry = state.entries.get(tag)
+        if entry is not None and entry.status is not TagStatus.REMOVED_FROM_OR:
+            entry.last_seen_s = now  # idempotent: an active tag raises no second alert
+            return NOTHING
+        out = Outputs()
+        _add_or_reactivate(state, tag, entry, TagStatus.IN_USE, now, out)
+        out.alerts.append(Alert(
+            severity=Severity.INFO, kind=AlertKind.NEW_EQUIPMENT_DETECTED,
+            tags=frozenset([tag]),
+            text=f"new equipment {tag} detected in {state.room_id}, "
+                 f"added to monitoring checklist"))
 
     elif kind == "EquipmentLeftOR":
-        entry = state.entries.get(payload["tag"])
-        if entry is not None and entry.status is not TagStatus.REMOVED_FROM_OR:
-            state.unsweep(payload["tag"])
-            entry.status = TagStatus.REMOVED_FROM_OR
-            entry.last_seen_s = now
-            out.messages.append(_checklist_update(state, "remove", payload["tag"], now))
-            # Removing items mid-reconciliation can mask a retained item.
-            severity = (Severity.WARNING
-                        if state.phase in (CasePhase.CLOSING_ANNOUNCED, CasePhase.CAVITY_SCAN)
-                        else Severity.INFO)
-            out.alerts.append(Alert(
-                severity=severity, kind=AlertKind.EQUIPMENT_LEFT_OR,
-                tags=frozenset([payload["tag"]]),
-                text=f"{payload['tag']} left {state.room_id}, "
-                     f"removed from monitoring checklist"))
+        tag = payload["tag"]
+        entry = state.entries.get(tag)
+        if entry is None or entry.status is TagStatus.REMOVED_FROM_OR:
+            return NOTHING
+        out = Outputs()
+        state.unsweep(tag)
+        entry.status = TagStatus.REMOVED_FROM_OR
+        entry.last_seen_s = now
+        out.messages.append(_checklist_update(state, "remove", tag, now))
+        # Removing items mid-reconciliation can mask a retained item.
+        severity = (Severity.WARNING
+                    if state.phase in (CasePhase.CLOSING_ANNOUNCED, CasePhase.CAVITY_SCAN)
+                    else Severity.INFO)
+        out.alerts.append(Alert(
+            severity=severity, kind=AlertKind.EQUIPMENT_LEFT_OR,
+            tags=frozenset([tag]),
+            text=f"{tag} left {state.room_id}, removed from monitoring checklist"))
 
     elif kind == "SpdReadyAck":
         if state.phase not in (CasePhase.RECONCILED, CasePhase.AWAITING_SPD):
             raise InvalidPhaseError(f"SPD ack for {state.case_id} in phase {state.phase}")
         state.spd_acked = True
+        out = Outputs()
         if state.phase is CasePhase.RECONCILED:
             out.phase_changes.append(state.advance(CasePhase.AWAITING_SPD))
         out.phase_changes.append(state.advance(CasePhase.COMPLETE))
@@ -419,7 +422,7 @@ def _sweep(state: MtcState, detected: set[str], now: int, status: TagStatus) -> 
                 entry.last_seen_s = max(entry.last_seen_s, state.swept_at.get(status, 0))
             elif entry is None or entry.status is TagStatus.REMOVED_FROM_OR:
                 out = Outputs() if out is NOTHING else out
-                _add_or_reactivate(state, tag, status, now, out)
+                _add_or_reactivate(state, tag, entry, status, now, out)
             else:  # active: takes this status, leaving the other kind's set
                 state.unsweep(tag)
                 entry.status, entry.last_seen_s = status, now

@@ -1,21 +1,25 @@
 """The trace, a run's record: its NDJSON file form, its one reader, and ``locate``.
 
-Records serialize with alphabetically ordered keys, so equal runs are equal
-bytes. ``load`` reads a persisted trace back, ``read_trace`` walks it once into
-the ``TraceReading`` every post-run consumer projects from, and ``locate`` reads
-a tag's location belief from that; an unreadable trace raises ``TraceIOError``.
+Records serialize through one C encoder, built at import, with alphabetically ordered
+keys, so equal runs are equal bytes. ``load`` reads a persisted trace back, ``read_trace``
+walks it once into the ``TraceReading`` every post-run consumer projects from, and
+``locate`` reads a tag's location belief from that; an unreadable trace raises ``TraceIOError``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .model import SubLocation
 
 _CAVITY = SubLocation.PATIENT_CAVITY
-#: What ``json.dumps(r, sort_keys=True, separators=(",", ":"))`` builds on every call.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: The C encoder that ``json.dumps(r, sort_keys=True, separators=(",", ":"))`` builds on
+#: every call, built once: (markers, default, str encoder, indent, key and item separators,
+#: sort_keys, skipkeys, allow_nan), with no cycle markers, as each record is a fresh tree.
+_encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                         ":", ",", True, False, True)
 
 
 class TraceIOError(Exception):
@@ -33,8 +37,7 @@ class Trace:
     records: list[dict] = field(default_factory=list)
 
     def to_ndjson(self) -> str:
-        encode = _ENCODER.encode
-        return "".join(encode(r) + "\n" for r in self.records)
+        return "".join(["".join(_encode(r, 0)) + "\n" for r in self.records])
 
     @classmethod
     def from_ndjson(cls, text: str) -> "Trace":
@@ -127,8 +130,11 @@ def read_trace(trace: Trace) -> TraceReading:
             elif kind == "phase":
                 if cavity.get(room_by_case.get(record["case"])):
                     reading.retained_at.add(record["to"])
-            elif kind == "case":  # with every field a report or a summary reads
-                _ = record["phase"], record["outcomes"]
+            elif kind == "case":  # with every field a report or a summary reads, typed
+                phase, outcomes = record["phase"], record["outcomes"]
+                if not (isinstance(phase, str) and isinstance(outcomes, list)
+                        and all(isinstance(outcome, str) for outcome in outcomes)):
+                    raise TypeError("case phase or outcomes")
                 for entry in record["entries"].values():
                     _ = entry["status"], entry["last_seen_s"]
                 reading.cases[record["case_id"]] = record

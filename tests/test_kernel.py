@@ -11,6 +11,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import OR, load_bundled, one_room, random_scenario, scenario_text
 from ortrack import kernel, protocol, sensing
@@ -416,6 +418,21 @@ def test_trace_round_trips_through_ndjson():
     assert Trace.from_ndjson(trace.to_ndjson()) == trace
 
 
+def _dumps_per_record(records: list) -> str:
+    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+
+
+_MEMBERS = [member for enum in (protocol.CasePhase, protocol.TagStatus, ItemKind)
+            for member in enum]
+_KEYS = st.text(max_size=6) | st.sampled_from(_MEMBERS)
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8) | st.sampled_from(_MEMBERS)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=12)
+_RECORDS = st.lists(st.dictionaries(_KEYS, _VALUES, max_size=5), max_size=4)
+
+
 @pytest.mark.parametrize("records", [
     [],
     [{"t": 0, "type": "meta", "name": "Salle d\u2019op\u00e9ration \u00e9t\u00e9", "seed": 3,
@@ -426,11 +443,27 @@ def test_trace_round_trips_through_ndjson():
 ], ids=["empty", "non-ascii-nested-float"])
 def test_to_ndjson_is_json_dumps_per_record(records):
     text = Trace(records=records).to_ndjson()
-    assert text == "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-                           for r in records)
+    assert text == _dumps_per_record(records)
     assert text.isascii()
     if records:
         assert "\\u00e9" in text
+
+
+@given(records=_RECORDS, shared=st.dictionaries(_KEYS, _VALUES, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_to_ndjson_is_json_dumps_per_generated_record(records, shared):
+    """Records of every JSON type, escaped strings and state members, and one
+    sub-dict shared by two records, serialize as ``json.dumps`` does each one."""
+    records = [*records, {"a": shared}, {"b": [shared]}]
+    text = Trace(records=records).to_ndjson()
+    assert text == _dumps_per_record(records)
+    assert text.isascii()
+
+
+def test_to_ndjson_of_every_golden_is_json_dumps_per_record():
+    for name in GOLDENS:
+        trace = run(load_bundled(name))
+        assert trace.to_ndjson() == _dumps_per_record(trace.records), name
 
 
 def test_from_ndjson_rejects_torn_and_blank_lines():
@@ -517,6 +550,22 @@ def test_a_reader_draws_its_outage_schedule_on_first_read(sensor, schedules, mon
         **base.sensors, sensor: sensing.SensorModel(p_detect=1.0, mtbf_s=1e9, mttr_s=1.0)})
     assert run(scenario).to_ndjson() == run(base).to_ndjson()
     assert len(calls) == schedules
+
+
+@pytest.mark.parametrize("mtbf_s, checks", [
+    (None, []),  # no outage schedule: the cavity scan checks none
+    (30.0, [("med:OR-1", 51)]),
+])
+def test_a_cavity_scan_checks_for_an_outage_only_with_a_schedule(mtbf_s, checks, monkeypatch):
+    calls = []
+    check = sensing.raise_if_down
+    monkeypatch.setattr(sensing, "raise_if_down",
+                        lambda *args: calls.append(args) or check(*args))
+    scenario = load_bundled("clean_case")
+    scenario = dataclasses.replace(scenario, sensors={
+        **scenario.sensors, "med:OR-1": sensing.SensorModel(mtbf_s=mtbf_s, mttr_s=1.0)})
+    run(scenario)
+    assert [(sensor_id, now) for sensor_id, _, now in calls] == checks
 
 
 def test_a_run_leaves_no_cyclic_garbage():

@@ -19,10 +19,10 @@ GOLDENS = ("clean_case", "sponge_in_cavity", "sponge_in_cavity_recovered",
 
 def _created(tags: list[str]) -> WorldState:
     """A world holding ``tags`` in the equipment room in creation order, as the kernel
-    builds one: each tag's ``(creation index, tag)`` entry, all in one location list."""
+    builds one: each tag's creation index, all the tags in one location list."""
     home = Location(EQUIPMENT_ROOM)
-    entry_of = {tag: (idx, tag) for idx, tag in enumerate(tags)}
-    return WorldState(dict.fromkeys(tags, home), {home: list(entry_of.values())}, entry_of)
+    return WorldState(dict.fromkeys(tags, home), {home: list(tags)},
+                      {tag: idx for idx, tag in enumerate(tags)})
 
 
 def test_create_item_starts_in_equipment_room():

@@ -14,6 +14,7 @@ from ortrack.protocol import (
     CmsState,
     InvalidPhaseError,
     MtcState,
+    NOTHING,
     Outputs,
     ProtocolMessage,
     RoomSensorState,
@@ -29,7 +30,7 @@ from ortrack.protocol import (
     spd_acknowledge,
 )
 from ortrack.reconcile import Outcome
-from ortrack.trace import _ENCODER
+from ortrack.trace import Trace
 
 
 def crossing(tag, direction, room="OR-1", t=0):
@@ -159,6 +160,18 @@ def test_mtc_duplicate_new_equipment_is_noop():
     out = mtc_handle(mtc, new_equipment("T-2", t=7))
     assert out.alerts == []
     assert mtc.entries["T-2"].status is TagStatus.ON_TRAY
+
+
+def test_mtc_message_that_changes_no_output_returns_the_shared_nothing():
+    mtc = fresh_mtc()
+    mtc_handle(mtc, new_equipment("T-1"))
+    assert mtc_handle(mtc, new_equipment("T-1", t=4)) is NOTHING  # already active
+    assert mtc.entries["T-1"].last_seen_s == 4
+    assert mtc_handle(mtc, left_or("T-2", t=5)) is NOTHING  # never on the checklist
+    mtc_handle(mtc, left_or("T-1", t=6))
+    assert mtc_handle(mtc, left_or("T-1", t=7)) is NOTHING  # already off it
+    assert mtc.entries["T-1"].last_seen_s == 6
+    assert NOTHING == Outputs()
 
 
 def test_mtc_stale_case_rejected():
@@ -326,9 +339,9 @@ STATE_MEMBERS = [member for enum in (TagStatus, CasePhase, Severity, AlertKind, 
 def test_state_member_is_its_trace_string(member):
     value = member.value
     assert type(value) is str
-    assert _ENCODER.encode(member) == _ENCODER.encode(value)
+    assert Trace([member]).to_ndjson() == Trace([value]).to_ndjson()
     assert json.dumps(member, indent=2) == json.dumps(value, indent=2)
-    assert _ENCODER.encode({member: [member]}) == _ENCODER.encode({value: [value]})
+    assert Trace([{member: [member]}]).to_ndjson() == Trace([{value: [value]}]).to_ndjson()
     assert json.dumps({member: [member]}, indent=2) == json.dumps({value: [value]}, indent=2)
     assert f"{member}" == value
     assert member == value and hash(member) == hash(value)

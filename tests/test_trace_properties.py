@@ -6,7 +6,8 @@ another or replaced by arbitrary bytes ends, through ``trace.load``,
 reading, or in a ``TraceIOError``; nothing else escapes. ``locate`` on any
 reading gives a belief for a tag the reading registers and ``UnknownTagError``
 for any other, and a report or run summary of a readable foreign trace whose
-case record lacks a field they read ends in a ``TraceIOError``.
+case record lacks a field they read, or has a phase or outcomes of the wrong
+type, ends in a ``TraceIOError``.
 """
 
 import json
@@ -71,7 +72,13 @@ def test_locate_on_a_readable_foreign_trace_raises_only_trace_errors(meta):
     {"t": 0, "type": "case", "case_id": "C-1", "phase": "Setup", "outcomes": [],
      "entries": {"T-1": {"status": "OnTray"}}},
     {"t": 0, "type": "case", "case_id": "C-1", "phase": "Setup", "outcomes": [], "entries": []},
-], ids=["no-entries", "entry-without-last-seen", "entries-not-an-object"])
+    {"t": 0, "type": "case", "case_id": "C-1", "phase": ["x"], "outcomes": [], "entries": {}},
+    {"t": 0, "type": "case", "case_id": "C-1", "phase": "Setup", "outcomes": [["x"]],
+     "entries": {}},
+    {"t": 0, "type": "case", "case_id": "C-1", "phase": "Setup", "outcomes": {"a": 1},
+     "entries": {}},
+], ids=["no-entries", "entry-without-last-seen", "entries-not-an-object", "phase-not-a-str",
+        "outcome-not-a-str", "outcomes-not-a-list"])
 @pytest.mark.parametrize("consumer", [
     lambda trace: generate_report(read_trace(trace), "C-1"),
     run_summary,
