@@ -19,7 +19,7 @@ import sys
 
 from . import decision, kernel, reconcile
 from .protocol import CasePhase, Severity
-from .trace import Trace, TraceIOError, TraceReading, read_trace
+from .trace import Trace, TraceReading, read_trace
 
 SAFE_PHASES = {CasePhase.RECONCILED, CasePhase.AWAITING_SPD, CasePhase.COMPLETE}
 
@@ -219,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
             decision.KeyMismatchError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, TraceIOError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

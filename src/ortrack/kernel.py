@@ -464,9 +464,7 @@ class _Engine:
         for spec in self.scenario.cases:
             mtc = self.mtcs[spec.room_id] = self.mtcs_by_case[spec.case_id] = MtcState(
                 case_id=spec.case_id, room_id=spec.room_id,
-                scan_passes=spec.scan_passes, max_rescans=spec.max_rescans,
-                # no entry has a sweep status yet, so a first sweep can be skipped too
-                swept={TagStatus.ON_TRAY: set(), TagStatus.DISCARDED: set()})
+                scan_passes=spec.scan_passes, max_rescans=spec.max_rescans)
             self.cms.register_case(spec.case_id, spec.room_id)
             self.handlers[mtc.node_id] = (_Engine._on_mtc, mtc)
             self.handlers[mtc.med_node] = (_Engine._med_scan, mtc)
@@ -520,8 +518,6 @@ class _Engine:
         self.seq += 1
 
     def _emit(self, outputs: Outputs, case_id: str | None, now: int) -> None:
-        if not (outputs.messages or outputs.alerts or outputs.phase_changes):
-            return
         for message in outputs.messages:
             self._send(message, now)
         for alert in outputs.alerts:
@@ -617,8 +613,8 @@ class _Engine:
                 self._sweep(mtc, bin_, now)
         if ev.kind == "remove_from_cavity":
             mtc = self.mtcs.get(src.site)
-            if mtc is not None:
-                self._emit(mtc_staff_rescan(mtc, now), mtc.case_id, now)
+            if mtc is not None and (outputs := mtc_staff_rescan(mtc, now)) is not NOTHING:
+                self._emit(outputs, mtc.case_id, now)
 
     # -- message delivery
 

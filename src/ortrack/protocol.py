@@ -158,8 +158,8 @@ NOTHING = Outputs()
 
 @dataclass
 class ChecklistEntry:
-    """A tag on a cart's checklist; an ``OnTray`` or ``Discarded`` entry's
-    ``last_seen_s`` is a lower bound, resolved by ``MtcState.last_seen``."""
+    """A tag on a cart's checklist, written only by ``MtcState.mark``; an ``OnTray``
+    or ``Discarded`` entry's ``last_seen_s`` is a lower bound (``MtcState.last_seen``)."""
 
     status: TagStatus
     last_seen_s: int
@@ -273,10 +273,12 @@ DEFAULT_MAX_RESCANS = 2
 class MtcState:
     """The cart of one operating room: its case's lifecycle, checklist and scan counters.
 
-    ``swept[status]`` holds exactly the tags whose entry has ``status`` (``OnTray`` or
-    ``Discarded``, set only by that kind of sweep); each was seen at ``swept_at[status]``,
-    that kind's last sweep, so its ``last_seen_s`` is a lower bound that ``last_seen``
-    resolves. The kernel compares the set with an antenna's location to skip a sweep.
+    Every status change goes through ``mark``, which keeps ``swept[status]`` exactly the
+    tags whose entry has ``status`` (``OnTray`` or ``Discarded``, set only by that kind
+    of sweep); both sets are built from ``entries`` when the cart is made. Each tag in a
+    set was seen at ``swept_at[status]``, that kind's last sweep, so its ``last_seen_s``
+    is a lower bound that ``last_seen`` resolves. The kernel compares a set with an
+    antenna's location to skip a sweep.
     """
 
     case_id: str
@@ -291,8 +293,14 @@ class MtcState:
     scans_done: int = 0
     last_outcome: str | None = None
     completed_s: int | None = None  # tick the case completed; stamped by the kernel
-    swept: dict[TagStatus, set[str]] = field(default_factory=dict)  # sweep status -> its tags
+    swept: dict[TagStatus, set[str]] = field(init=False)  # sweep status -> its tags
     swept_at: dict[TagStatus, int] = field(default_factory=dict)  # sweep status -> last tick
+
+    def __post_init__(self) -> None:
+        self.swept = swept = {TagStatus.ON_TRAY: set(), TagStatus.DISCARDED: set()}
+        for tag, entry in self.entries.items():
+            if (held := swept.get(entry.status)) is not None:
+                held.add(tag)
 
     @property
     def node_id(self) -> str:
@@ -312,10 +320,33 @@ class MtcState:
         entry = self.entries[tag]
         return max(entry.last_seen_s, self.swept_at.get(entry.status, 0))
 
-    def unsweep(self, tag: str) -> None:
-        """Drop ``tag`` from the sweep sets; its entry is leaving a sweep status."""
-        for held in self.swept.values():
-            held.discard(tag)
+    def mark(self, tag: str, status: TagStatus, seen_s: int, out: Outputs) -> Outputs:
+        """The one writer of an entry's status: give ``tag`` ``status`` and ``seen_s``,
+        making its entry if it has none, and move it between the sweep sets. A tag
+        joining the active checklist sends the CMS an ``add`` and takes the case out
+        of Setup; one leaving it sends a ``remove``. Returns ``out``, or a fresh
+        ``Outputs`` in place of ``NOTHING`` once one of those is sent."""
+        swept = self.swept
+        if (entry := self.entries.get(tag)) is None:
+            self.entries[tag] = ChecklistEntry(status, seen_s)
+            was = TagStatus.REMOVED_FROM_OR  # off the active checklist, as a removed tag is
+        else:
+            was, entry.status, entry.last_seen_s = entry.status, status, seen_s
+            if (held := swept.get(was)) is not None:
+                held.discard(tag)
+        if (held := swept.get(status)) is not None:
+            held.add(tag)
+        joins = status is not TagStatus.REMOVED_FROM_OR
+        if joins is (was is not TagStatus.REMOVED_FROM_OR):
+            return out  # it neither joins nor leaves the active checklist
+        out = Outputs() if out is NOTHING else out
+        out.messages.append(ProtocolMessage(
+            time_s=seen_s, from_node=self.node_id, to_node=CMS_NODE,
+            payload={"kind": "ChecklistUpdate", "case": self.case_id,
+                     "action": "add" if joins else "remove", "tag": tag}))
+        if joins and self.phase is CasePhase.SETUP:
+            out.phase_changes.append(self.advance(CasePhase.IN_PROGRESS))
+        return out
 
     def advance(self, to: CasePhase) -> tuple[str, CasePhase, CasePhase]:
         if to not in PHASE_GRAPH[self.phase]:
@@ -327,23 +358,11 @@ class MtcState:
         return change
 
 
-def _checklist_update(state: MtcState, action: str, tag: str, now: int) -> ProtocolMessage:
+def request_cavity_scan(state: MtcState, now: int) -> ProtocolMessage:
+    """The cart's request for a cavity scan from its room's detector."""
     return ProtocolMessage(
-        time_s=now, from_node=state.node_id, to_node=CMS_NODE,
-        payload={"kind": "ChecklistUpdate", "case": state.case_id,
-                 "action": action, "tag": tag})
-
-
-def _add_or_reactivate(state: MtcState, tag: str, entry: ChecklistEntry | None,
-                       status: TagStatus, now: int, out: Outputs) -> None:
-    """Put a tag that is off the active checklist (no ``entry``, or a removed one) on it."""
-    if entry is None:
-        state.entries[tag] = ChecklistEntry(status=status, last_seen_s=now)
-    else:
-        entry.status, entry.last_seen_s = status, now
-    out.messages.append(_checklist_update(state, "add", tag, now))
-    if state.phase is CasePhase.SETUP:
-        out.phase_changes.append(state.advance(CasePhase.IN_PROGRESS))
+        time_s=now, from_node=state.node_id, to_node=state.med_node,
+        payload={"kind": "RequestCavityScan", "case": state.case_id})
 
 
 def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
@@ -361,8 +380,7 @@ def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
         if entry is not None and entry.status is not TagStatus.REMOVED_FROM_OR:
             entry.last_seen_s = now  # idempotent: an active tag raises no second alert
             return NOTHING
-        out = Outputs()
-        _add_or_reactivate(state, tag, entry, TagStatus.IN_USE, now, out)
+        out = state.mark(tag, TagStatus.IN_USE, now, NOTHING)
         out.alerts.append(Alert(
             severity=Severity.INFO, kind=AlertKind.NEW_EQUIPMENT_DETECTED,
             tags=frozenset([tag]),
@@ -374,11 +392,7 @@ def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
         entry = state.entries.get(tag)
         if entry is None or entry.status is TagStatus.REMOVED_FROM_OR:
             return NOTHING
-        out = Outputs()
-        state.unsweep(tag)
-        entry.status = TagStatus.REMOVED_FROM_OR
-        entry.last_seen_s = now
-        out.messages.append(_checklist_update(state, "remove", tag, now))
+        out = state.mark(tag, TagStatus.REMOVED_FROM_OR, now, NOTHING)
         # Removing items mid-reconciliation can mask a retained item.
         severity = (Severity.WARNING
                     if state.phase in (CasePhase.CLOSING_ANNOUNCED, CasePhase.CAVITY_SCAN)
@@ -389,12 +403,10 @@ def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
             text=f"{tag} left {state.room_id}, removed from monitoring checklist"))
 
     elif kind == "SpdReadyAck":
-        if state.phase not in (CasePhase.RECONCILED, CasePhase.AWAITING_SPD):
+        if state.phase is not CasePhase.AWAITING_SPD:
             raise InvalidPhaseError(f"SPD ack for {state.case_id} in phase {state.phase}")
         state.spd_acked = True
         out = Outputs()
-        if state.phase is CasePhase.RECONCILED:
-            out.phase_changes.append(state.advance(CasePhase.AWAITING_SPD))
         out.phase_changes.append(state.advance(CasePhase.COMPLETE))
 
     else:
@@ -405,28 +417,19 @@ def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
 def _sweep(state: MtcState, detected: set[str], now: int, status: TagStatus) -> Outputs:
     """Full antenna sweep: presence sets ``status``, absence demotes to InUse.
 
-    Only tags entering or leaving ``swept[status]`` are visited, and ``detected``
-    becomes that set as given; a demoted tag is stamped with the last tick it was
-    seen at. A cart's first sweep of a kind builds the set with one walk."""
+    Only the tags entering or leaving ``swept[status]`` are visited, each through
+    ``MtcState.mark``, which leaves that set equal to ``detected``; a demoted tag is
+    stamped with the last tick it was seen at."""
     if state.phase is CasePhase.COMPLETE:
         raise StaleCaseError(f"case {state.case_id} already complete")
-    out = NOTHING  # until a tag is added or reactivated
-    entries, swept = state.entries, state.swept
-    if (held := swept.get(status)) is None:
-        held = swept[status] = {t for t, e in entries.items() if e.status is status}
+    out = NOTHING  # until a tag joins the active checklist
+    held = state.swept[status]
     if changed := detected ^ held:
         for tag in sorted(changed) if len(changed) > 1 else changed:  # adds go out sorted
-            entry = entries.get(tag)
             if tag in held:  # gone: seen last at the previous sweep of this kind
-                entry.status = TagStatus.IN_USE
-                entry.last_seen_s = max(entry.last_seen_s, state.swept_at.get(status, 0))
-            elif entry is None or entry.status is TagStatus.REMOVED_FROM_OR:
-                out = Outputs() if out is NOTHING else out
-                _add_or_reactivate(state, tag, entry, status, now, out)
-            else:  # active: takes this status, leaving the other kind's set
-                state.unsweep(tag)
-                entry.status, entry.last_seen_s = status, now
-        swept[status] = detected
+                out = state.mark(tag, TagStatus.IN_USE, state.last_seen(tag), out)
+            else:  # arrived, leaving the other kind's set if it was there
+                out = state.mark(tag, status, now, out)
     state.swept_at[status] = now
     return out
 
@@ -450,9 +453,7 @@ def announce_closing(state: MtcState, now: int) -> Outputs:
     out.messages.append(ProtocolMessage(
         time_s=now, from_node=state.node_id, to_node=CMS_NODE,
         payload={"kind": "ClosingAnnounced", "case": state.case_id}))
-    out.messages.append(ProtocolMessage(
-        time_s=now, from_node=state.node_id, to_node=state.med_node,
-        payload={"kind": "RequestCavityScan", "case": state.case_id}))
+    out.messages.append(request_cavity_scan(state, now))
     return out
 
 
@@ -462,9 +463,7 @@ def mtc_staff_rescan(state: MtcState, now: int) -> Outputs:
         return NOTHING
     state.awaiting_staff_removal = False
     out = Outputs()
-    out.messages.append(ProtocolMessage(
-        time_s=now, from_node=state.node_id, to_node=state.med_node,
-        payload={"kind": "RequestCavityScan", "case": state.case_id}))
+    out.messages.append(request_cavity_scan(state, now))
     return out
 
 

@@ -30,12 +30,12 @@ from .protocol import (
     InvalidPhaseError,
     MtcState,
     Outputs,
-    ProtocolMessage,
     Severity,
     TagStatus,
     UnknownCaseError,
     mtc_bin_sweep,
     mtc_tray_sweep,
+    request_cavity_scan,
 )
 
 
@@ -101,9 +101,7 @@ def apply_scan_outcome(state: MtcState, cavity: frozenset[str], tray_reads: set[
         for tag in report.cavity_detected:
             entry = state.entries.get(tag)
             if entry is not None and entry.status is not TagStatus.REMOVED_FROM_OR:
-                state.unsweep(tag)
-                entry.status = TagStatus.IN_CAVITY_BELIEF
-                entry.last_seen_s = now
+                state.mark(tag, TagStatus.IN_CAVITY_BELIEF, now, out)
         out.alerts.append(Alert(
             severity=Severity.CRITICAL, kind=AlertKind.RSB_SUSPECTED,
             tags=report.cavity_detected,
@@ -120,9 +118,7 @@ def apply_scan_outcome(state: MtcState, cavity: frozenset[str], tray_reads: set[
         if state.rescans_used < state.max_rescans:
             state.rescans_used += 1
             out.phase_changes.append(state.advance(CasePhase.CLOSING_ANNOUNCED))
-            out.messages.append(ProtocolMessage(
-                time_s=now, from_node=state.node_id, to_node=state.med_node,
-                payload={"kind": "RequestCavityScan", "case": state.case_id}))
+            out.messages.append(request_cavity_scan(state, now))
         else:
             out.alerts.append(Alert(
                 severity=Severity.CRITICAL, kind=AlertKind.MANUAL_OVERRIDE,

@@ -292,6 +292,12 @@ def _eval_inputs(tmp_path, needs, correlation, scores):
                  id="header-only-scores-and-qualitative"),
     pytest.param(_OK_NEEDS, _OK_CORR, "concept,c1\nsolo," + "4" * 131_073 + "\n", None,
                  id="score-cell-over-csv-field-limit"),
+    pytest.param("need,weight\nsafety,5\n", _OK_CORR, _OK_SCORES, None,
+                 id="needs-header-not-importance"),
+    pytest.param(_OK_NEEDS, "need,c1\ncost,9\n", _OK_SCORES, None,
+                 id="correlation-rows-differ-from-needs"),
+    pytest.param("need,importance\nsafety,0\n", _OK_CORR, _OK_SCORES, None,
+                 id="zero-importance"),
 ])
 def test_eval_malformed_csv_is_an_input_error(tmp_path, capsys, needs, correlation, scores,
                                               qualitative):

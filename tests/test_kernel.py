@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 
 import pytest
@@ -138,56 +139,95 @@ LINK = ("bus", "links")
 # Malformed inputs, one row per kind of fault: each must be rejected at
 # load, never crash the loader or reach the run and break or hang it.
 BAD_INPUTS = [
-    ("items-entry-not-object", [(("items", 0), 1)], ValidationError),
-    ("cases-entry-not-object", [(("cases", 0), "C-1")], ValidationError),
-    ("events-entry-not-object", [(("events", 0), [10, "move"])], ValidationError),
-    ("sensors-list", [(("sensors",), [])], ValidationError),
-    ("bus-list", [(("bus",), [])], ValidationError),
-    ("link-not-object", [(LINK, {"RS->CMS": 3})], ValidationError),
-    ("scan_passes-string", [(("cases", 0, "scan_passes"), "2")], ValidationError),
-    ("scan_passes-float", [(("cases", 0, "scan_passes"), 1.5)], ValidationError),
-    ("max_rescans-float", [(("cases", 0, "max_rescans"), 1.5)], ValidationError),
+    ("items-entry-not-object", [(("items", 0), 1)], ValidationError,
+     "items[0] must be an object"),
+    ("cases-entry-not-object", [(("cases", 0), "C-1")], ValidationError,
+     "cases[0] must be an object"),
+    ("events-entry-not-object", [(("events", 0), [10, "move"])], ValidationError,
+     "events[0] must be an object"),
+    ("sensors-list", [(("sensors",), [])], ValidationError, "scenario.sensors must be dict"),
+    ("bus-list", [(("bus",), [])], ValidationError, "scenario.bus must be dict"),
+    ("link-not-object", [(LINK, {"RS->CMS": 3})], ValidationError,
+     "links['RS->CMS'] must be an object"),
+    ("scan_passes-string", [(("cases", 0, "scan_passes"), "2")], ValidationError,
+     "scan_passes must be int"),
+    ("scan_passes-float", [(("cases", 0, "scan_passes"), 1.5)], ValidationError,
+     "scan_passes must be int"),
+    ("max_rescans-float", [(("cases", 0, "max_rescans"), 1.5)], ValidationError,
+     "max_rescans must be int"),
     ("scan_passes-over-cap", [(("cases", 0, "scan_passes"), kernel.MAX_SCAN_PASSES + 1)],
-     ValidationError),
+     ValidationError, "scan_passes = 101 is outside [1, 100]"),
     ("max_rescans-over-cap", [(("cases", 0, "max_rescans"), kernel.MAX_RESCANS + 1)],
-     ValidationError),
-    ("bus-latency-string", [(("bus", "latency_s"), "1")], ValidationError),
-    ("p_detect-string", [(("sensors", "med:OR-1", "p_detect"), "x")], ValidationError),
-    ("link-drop_rate-above-one", [(LINK, {"CMS->MTC": {"drop_rate": 2.0}})], ValidationError),
-    ("link-unknown-nodes", [(LINK, {"FOO->BAR": {"drop_rate": 0.5}})], ValidationError),
-    ("link-negative-latency", [(LINK, {"RS->CMS": {"latency_s": -5}})], ValidationError),
-    ("distance-negative", [(("events", 0, "distance_m"), -1)], ValidationError),
-    ("horizon-bool", [(("horizon_s",), True), (("events",), [])], ValidationError),
-    ("t-bool", [(("events", 0, "t"), True)], ValidationError),
-    ("seed-string", [(("seed",), "abc")], ValidationError),
-    ("name-number", [(("name",), 5)], ValidationError),
-    ("sterile-is-unknown", [(("items", 0, "sterile"), True)], ValidationError),
-    ("item_id-number", [(("items", 0, "item_id"), 5)], ValidationError),
+     ValidationError, "max_rescans = 101 is outside [0, 100]"),
+    ("bus-latency-string", [(("bus", "latency_s"), "1")], ValidationError,
+     "bus.latency_s must be int"),
+    ("p_detect-string", [(("sensors", "med:OR-1", "p_detect"), "x")], ValidationError,
+     "p_detect must be number"),
+    ("link-drop_rate-above-one", [(LINK, {"CMS->MTC": {"drop_rate": 2.0}})], ValidationError,
+     "drop_rate = 2.0 is outside [0, 1]"),
+    ("link-unknown-nodes", [(LINK, {"FOO->BAR": {"drop_rate": 0.5}})], ValidationError,
+     "a link is <from>-><to>"),
+    ("link-negative-latency", [(LINK, {"RS->CMS": {"latency_s": -5}})], ValidationError,
+     "latency_s = -5 is outside"),
+    ("distance-negative", [(("events", 0, "distance_m"), -1)], ValidationError,
+     "distance_m = -1 is outside"),
+    ("horizon-bool", [(("horizon_s",), True), (("events",), [])], ValidationError,
+     "horizon_s must be int"),
+    ("t-bool", [(("events", 0, "t"), True)], ValidationError, "events[0].t must be int"),
+    ("seed-string", [(("seed",), "abc")], ValidationError, "seed must be int"),
+    ("name-number", [(("name",), 5)], ValidationError, "name must be str"),
+    ("sterile-is-unknown", [(("items", 0, "sterile"), True)], ValidationError,
+     "unknown keys ['sterile']"),
+    ("item_id-number", [(("items", 0, "item_id"), 5)], ValidationError, "item_id must be str"),
     ("item_id-duplicate", [(("items", 0, "item_id"), "X"), (("items", 1, "item_id"), "X")],
-     ValidationError),
-    ("tag_id-list", [(("items", 0, "tag_id"), ["T-1"])], ValidationError),
+     ValidationError, "duplicate item_id"),
+    ("tag_id-list", [(("items", 0, "tag_id"), ["T-1"])], ValidationError, "tag_id must be str"),
     ("case_id-slash", [(("cases", 0, "case_id"), "x/../y"), (("events", 6, "case"), "x/../y"),
-                       (("events", 7, "case"), "x/../y")], ValidationError),
+                       (("events", 7, "case"), "x/../y")], ValidationError,
+     "case_id may not contain"),
     ("case_id-backslash", [(("cases", 0, "case_id"), "x\\y"), (("events", 6, "case"), "x\\y"),
-                           (("events", 7, "case"), "x\\y")], ValidationError),
-    ("case_id-list", [(("cases", 0, "case_id"), ["C-1"])], ValidationError),
-    ("to_site-list", [(("events", 0, "to_site"), ["OR-1"])], ValidationError),
-    ("kind-list", [(("events", 0, "kind"), ["move"])], ValidationError),
-    ("event-unknown-key", [(("events", 0, "colour"), "red")], ValidationError),
+                           (("events", 7, "case"), "x\\y")], ValidationError,
+     "case_id may not contain"),
+    ("case_id-list", [(("cases", 0, "case_id"), ["C-1"])], ValidationError,
+     "case_id must be str"),
+    ("to_site-list", [(("events", 0, "to_site"), ["OR-1"])], ValidationError,
+     "to_site must be str"),
+    ("kind-list", [(("events", 0, "kind"), ["move"])], ValidationError, "kind must be str"),
+    ("event-unknown-key", [(("events", 0, "colour"), "red")], ValidationError,
+     "unknown keys ['colour']"),
     ("outages-over-cap", [(("horizon_s",), 1_000_000),
-                          (("sensors", "med:OR-1", "mtbf_s"), 1e-3)], ValidationError),
-    ("mtbf-nan", [(("sensors", "med:OR-1", "mtbf_s"), NAN)], ParseError),
-    ("mtbf-infinity", [(("sensors", "med:OR-1", "mtbf_s"), INF)], ParseError),
-    ("mttr-nan", [(("sensors", "med:OR-1", "mttr_s"), NAN)], ParseError),
-    ("distance-infinity", [(("events", 0, "distance_m"), INF)], ParseError),
-    ("drop_rate-nan", [(("bus", "drop_rate"), NAN)], ParseError),
+                          (("sensors", "med:OR-1", "mtbf_s"), 1e-3)], ValidationError,
+     "expected outages"),
+    ("mtbf-nan", [(("sensors", "med:OR-1", "mtbf_s"), NAN)], ParseError,
+     "NaN is not a JSON number"),
+    ("mtbf-infinity", [(("sensors", "med:OR-1", "mtbf_s"), INF)], ParseError,
+     "Infinity is not a JSON number"),
+    ("mttr-nan", [(("sensors", "med:OR-1", "mttr_s"), NAN)], ParseError,
+     "NaN is not a JSON number"),
+    ("distance-infinity", [(("events", 0, "distance_m"), INF)], ParseError,
+     "Infinity is not a JSON number"),
+    ("drop_rate-nan", [(("bus", "drop_rate"), NAN)], ParseError, "NaN is not a JSON number"),
+    ("event-after-horizon", [(("events", 0, "t"), 101)], ValidationError,
+     "event after horizon"),
+    ("to_sub-not-a-sub-location", [(("events", 0, "to_sub"), "Ceiling")], ValidationError,
+     "bad sub-location"),
+    ("to_site-unknown", [(("events", 0, "to_site"), "OR-9")], ValidationError, "unknown site"),
+    ("to_sub-outside-a-room", [(("events", 0, "to_site"), "SPD")], ValidationError,
+     "sub-location outside an operating room"),
+    ("discard-from-the-equipment-room", [(("events", 0, "kind"), "discard")], ValidationError,
+     "cannot discard from"),
+    ("item-kind-unknown", [(("items", 0, "kind"), "Scalpel")], ValidationError, "unknown kind"),
+    ("event-kind-unknown", [(("events", 0, "kind"), "teleport")], ValidationError,
+     "unknown kind"),
+    ("p_detect-zero", [(("sensors", "med:OR-1", "p_detect"), 0)], ValidationError,
+     "p_detect must be in"),
 ]
 
 
-@pytest.mark.parametrize("changes, error", [pytest.param(c, e, id=name)
-                                            for name, c, e in BAD_INPUTS])
-def test_bad_input_rejected(changes, error):
-    with pytest.raises(error):
+@pytest.mark.parametrize("changes, error, fragment",
+                         [pytest.param(c, e, f, id=name) for name, c, e, f in BAD_INPUTS])
+def test_bad_input_rejected(changes, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
         load_scenario(mutated(*changes))
 
 
@@ -397,6 +437,24 @@ def test_one_plan_run_over_many_seeds_gives_fresh_runs():
 def test_validate_trace_reports_a_malformed_record_as_a_problem(records):
     problems = validate_trace(Trace(records=records))
     assert len(problems) == 1 and problems[0].startswith(f"record {len(records) - 1}: ")
+
+
+def _msg_record(msg_id: int, t: int = 0, status: str = "dropped", sent_at: int = 0) -> dict:
+    return {"t": t, "type": "msg", "status": status, "sent_at": sent_at,
+            "msg": {"msg_id": msg_id}}
+
+
+@pytest.mark.parametrize("records, problem", [
+    ([{"t": 0, "type": "phase", "case": "C-1", "from": "Setup", "to": "Complete"}],
+     "illegal transition Setup -> Complete"),
+    ([_msg_record(0), _msg_record(0)], "duplicate msg_id 0"),
+    ([_msg_record(0, t=0, status="delivered", sent_at=5)], "delivered before sent"),
+    ([_msg_record(0, t=5, status="delivered", sent_at=5)], None),
+], ids=["phase-skips-ahead", "msg-id-repeated", "delivered-before-sent",
+        "delivered-in-its-send-tick"])
+def test_validate_trace_checks_phase_paths_msg_ids_and_causality(records, problem):
+    expected = [] if problem is None else [f"record {len(records) - 1}: {problem}"]
+    assert validate_trace(Trace(records=records)) == expected
 
 
 @pytest.mark.parametrize("records", [

@@ -15,6 +15,7 @@ from helpers import OR, load_bundled, one_room, random_scenario
 from ortrack import kernel, reconcile as reconcile_module
 from ortrack.kernel import BusConfig, LinkConfig, StaffEvent, run
 from ortrack.protocol import (
+    NOTHING,
     AlertKind,
     CasePhase,
     ChecklistEntry,
@@ -42,9 +43,9 @@ from ortrack.trace import Trace, TraceIOError, UnknownTagError, load, locate, re
 def cart_of(active, removed=()):
     mtc = MtcState(case_id="C-1", room_id="OR-1")
     for tag in active:
-        mtc.entries[tag] = ChecklistEntry(status=TagStatus.IN_USE, last_seen_s=0)
+        mtc.mark(tag, TagStatus.IN_USE, 0, NOTHING)
     for tag in removed:
-        mtc.entries[tag] = ChecklistEntry(status=TagStatus.REMOVED_FROM_OR, last_seen_s=0)
+        mtc.mark(tag, TagStatus.REMOVED_FROM_OR, 0, NOTHING)
     return mtc
 
 
@@ -130,9 +131,9 @@ def make_mtc(tray_tags, cavity_tags, max_rescans=2):
     mtc = MtcState(case_id="C-1", room_id="OR-1", scan_passes=1, max_rescans=max_rescans)
     mtc.phase = CasePhase.IN_PROGRESS
     for tag in tray_tags:
-        mtc.entries[tag] = ChecklistEntry(TagStatus.ON_TRAY, 0)
+        mtc.mark(tag, TagStatus.ON_TRAY, 0, NOTHING)
     for tag in cavity_tags:
-        mtc.entries[tag] = ChecklistEntry(TagStatus.IN_USE, 0)
+        mtc.mark(tag, TagStatus.IN_USE, 0, NOTHING)
     mtc.phase = CasePhase.CLOSING_ANNOUNCED
     return mtc
 
@@ -271,6 +272,9 @@ def test_sweep_demotes_as_a_full_checklist_walk_does(hand_built, phase, steps):
             assert outputs == sweep_step(reference, step, now)
         assert resolved(cart) == resolved(reference)
         assert cart.phase is reference.phase
+        assert cart.swept == {status: {tag for tag, entry in cart.entries.items()
+                                       if entry.status is status}
+                              for status in (TagStatus.ON_TRAY, TagStatus.DISCARDED)}
 
 
 def resolved(cart):
@@ -457,6 +461,16 @@ def test_persisted_runs_are_identical_files(tmp_path):
     persist(run(scenario), str(p1))
     persist(run(scenario), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_a_failed_rename_leaves_the_target_and_no_temp_file(tmp_path):
+    path = tmp_path / "store.ndjson"
+    path.write_text("before\n")
+    with mock.patch.object(reconcile_module.os, "replace", side_effect=OSError("disk gone")):
+        with pytest.raises(OSError, match="disk gone"):
+            reconcile_module.write_atomic(str(path), "after\n")
+    assert path.read_text() == "before\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["store.ndjson"]
 
 
 def test_load_missing_file(tmp_path):
