@@ -5,12 +5,15 @@ set-up once (id checks, initial world, staff-event heap, links), and
 ``Plan(s).run(seed)`` copies it, so a Monte Carlo batch pays per run only for
 what its seed changes; ``run(s)`` is ``Plan(s).run(s.seed)``. One logical seed
 is split into independent named streams, made on first use and only where a
-draw can change an outcome: ``sensor:<id>`` for a reader with ``p_detect < 1``
-and ``bus:<FROM>-><TO>`` for a link with ``drop_rate > 0``. So adding a sensor
-never perturbs anyone else's draws. The future-event list is a
-heap of flat ``(time, receiver priority, sequence number, sent_at, item)``
-entries, ``sent_at`` None for a staff event; staff and world events sort
-before any message at the same tick.
+draw can change an outcome: ``sensor:<id>`` for a reader with ``p_detect < 1``,
+``failures:<id>`` for one with an ``mtbf_s`` and ``bus:<FROM>-><TO>`` for a link
+with ``drop_rate > 0``. So adding a sensor never perturbs anyone else's draws.
+``_Engine._rng`` makes every stream and, with the meta record, is all that reads
+the seed, so the ticks before the first stream is made are the same under any
+seed: a plan runs them once, with no seed, and later runs fork that engine. The
+future-event list is a heap of flat ``(time, receiver priority, sequence number,
+sent_at, item)`` entries, ``sent_at`` None for a staff event; staff and world
+events sort before any message at the same tick.
 
 A run appends its records to a ``trace.Trace``; ``validate_trace`` checks one.
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import marshal
 import random
 import sys
 from dataclasses import dataclass, field
@@ -94,6 +98,7 @@ _HOME = Location(EQUIPMENT_ROOM)
 _NUMBER = (int, float)
 _MAX = sys.float_info.max
 _REQUIRED = object()
+_NO_SEED = object()  # the seed of an engine that runs a plan's seed-free prefix
 _DEFAULT_SENSOR = SensorModel()  # frozen, so every unconfigured reader shares it
 
 #: Staff event kind -> (sub-locations the item may start from, sub-location it
@@ -113,6 +118,10 @@ EVENT_KINDS = {"announce_closing", "spd_ack", *_MOVE_RULES}
 #: sweep handler in ``protocol``, looked up on the cart's first sweep in a run).
 _ANTENNAS = {"tray": (SubLocation.TOOL_TRAY, TagStatus.ON_TRAY, "mtc_tray_sweep"),
              "bin": (SubLocation.TRASH_BIN, TagStatus.DISCARDED, "mtc_bin_sweep")}
+
+
+class _NeedsSeed(Exception):
+    """An engine without a seed was asked for a random stream; ``Plan`` catches it."""
 
 
 def stream_seed(seed: int, name: str) -> int:
@@ -401,7 +410,10 @@ class Plan:
     index, the heapified staff events, the meta record's parts and each link,
     resolved by its (from type, to type) pair on the first message between two
     nodes in any run. ``run(seed)`` makes a run's state from C-level
-    copies; a run only adds links to the plan."""
+    copies; a run only adds links to the plan.
+
+    Its first run, and a run with an observer, starts a fresh engine; each other run
+    forks ``prefix``, an engine with no seed paused before the first tick that needs one."""
 
     def __init__(self, scenario: Scenario):
         items, item_ids = scenario.items, _item_ids(scenario.items)
@@ -421,6 +433,8 @@ class Plan:
         # and the same link by (from node, to node)
         self.links: dict[tuple, tuple] = {}
         self.routes: dict[tuple, tuple] = {}
+        self.runs = 0  # runs without an observer
+        self.prefix: _Engine | None = None  # paused on the second of them
 
     def link(self, ends: tuple[str, str]) -> tuple:
         """The link between two nodes: receiver priority, latency, drop rate and
@@ -436,11 +450,33 @@ class Plan:
 
     def run(self, seed: int, observer=None) -> Trace:
         """Execute the scenario to its horizon under ``seed``."""
-        return _Engine(self, seed).run(observer=observer)
+        if observer is None:
+            self.runs += 1
+            if self.runs == 2:
+                self.prefix = self._pause()
+            if self.prefix is not None:
+                return self.prefix.fork(seed).run()
+        return _Engine(self, seed).run(observer)
+
+    def _pause(self) -> _Engine | None:
+        """An engine with no seed that has run every tick before the first that needs the
+        seed, None if that is the first tick. The probe that finds that tick stops inside
+        it, so a second engine replays the ticks before it."""
+        probe = _Engine(self, _NO_SEED)
+        try:
+            probe._advance(self.scenario.horizon_s)
+        except _NeedsSeed:
+            tick, probe = probe.now, _Engine(self, _NO_SEED)
+            probe._advance(tick - 1)
+            if probe.now is None:
+                return None
+        probe.trace.records[0]["seed"] = None  # records marshalled once, for each fork to load
+        probe.records = marshal.dumps(json.loads(json.dumps(probe.trace.records)))
+        return probe
 
 
 class _Engine:
-    def __init__(self, plan: Plan, seed: int):
+    def __init__(self, plan: Plan, seed):
         self.plan, self.scenario, self.seed = plan, plan.scenario, seed
         self.world = WorldState(dict.fromkeys(plan.tags, _HOME), {_HOME: [*plan.tags]},
                                 plan.rank)
@@ -450,6 +486,7 @@ class _Engine:
         self.heap: list[tuple] = list(plan.heap)
         self.seq = len(self.heap)
         self.msg_seq = 0
+        self.now: int | None = None  # the tick in hand, None before the first
         self.cms = CmsState()
         self.mtcs: dict[str, MtcState] = {}  # keyed by room id
         self.mtcs_by_case: dict[str, MtcState] = {}  # the same carts, keyed by case id
@@ -469,6 +506,32 @@ class _Engine:
             self.handlers[mtc.node_id] = (_Engine._on_mtc, mtc)
             self.handlers[mtc.med_node] = (_Engine._med_scan, mtc)
 
+    def fork(self, seed: int) -> _Engine:
+        """A paused engine's state under ``seed``, sharing nothing mutable but its readers
+        (it made no stream, so none has one or outages); every payload is plain JSON."""
+        twin, world, cms = _Engine.__new__(_Engine), self.world, self.cms
+        twin.plan, twin.scenario, twin.seed, twin.rngs = self.plan, self.scenario, seed, {}
+        twin.seq, twin.msg_seq, twin.now = self.seq, self.msg_seq, self.now
+        twin.world = WorldState(dict(world.placements),
+                                {at: tags[:] for at, tags in world.at.items()}, world.rank)
+        twin.trace = Trace(marshal.loads(self.records))
+        twin.trace.records[0]["seed"] = seed
+        twin.heap = [entry if entry[3] is None else (*entry[:4], ProtocolMessage(
+            (m := entry[4]).time_s, m.from_node, m.to_node,
+            marshal.loads(marshal.dumps(m.payload)), m.msg_id)) for entry in self.heap]
+        twin.readers = dict(self.readers)
+        twin.entrances = {site: (reader, RoomSensorState(rs.room_id, set(rs.believed_inside)))
+                          for site, (reader, rs) in self.entrances.items()}
+        twin.antennas = {room: tuple((*a[:4], twin.world.at[a[0]], a[5]) for a in antennas)
+                         for room, antennas in self.antennas.items()}
+        twin.cms = CmsState(dict(cms.case_by_room), dict(cms.room_by_case),
+                            {case: set(tags) for case, tags in cms.checklist_mirror.items()})
+        carts = twin.mtcs_by_case = {case: mtc.copy() for case, mtc in self.mtcs_by_case.items()}
+        twin.mtcs = {mtc.room_id: mtc for mtc in carts.values()}
+        twin.handlers = {node: (fn, twin.cms if fn is None else carts[state.case_id])
+                         for node, (fn, state) in self.handlers.items()}
+        return twin
+
     def _reader(self, sensor_id: str) -> tuple:
         """A reader's id, model, stream (only when ``p_detect < 1``) and outage
         schedule (only with an ``mtbf_s``), all resolved on its first use."""
@@ -477,13 +540,15 @@ class _Engine:
             model_ = scenario.sensors.get(sensor_id, _DEFAULT_SENSOR)
             rng = self._rng(f"sensor:{sensor_id}") if model_.p_detect < 1.0 else None
             outages = () if model_.mtbf_s is None else sensing.sensor_failure_schedule(
-                model_, scenario.horizon_s, rng_stream(self.seed, f"failures:{sensor_id}"))
+                model_, scenario.horizon_s, self._rng(f"failures:{sensor_id}"))
             reader = self.readers[sensor_id] = (sensor_id, model_, rng, outages)
         return reader
 
     def _rng(self, name: str) -> random.Random:
         rng = self.rngs.get(name)
         if rng is None:
+            if self.seed is _NO_SEED:
+                raise _NeedsSeed(name)
             rng = self.rngs[name] = rng_stream(self.seed, name)
         return rng
 
@@ -554,14 +619,19 @@ class _Engine:
 
     def _sweep(self, mtc: MtcState, antenna: tuple, now: int) -> None:
         """Sweep one cart antenna; a certain one is not read when its location holds
-        exactly the cart's tags of that sweep's status: the read would only move
-        the tick of that kind of sweep."""
+        exactly the cart's tags of that sweep's status, and no handler is called for
+        a read that saw exactly those tags: either would only move the tick of that
+        kind of sweep."""
         location, status, handler, reader, at, certain = antenna
         if certain and len(swept := mtc.swept[status]) == len(at) and swept.issuperset(at):
             mtc.swept_at[status] = now
             return
         detected = self._read(reader, self.world.tags_at(location), mtc.case_id, now)
-        if detected is not None and (outputs := handler(mtc, set(detected), now)) is not NOTHING:
+        if detected is None:
+            return
+        if len(detected) == len(swept := mtc.swept[status]) and swept.issuperset(detected):
+            mtc.swept_at[status] = now
+        elif (outputs := handler(mtc, set(detected), now)) is not NOTHING:
             self._emit(outputs, mtc.case_id, now)
 
     def _cart_antennas(self, room: str) -> tuple:
@@ -661,12 +731,14 @@ class _Engine:
 
     # -- main loop
 
-    def run(self, observer=None) -> Trace:
-        horizon, heap, pop = self.scenario.horizon_s, self.heap, heapq.heappop
+    def _advance(self, last_tick: int, observer=None) -> None:
+        """Process every tick up to ``last_tick``; ``now`` is the tick in hand."""
+        heap, pop = self.heap, heapq.heappop
         while heap:
             time_s = heap[0][0]
-            if time_s > horizon:
+            if time_s > last_tick:
                 break
+            self.now = time_s
             while heap and heap[0][0] == time_s:
                 _, _, _, sent_at, item = pop(heap)
                 if sent_at is None:
@@ -675,6 +747,10 @@ class _Engine:
                     self._on_deliver(item, sent_at, time_s)
             if observer is not None:
                 observer(time_s, self.world, self)
+
+    def run(self, observer=None) -> Trace:
+        horizon = self.scenario.horizon_s
+        self._advance(horizon, observer)
         for mtc in self.mtcs_by_case.values():
             self.trace.records.append({
                 "t": horizon, "type": "case", "case_id": mtc.case_id,

@@ -397,20 +397,44 @@ def test_all_goldens_validate():
         assert validate_trace(trace) == [], name
 
 
+def _outage_golden():
+    """cavity_retention with a failing detector: its outage schedule is drawn at the
+    first cavity scan, after the ticks every seed shares."""
+    scenario = load_bundled("cavity_retention")
+    return dataclasses.replace(scenario, sensors={
+        **scenario.sensors, "med:OR-1": sensing.SensorModel(p_detect=1.0, mtbf_s=20.0,
+                                                            mttr_s=15.0)})
+
+
 def _plan_cases():
-    """(scenario, seeds): the goldens over 20 seeds, and lossy, noisy random
-    surgeries, whose bus and reader streams a run makes on first use."""
+    """(scenario, seeds): the goldens over 20 seeds, a golden whose outages are drawn
+    after its seed-free prefix, all-certain random surgeries, whose whole run is that
+    prefix, and lossy, noisy ones, whose bus and reader streams a run makes on first use."""
     for name in GOLDENS:
         yield load_bundled(name), range(20)
+    yield _outage_golden(), range(20)
+    for seed in range(50):
+        yield random_scenario(seed), range(seed, seed + 3)
     for latency_s in (1, 3):
         for seed in range(100):
             yield (random_scenario(seed, p_detect=0.8, drop_rate=0.1, latency_s=latency_s),
                    range(seed, seed + 3))
 
 
+def _scribble(tree) -> None:
+    """Change every dict and list of a JSON tree in place."""
+    for child in list(tree.values() if isinstance(tree, dict) else tree):
+        if isinstance(child, (dict, list)):
+            _scribble(child)
+    if isinstance(tree, dict):
+        tree.update(dict.fromkeys(tree, "scribbled"))
+    else:
+        tree.append("scribbled")
+
+
 def test_one_plan_run_over_many_seeds_gives_fresh_runs():
-    # a run that changed the plan, or kept a list the plan or an earlier trace
-    # holds, would show in a later run of the same plan
+    # a run that changed the plan or the engine later runs fork, or kept a dict or
+    # list the plan, that engine or an earlier trace holds, would show in a later run
     for scenario, seeds in _plan_cases():
         fresh = {seed: run(dataclasses.replace(scenario, seed=seed)).to_ndjson()
                  for seed in seeds}
@@ -418,11 +442,96 @@ def test_one_plan_run_over_many_seeds_gives_fresh_runs():
         for seed in [*seeds, *reversed(seeds)]:
             trace = plan.run(seed)
             assert trace.to_ndjson() == fresh[seed], (scenario.name, seed)
-            meta = trace.records[0]
-            meta["rooms"].append("OR-9")
-            meta["items"][0]["tag"] = "T-mutated"
-            meta["items"].append({"tag": "T-extra"})
-            meta["cases"].clear()
+            for record in trace.records:
+                _scribble(record)
+
+
+def test_the_outage_golden_draws_outages_that_hit():
+    hits = sum(r["type"] == "alert" and r["kind"] == "SensorDown"
+               for seed in range(20)
+               for r in run(dataclasses.replace(_outage_golden(), seed=seed)).records)
+    assert hits > 0
+
+
+def _paused_plan(scenario) -> kernel.Plan:
+    """A plan of ``scenario`` after two runs, its prefix paused."""
+    plan = kernel.Plan(scenario)
+    plan.run(0)
+    plan.run(1)
+    return plan
+
+
+@pytest.mark.parametrize("scenario, paused_at", [
+    pytest.param(lambda: load_bundled("cavity_retention"), 30, id="cavity_retention"),
+    pytest.param(_outage_golden, 30, id="outage-golden"),
+    pytest.param(lambda: random_scenario(3), None, id="all-certain"),
+])
+def test_a_fork_has_every_field_of_a_fresh_engine(scenario, paused_at):
+    plan = _paused_plan(scenario())
+    prefix = plan.prefix
+    if paused_at is None:  # no tick needs the seed: the prefix ran to the horizon
+        assert all(entry[0] > plan.scenario.horizon_s for entry in prefix.heap)
+    else:
+        assert prefix.now == paused_at
+    assert set(vars(prefix.fork(5))) == set(vars(kernel._Engine(plan, 5)))
+
+
+def _mutables(root, skip: set[int]) -> dict[int, object]:
+    """Every dict, list and set and every object of an ortrack class that is not frozen
+    reachable from ``root``, by id, not entering an object whose id is in ``skip``."""
+    found, seen, stack = {}, set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or id(obj) in skip or isinstance(obj, (str, int, float, bytes)):
+            continue
+        seen.add(id(obj))
+        ours = type(obj).__module__.startswith("ortrack")
+        frozen = getattr(getattr(obj, "__dataclass_params__", None), "frozen", False)
+        if isinstance(obj, (dict, list, set)) or (ours and not frozen
+                                                   and not isinstance(obj, tuple)):
+            found[id(obj)] = obj
+        if isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack += obj
+        elif ours:
+            stack += [getattr(obj, name) for name in getattr(obj, "__slots__", ())]
+            stack += vars(obj).values() if hasattr(obj, "__dict__") else ()
+    return found
+
+
+def test_a_fork_shares_nothing_mutable_with_the_engine_it_forks():
+    for scenario in (load_bundled("cavity_retention"), _outage_golden(),
+                     load_bundled("new_equipment")):
+        plan = _paused_plan(scenario)
+        prefix = plan.prefix
+        fork = prefix.fork(7)
+        fork.run()  # a run's state, its records and the messages it sent included
+        outside = {id(plan), id(plan.scenario)}
+        shared = _mutables(fork, outside).keys() & _mutables(prefix, outside).keys()
+        # the plan's own tag ranks are the only such object both reach; runs only read them
+        assert shared == {id(plan.rank)}, [_mutables(fork, outside)[i] for i in shared]
+        assert len(_mutables(fork, outside)) > 20
+
+
+def test_a_plan_pauses_an_engine_only_from_its_second_run_without_an_observer(monkeypatch):
+    pauses, forks = [], []
+    pause, fork = kernel.Plan._pause, kernel._Engine.fork
+    monkeypatch.setattr(kernel.Plan, "_pause", lambda plan: pauses.append(plan) or pause(plan))
+    monkeypatch.setattr(kernel._Engine, "fork",
+                        lambda engine, seed: forks.append(seed) or fork(engine, seed))
+    scenario = load_bundled("cavity_retention")
+    for _ in range(3):
+        run(scenario)  # one plan per run
+    plan = kernel.Plan(scenario)
+    plan.run(0)
+    for seed in range(3):
+        plan.run(seed, observer=lambda time_s, world, engine: None)
+    assert pauses == [] and forks == []
+    for seed in range(3):
+        plan.run(seed)
+    plan.run(9, observer=lambda time_s, world, engine: None)
+    assert pauses == [plan] and forks == [0, 1, 2]
 
 
 @pytest.mark.parametrize("records", [

@@ -211,14 +211,14 @@ def test_double_announce_rejected():
 # -- SPD acknowledgment
 
 
-def _reconciled_case():
+def _awaiting_spd_case():
     mtc = fresh_mtc()
-    mtc.phase = CasePhase.RECONCILED
+    mtc.phase = CasePhase.AWAITING_SPD
     return mtc
 
 
 def test_spd_ack_goes_to_cms():
-    carts = {"C-1": _reconciled_case()}
+    carts = {"C-1": _awaiting_spd_case()}
     msg = spd_acknowledge("C-1", carts, 70)
     assert msg.from_node == "SPD" and msg.to_node == "CMS"
     assert msg.payload == {"kind": "SpdReadyAck", "case": "C-1"}
@@ -229,6 +229,14 @@ def test_spd_ack_before_reconciliation_rejected():
     carts = {"C-1": fresh_mtc()}
     with pytest.raises(InvalidPhaseError):
         spd_acknowledge("C-1", carts, 0)
+
+
+def test_spd_ack_of_a_reconciled_case_rejected():
+    # apply_scan_outcome moves Reconciled on to AwaitingSpd in the same call
+    mtc = fresh_mtc()
+    mtc.phase = CasePhase.RECONCILED
+    with pytest.raises(InvalidPhaseError):
+        spd_acknowledge("C-1", {"C-1": mtc}, 0)
 
 
 def test_spd_ack_unknown_case():
