@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 tool or input error, 2 unresolved safety finding
 (a case that raised a critical retention or count alert and never made it
-through reconciliation). The split lets CI distinguish "the tool broke"
-from "the protocol found something".
+through reconciliation, or whose close stalled before reconciliation). The
+split lets CI distinguish "the tool broke" from "the protocol found something".
 
 All file outputs are written atomically (temp file + rename) and all
 diagnostics go to standard error; standard output carries result JSON only.
@@ -22,6 +22,7 @@ from .protocol import CasePhase, Severity
 from .trace import Trace, TraceReading, read_trace
 
 SAFE_PHASES = {CasePhase.RECONCILED, CasePhase.AWAITING_SPD, CasePhase.COMPLETE}
+STALLED_PHASES = {CasePhase.CLOSING_ANNOUNCED, CasePhase.CAVITY_SCAN}
 
 
 def _load_scenario_file(path: str, seed: int | None) -> kernel.Scenario:
@@ -33,10 +34,10 @@ def _load_scenario_file(path: str, seed: int | None) -> kernel.Scenario:
 
 
 def safety_findings(reading: TraceReading) -> list[str]:
-    """Cases with a critical finding that never reached reconciliation."""
+    """Cases whose close stalled, or that raised a critical alert and never reconciled."""
     return [case_id for case_id, record in reading.cases.items()
-            if record["phase"] not in SAFE_PHASES
-            and Severity.CRITICAL in (a["severity"] for a in reading.alerts.get(case_id, ()))]
+            if record["phase"] in STALLED_PHASES or (record["phase"] not in SAFE_PHASES and (
+                Severity.CRITICAL in (a["severity"] for a in reading.alerts.get(case_id, ()))))]
 
 
 def run_summary(trace: Trace) -> dict:

@@ -15,7 +15,8 @@ future-event list is a heap of flat ``(time, receiver priority, sequence number,
 sent_at, item)`` entries, ``sent_at`` None for a staff event; staff and world
 events sort before any message at the same tick.
 
-A run appends its records to a ``trace.Trace``; ``validate_trace`` checks one.
+An engine appends its records to its own list, its ``trace.Trace``'s; a fork's trace
+shares its paused engine's records as bytes (``trace.share``). ``validate_trace`` checks one.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .protocol import (
     spd_acknowledge,
 )
 from .sensing import SensorDownError, SensorModel
-from .trace import Trace
+from .trace import Trace, share
 
 
 class ParseError(Exception):
@@ -470,8 +471,7 @@ class Plan:
             probe._advance(tick - 1)
             if probe.now is None:
                 return None
-        probe.trace.records[0]["seed"] = None  # records marshalled once, for each fork to load
-        probe.records = marshal.dumps(json.loads(json.dumps(probe.trace.records)))
+        probe.shared = share(probe.records)  # as bytes, for each fork's trace
         return probe
 
 
@@ -480,9 +480,10 @@ class _Engine:
         self.plan, self.scenario, self.seed = plan, plan.scenario, seed
         self.world = WorldState(dict.fromkeys(plan.tags, _HOME), {_HOME: [*plan.tags]},
                                 plan.rank)
-        self.trace = Trace([{**plan.meta, "seed": seed, "rooms": sorted(plan.scenario.rooms),
-                             "items": list(map(dict.copy, plan.items)),
-                             "cases": list(map(dict.copy, plan.cases))}])
+        self.records = [{**plan.meta, "seed": seed, "rooms": sorted(plan.scenario.rooms),
+                         "items": list(map(dict.copy, plan.items)),
+                         "cases": list(map(dict.copy, plan.cases))}]
+        self.trace = Trace(self.records)
         self.heap: list[tuple] = list(plan.heap)
         self.seq = len(self.heap)
         self.msg_seq = 0
@@ -514,8 +515,8 @@ class _Engine:
         twin.seq, twin.msg_seq, twin.now = self.seq, self.msg_seq, self.now
         twin.world = WorldState(dict(world.placements),
                                 {at: tags[:] for at, tags in world.at.items()}, world.rank)
-        twin.trace = Trace(marshal.loads(self.records))
-        twin.trace.records[0]["seed"] = seed
+        twin.records = []  # the run's own records, after the prefix its trace shares
+        twin.trace = Trace.forked(self.shared, seed, twin.records)
         twin.heap = [entry if entry[3] is None else (*entry[:4], ProtocolMessage(
             (m := entry[4]).time_s, m.from_node, m.to_node,
             marshal.loads(marshal.dumps(m.payload)), m.msg_id)) for entry in self.heap]
@@ -555,12 +556,10 @@ class _Engine:
     # -- trace helpers
 
     def _record_alert(self, alert: Alert, case_id: str | None, now: int) -> None:
-        self.trace.records.append({"t": now, "type": "alert", "case": case_id,
-                                   **alert.to_json()})
+        self.records.append({"t": now, "type": "alert", "case": case_id, **alert.to_json()})
 
     def _record_error(self, op: str, detail: str, now: int) -> None:
-        self.trace.records.append({"t": now, "type": "error", "op": op,
-                                   "detail": detail})
+        self.records.append({"t": now, "type": "error", "op": op, "detail": detail})
 
     def _sensor_down(self, exc: SensorDownError, case_id: str | None, now: int) -> None:
         self._record_alert(Alert(severity=Severity.WARNING, kind=AlertKind.SENSOR_DOWN,
@@ -576,8 +575,8 @@ class _Engine:
         priority, latency, drop_rate, stream = self.plan.routes.get(ends) or self.plan.link(ends)
         outcome = deliver(latency, drop_rate, now, None if stream is None else self._rng(stream))
         if not outcome.delivered:
-            self.trace.records.append({"t": now, "type": "msg", "status": "dropped",
-                                       "sent_at": now, "msg": message.to_json()})
+            self.records.append({"t": now, "type": "msg", "status": "dropped",
+                                 "sent_at": now, "msg": message.to_json()})
             return
         heapq.heappush(self.heap, (outcome.at_time, priority, self.seq, now, message))
         self.seq += 1
@@ -588,8 +587,8 @@ class _Engine:
         for alert in outputs.alerts:
             self._record_alert(alert, case_id, now)
         for case, old, new in outputs.phase_changes:
-            self.trace.records.append({"t": now, "type": "phase", "case": case,
-                                       "from": old, "to": new})
+            self.records.append({"t": now, "type": "phase", "case": case,
+                                 "from": old, "to": new})
             if new is CasePhase.COMPLETE:
                 self.mtcs_by_case[case].completed_s = now
 
@@ -669,7 +668,7 @@ class _Engine:
         src = self.world.placements[ev.tag]
         dst, cause = destination(ev, src, self.scenario.rooms)
         self.world.apply_ground_truth(ev.tag, dst)
-        self.trace.records.append({
+        self.records.append({
             "t": now, "type": "gt", "tag": ev.tag, "cause": cause,
             "from": src.to_json(), "to": dst.to_json()})
 
@@ -689,8 +688,8 @@ class _Engine:
     # -- message delivery
 
     def _on_deliver(self, message: ProtocolMessage, sent_at: int, now: int) -> None:
-        self.trace.records.append({"t": now, "type": "msg", "status": "delivered",
-                                   "sent_at": sent_at, "msg": message.to_json()})
+        self.records.append({"t": now, "type": "msg", "status": "delivered",
+                             "sent_at": sent_at, "msg": message.to_json()})
         handler, state = self.handlers[message.to_node]
         try:
             if handler is not None:
@@ -752,7 +751,7 @@ class _Engine:
         horizon = self.scenario.horizon_s
         self._advance(horizon, observer)
         for mtc in self.mtcs_by_case.values():
-            self.trace.records.append({
+            self.records.append({
                 "t": horizon, "type": "case", "case_id": mtc.case_id,
                 "room_id": mtc.room_id, "phase": mtc.phase,
                 "spd_acked": mtc.spd_acked,

@@ -4,12 +4,15 @@ Records serialize through one C encoder, built at import, with alphabetically or
 keys, so equal runs are equal bytes. ``load`` reads a persisted trace back, ``read_trace``
 walks it once into the ``TraceReading`` every post-run consumer projects from, and
 ``locate`` reads a tag's location belief from that; an unreadable trace raises ``TraceIOError``.
+Forks of one paused run share its records and their ``read_trace`` fold as bytes only
+(``share``); a fork's ``read_trace`` starts from that fold and walks only its own records.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import marshal
+from dataclasses import astuple, dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .model import SubLocation
@@ -32,9 +35,25 @@ class UnknownTagError(Exception):
 
 @dataclass
 class Trace:
-    """Ordered run records; equal traces serialize to identical bytes."""
+    """Ordered run records; equal traces serialize to identical bytes. A ``forked`` one has
+    no ``records`` until first asked for them: its caller then owns fresh dicts."""
 
     records: list[dict] = field(default_factory=list)
+    fork = None  # (prefix records, their fold, their count, seed, own records) or None
+
+    @classmethod
+    def forked(cls, prefix: tuple[bytes, bytes, int], seed: int, tail: list[dict]) -> Trace:
+        trace = cls.__new__(cls)
+        trace.fork = (*prefix, seed, tail)
+        return trace
+
+    def __getattr__(self, name: str):  # reached only while ``records`` is not set
+        if name != "records" or self.fork is None:
+            raise AttributeError(name)
+        prefix, _, _, seed, tail = self.fork
+        self.fork, self.records = None, marshal.loads(prefix) + tail
+        self.records[0]["seed"] = seed
+        return self.records
 
     def to_ndjson(self) -> str:
         return "".join(["".join(_encode(r, 0)) + "\n" for r in self.records])
@@ -57,6 +76,12 @@ class Trace:
             if not isinstance(record, dict):
                 raise TraceIOError(f"record at line {lineno} is not a JSON object")
         return cls(records=records)
+
+
+def share(records: list[dict]) -> tuple[bytes, bytes, int]:
+    """What a run's forks share: its records, plain JSON with no seed, and their fold as bytes."""
+    records = json.loads(json.dumps([{**records[0], "seed": None}, *records[1:]]))
+    return marshal.dumps(records), marshal.dumps(astuple(read_trace(Trace(records)))), len(records)
 
 
 def load(store_path: str) -> Trace:
@@ -94,13 +119,18 @@ class TraceReading:
 
 
 def read_trace(trace: Trace) -> TraceReading:
-    """Walk the records once, in order, and collect a ``TraceReading``; a record
-    of the wrong shape raises ``TraceIOError``."""
-    reading = TraceReading()
+    """Walk the records once, in order (of a fork, from its prefix's fold, only its own), and
+    collect a ``TraceReading``; a record of the wrong shape raises ``TraceIOError``."""
+    if trace.fork is None:
+        reading, records, start, room_by_case = TraceReading(), trace.records, 0, {}
+    else:
+        _, fold, start, seed, records = trace.fork
+        reading = TraceReading(*marshal.loads(fold))
+        reading.meta["seed"] = seed
+        room_by_case = {case["case_id"]: case["room_id"] for case in reading.meta["cases"]}
     seen, cavity, belief = reading.first_seen.setdefault, reading.cavity, reading.belief
-    room_by_case = {}
     try:
-        for idx, record in enumerate(trace.records):
+        for idx, record in enumerate(records, start):
             kind, t = record["type"], record["t"]
             if kind == "msg":
                 payload = record["msg"]["payload"]

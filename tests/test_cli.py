@@ -70,6 +70,22 @@ def test_simulate_recovered_retention_exits_zero(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("link", ["MTC->MED", "MED->MTC"])
+def test_a_close_stalled_by_a_lost_cavity_scan_is_a_safety_finding(tmp_path, capsys, link):
+    # every RequestCavityScan or CavityScanResult is dropped: the close never ends, and
+    # the case raises no alert
+    scenario = json.loads(SCENARIOS.joinpath("clean_case.json").read_text(encoding="utf-8"))
+    scenario["bus"]["links"] = {link: {"drop_rate": 1.0}}
+    path = tmp_path / "lossy.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert "C-1" in capsys.readouterr().err
+    report = json.loads((tmp_path / "run" / "report_C-1.json").read_text(encoding="utf-8"))
+    assert report["final_phase"] == "ClosingAnnounced" and report["alerts"] == []
+    summary = batch_summary(kernel.load_scenario(path.read_text(encoding="utf-8")), 3, 0)
+    assert summary["runs_with_safety_finding"] == 3
+
+
 def test_simulate_missing_file_exits_one(tmp_path, capsys):
     code = main(["simulate", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == 1

@@ -247,6 +247,23 @@ def test_clean_case_mutation_baseline_loads():
     assert load_scenario(mutated()).name == "clean-case"
 
 
+def test_the_loader_accepts_each_cap_and_a_drop_rate_of_one():
+    scenario = load_scenario(mutated((("cases", 0, "scan_passes"), kernel.MAX_SCAN_PASSES),
+                                     (("cases", 0, "max_rescans"), kernel.MAX_RESCANS),
+                                     (("bus", "drop_rate"), 1),
+                                     (LINK, {"MTC->MED": {"drop_rate": 1}})))
+    case = scenario.cases[0]
+    assert (case.scan_passes, case.max_rescans) == (kernel.MAX_SCAN_PASSES, kernel.MAX_RESCANS)
+    assert scenario.bus.drop_rate == 1 and scenario.bus.link_params("MTC", "MED") == (1, 1)
+
+
+def test_an_omitted_latency_is_one_tick():
+    obj = json.loads(mutated((LINK, {"MTC->MED": {"drop_rate": 0.5}})))
+    del obj["bus"]["latency_s"]
+    bus = load_scenario(json.dumps(obj)).bus
+    assert bus.latency_s == 1 and bus.link_params("MTC", "MED") == (1, 0.5)
+
+
 def test_run_rejects_a_repeated_tag_in_a_scenario_built_in_python():
     # run does not validate, so setup checks the tags the world is keyed by
     scenario = Scenario(name="dup", seed=0, horizon_s=10, rooms=[OR],
@@ -444,6 +461,45 @@ def test_one_plan_run_over_many_seeds_gives_fresh_runs():
             assert trace.to_ndjson() == fresh[seed], (scenario.name, seed)
             for record in trace.records:
                 _scribble(record)
+
+
+def _scribble_reading(reading) -> None:
+    """Change every field of a ``TraceReading`` in place, its records, sets and tuples'
+    containers included."""
+    for tags in [*reading.cavity.values(), reading.retained_at]:
+        tags.add("scribbled")
+    for tree in (reading.meta, reading.kinds, reading.cases, reading.alerts, reading.belief,
+                 reading.scan_passes, reading.first_seen, reading.cavity):
+        _scribble(tree)
+
+
+def test_a_forked_run_reads_as_a_fresh_run_of_its_seed_reads():
+    # a fork's reading starts from its prefix's fold: every field, the seed included, must
+    # equal a reading of the fresh run's records, and no reading may share with the next
+    forked = 0
+    for scenario, seeds in _plan_cases():
+        plan = kernel.Plan(scenario)
+        for seed in [*seeds, *reversed(seeds)]:
+            trace = plan.run(seed)
+            forked += trace.fork is not None
+            reading = read_trace(trace)
+            fresh = run(dataclasses.replace(scenario, seed=seed))
+            assert reading == read_trace(Trace(fresh.records)), (scenario.name, seed)
+            assert reading.meta["seed"] == seed
+            _scribble_reading(reading)
+    assert forked >= 500  # most plans pause a prefix
+
+
+def test_a_malformed_record_of_a_forked_run_is_counted_after_its_prefix():
+    plan = _paused_plan(load_bundled("cavity_retention"))
+    trace = plan.run(3)
+    trace.fork[-1].insert(2, {"t": 0})  # the run's own third record
+    idx = trace.fork[2] + 2  # after the prefix's records
+    with pytest.raises(TraceIOError, match=rf"^record {idx}: malformed"):
+        read_trace(trace)
+    assert trace.records[idx] == {"t": 0}  # the records, loaded, read the same
+    with pytest.raises(TraceIOError, match=rf"^record {idx}: malformed"):
+        read_trace(trace)
 
 
 def test_the_outage_golden_draws_outages_that_hit():
@@ -771,6 +827,15 @@ def test_read_trace_first_seen_counts_every_record_naming_a_tag():
     assert reading.scan_passes == {"C-1": 2}
     assert reading.alerts == {None: [{"t": 2, "type": "alert", "case": None, "kind": "K",
                                       "tags": ["B", "A"]}]}
+
+
+def test_read_trace_counts_only_the_passes_of_a_delivered_cavity_scan():
+    scenario = load_scenario(mutated((LINK, {"MED->MTC": {"drop_rate": 1}})))
+    records = run(scenario).records
+    dropped = [r["msg"]["payload"]["scan"]["passes"] for r in records if r["type"] == "msg"
+               and r["status"] == "dropped" and r["msg"]["payload"]["kind"] == "CavityScanResult"]
+    assert dropped and all(dropped)
+    assert read_trace(Trace(records)).scan_passes == {}
 
 
 def test_belief_matches_ground_truth_under_perfect_sensing():

@@ -148,6 +148,14 @@ def test_read_tags_raises_when_down():
                   now_s=50, outages=[(40, 60)])
 
 
+def test_a_sensor_is_down_from_an_outage_start_until_its_end():
+    outages = [(40.0, 60.0)]
+    with pytest.raises(SensorDownError, match=r"^s down during \[40.0, 60.0\)$"):
+        sensing.raise_if_down("s", outages, 40)
+    sensing.raise_if_down("s", outages, 39)
+    sensing.raise_if_down("s", outages, 60)  # repaired at its end
+
+
 def test_med_scan_certainty_single_pass():
     scan = med_scan(["T-7"], 1, SensorModel(p_detect=1.0), random.Random(1))
     assert scan.detected == frozenset({"T-7"})
