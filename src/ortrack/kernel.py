@@ -10,10 +10,11 @@ draw can change an outcome: ``sensor:<id>`` for a reader with ``p_detect < 1``,
 with ``drop_rate > 0``. So adding a sensor never perturbs anyone else's draws.
 ``_Engine._rng`` makes every stream and, with the meta record, is all that reads
 the seed, so the ticks before the first stream is made are the same under any
-seed: a plan runs them once, with no seed, and later runs fork that engine. The
-future-event list is a heap of flat ``(time, receiver priority, sequence number,
-sent_at, item)`` entries, ``sent_at`` None for a staff event; staff and world
-events sort before any message at the same tick.
+seed: a plan's first run finds the last of them, the plan runs them once with no
+seed, and each later run forks that engine. The future-event list is a heap of
+flat ``(time, receiver priority, sequence number, sent_at, item)`` entries,
+``sent_at`` None for a staff event; staff and world events sort before any
+message at the same tick.
 
 An engine appends its records to its own list, its ``trace.Trace``'s; a fork's trace
 shares its paused engine's records as bytes (``trace.share``). ``validate_trace`` checks one.
@@ -122,7 +123,7 @@ _ANTENNAS = {"tray": (SubLocation.TOOL_TRAY, TagStatus.ON_TRAY, "mtc_tray_sweep"
 
 
 class _NeedsSeed(Exception):
-    """An engine without a seed was asked for a random stream; ``Plan`` catches it."""
+    """An engine with no seed ran past its ``Plan.seed_free_until``; nothing catches it."""
 
 
 def stream_seed(seed: int, name: str) -> int:
@@ -408,13 +409,14 @@ def deliver(latency: int, drop_rate: float, now: int,
 
 class Plan:
     """A scenario's seed-free run set-up: its ids checked, each tag's creation
-    index, the heapified staff events, the meta record's parts and each link,
-    resolved by its (from type, to type) pair on the first message between two
-    nodes in any run. ``run(seed)`` makes a run's state from C-level
-    copies; a run only adds links to the plan.
+    index, the heapified staff events, the meta record's parts, each node's handler
+    and each link, resolved by its (from type, to type) pair on the first message
+    between two nodes in any run. A run only adds links and, once, the last tick
+    every seed runs alike: the tick before its first stream, or else the horizon.
 
-    Its first run, and a run with an observer, starts a fresh engine; each other run
-    forks ``prefix``, an engine with no seed paused before the first tick that needs one."""
+    A run with an observer, or one before that tick is known, starts a fresh engine;
+    each other run forks ``prefix``, an engine with no seed advanced to that tick,
+    whose records and pending payloads the plan holds as bytes."""
 
     def __init__(self, scenario: Scenario):
         items, item_ids = scenario.items, _item_ids(scenario.items)
@@ -430,12 +432,16 @@ class Plan:
         self.items = [{"tag": s.tag_id, "kind": s.kind, "item_id": item_id}
                       for s, item_id in zip(items, item_ids)]
         self.cases = [{"case_id": s.case_id, "room_id": s.room_id} for s in scenario.cases]
+        self.dispatch = {protocol.CMS_NODE: None}  # node id -> (engine function, cart room)
+        for room in (s.room_id for s in scenario.cases):
+            self.dispatch[f"MTC:{room}"] = _Engine._on_mtc, room
+            self.dispatch[f"MED:{room}"] = _Engine._med_scan, room
         # (from type, to type) -> (receiver priority, latency, drop rate, stream name),
         # and the same link by (from node, to node)
         self.links: dict[tuple, tuple] = {}
         self.routes: dict[tuple, tuple] = {}
-        self.runs = 0  # runs without an observer
-        self.prefix: _Engine | None = None  # paused on the second of them
+        self.seed_free_until: int | None = None  # the last tick every seed runs alike
+        self.prefix = self.shared = self.payloads = None  # made on the first fork
 
     def link(self, ends: tuple[str, str]) -> tuple:
         """The link between two nodes: receiver priority, latency, drop rate and
@@ -451,28 +457,14 @@ class Plan:
 
     def run(self, seed: int, observer=None) -> Trace:
         """Execute the scenario to its horizon under ``seed``."""
-        if observer is None:
-            self.runs += 1
-            if self.runs == 2:
-                self.prefix = self._pause()
-            if self.prefix is not None:
-                return self.prefix.fork(seed).run()
-        return _Engine(self, seed).run(observer)
-
-    def _pause(self) -> _Engine | None:
-        """An engine with no seed that has run every tick before the first that needs the
-        seed, None if that is the first tick. The probe that finds that tick stops inside
-        it, so a second engine replays the ticks before it."""
-        probe = _Engine(self, _NO_SEED)
-        try:
-            probe._advance(self.scenario.horizon_s)
-        except _NeedsSeed:
-            tick, probe = probe.now, _Engine(self, _NO_SEED)
-            probe._advance(tick - 1)
-            if probe.now is None:
-                return None
-        probe.shared = share(probe.records)  # as bytes, for each fork's trace
-        return probe
+        if observer is not None or self.seed_free_until is None:
+            return _Engine(self, seed).run(observer)
+        if self.prefix is None:
+            self.prefix = prefix = _Engine(self, _NO_SEED)._advance(self.seed_free_until)
+            self.shared = share(prefix.records)  # for each fork's trace
+            self.payloads = [None if e[3] is None else marshal.dumps(e[4].payload)
+                             for e in prefix.heap]
+        return self.prefix.fork(seed).run()
 
 
 class _Engine:
@@ -495,31 +487,25 @@ class _Engine:
         self.readers: dict[str, tuple] = {}  # sensor id -> (id, model, stream or None, outages)
         self.entrances: dict[str, tuple] = {}  # site -> (its reader, its RoomSensorState)
         self.antennas: dict[str, tuple] = {}  # room -> its cart's tray and bin antennas
-        # node id -> (plain function, its state), called as fn(self, state, message, now),
-        # or (None, CMS state) for cms_handle; a bound method here would tie every
-        # engine into a reference cycle
-        self.handlers: dict[str, tuple] = {protocol.CMS_NODE: (None, self.cms)}
         for spec in self.scenario.cases:
-            mtc = self.mtcs[spec.room_id] = self.mtcs_by_case[spec.case_id] = MtcState(
+            self.mtcs[spec.room_id] = self.mtcs_by_case[spec.case_id] = MtcState(
                 case_id=spec.case_id, room_id=spec.room_id,
                 scan_passes=spec.scan_passes, max_rescans=spec.max_rescans)
             self.cms.register_case(spec.case_id, spec.room_id)
-            self.handlers[mtc.node_id] = (_Engine._on_mtc, mtc)
-            self.handlers[mtc.med_node] = (_Engine._med_scan, mtc)
 
     def fork(self, seed: int) -> _Engine:
         """A paused engine's state under ``seed``, sharing nothing mutable but its readers
-        (it made no stream, so none has one or outages); every payload is plain JSON."""
-        twin, world, cms = _Engine.__new__(_Engine), self.world, self.cms
-        twin.plan, twin.scenario, twin.seed, twin.rngs = self.plan, self.scenario, seed, {}
+        (it made no stream, so none has one or outages) and its plan's bytes."""
+        twin, world, cms, plan = _Engine.__new__(_Engine), self.world, self.cms, self.plan
+        twin.plan, twin.scenario, twin.seed, twin.rngs = plan, self.scenario, seed, {}
         twin.seq, twin.msg_seq, twin.now = self.seq, self.msg_seq, self.now
         twin.world = WorldState(dict(world.placements),
                                 {at: tags[:] for at, tags in world.at.items()}, world.rank)
         twin.records = []  # the run's own records, after the prefix its trace shares
-        twin.trace = Trace.forked(self.shared, seed, twin.records)
-        twin.heap = [entry if entry[3] is None else (*entry[:4], ProtocolMessage(
-            (m := entry[4]).time_s, m.from_node, m.to_node,
-            marshal.loads(marshal.dumps(m.payload)), m.msg_id)) for entry in self.heap]
+        twin.trace = Trace.forked(plan.shared, seed, twin.records)
+        twin.heap = [entry if payload is None else (*entry[:4], ProtocolMessage(
+            (m := entry[4]).time_s, m.from_node, m.to_node, marshal.loads(payload), m.msg_id))
+            for entry, payload in zip(self.heap, plan.payloads)]
         twin.readers = dict(self.readers)
         twin.entrances = {site: (reader, RoomSensorState(rs.room_id, set(rs.believed_inside)))
                           for site, (reader, rs) in self.entrances.items()}
@@ -529,8 +515,6 @@ class _Engine:
                             {case: set(tags) for case, tags in cms.checklist_mirror.items()})
         carts = twin.mtcs_by_case = {case: mtc.copy() for case, mtc in self.mtcs_by_case.items()}
         twin.mtcs = {mtc.room_id: mtc for mtc in carts.values()}
-        twin.handlers = {node: (fn, twin.cms if fn is None else carts[state.case_id])
-                         for node, (fn, state) in self.handlers.items()}
         return twin
 
     def _reader(self, sensor_id: str) -> tuple:
@@ -550,6 +534,8 @@ class _Engine:
         if rng is None:
             if self.seed is _NO_SEED:
                 raise _NeedsSeed(name)
+            if self.plan.seed_free_until is None:  # the plan's first stream
+                self.plan.seed_free_until = self.now - 1
             rng = self.rngs[name] = rng_stream(self.seed, name)
         return rng
 
@@ -690,11 +676,11 @@ class _Engine:
     def _on_deliver(self, message: ProtocolMessage, sent_at: int, now: int) -> None:
         self.records.append({"t": now, "type": "msg", "status": "delivered",
                              "sent_at": sent_at, "msg": message.to_json()})
-        handler, state = self.handlers[message.to_node]
+        handler = self.plan.dispatch[message.to_node]
         try:
             if handler is not None:
-                handler(self, state, message, now)
-            elif (outputs := cms_handle(state, message)) is not NOTHING:
+                handler[0](self, self.mtcs[handler[1]], message, now)
+            elif (outputs := cms_handle(self.cms, message)) is not NOTHING:
                 self._emit(outputs, message.payload.get("case"), now)
         except (StaleCaseError, InvalidPhaseError) as exc:
             self._record_error(message.payload["kind"], str(exc), now)
@@ -730,8 +716,8 @@ class _Engine:
 
     # -- main loop
 
-    def _advance(self, last_tick: int, observer=None) -> None:
-        """Process every tick up to ``last_tick``; ``now`` is the tick in hand."""
+    def _advance(self, last_tick: int, observer=None) -> _Engine:
+        """Process every tick up to ``last_tick``; ``now`` is the tick in hand. Returns self."""
         heap, pop = self.heap, heapq.heappop
         while heap:
             time_s = heap[0][0]
@@ -746,10 +732,13 @@ class _Engine:
                     self._on_deliver(item, sent_at, time_s)
             if observer is not None:
                 observer(time_s, self.world, self)
+        return self
 
     def run(self, observer=None) -> Trace:
         horizon = self.scenario.horizon_s
         self._advance(horizon, observer)
+        if self.plan.seed_free_until is None:  # no run of the plan has made a stream
+            self.plan.seed_free_until = horizon
         for mtc in self.mtcs_by_case.values():
             self.records.append({
                 "t": horizon, "type": "case", "case_id": mtc.case_id,

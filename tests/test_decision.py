@@ -62,6 +62,16 @@ def test_qfd_scale_enforced():
         QfdInput(needs=[("a", 1.0)], characteristics=["c"], correlation=[[2]])
 
 
+@pytest.mark.parametrize("correlation, message", [
+    ([[9, 0]], "^1 correlation rows for 2 needs$"),
+    ([[9, 0], [3]], "^correlation row 1 has 1 entries, expected 2$"),
+], ids=["row-count", "row-width"])
+def test_qfd_rejects_a_correlation_of_the_wrong_shape(correlation, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        QfdInput(needs=[("safety", 5), ("cost", 3)], characteristics=["c1", "c2"],
+                 correlation=correlation)
+
+
 def test_qfd_flags_dead_characteristics():
     qfd = QfdInput(needs=[("a", 1.0)], characteristics=["c1", "c2"],
                    correlation=[[9, 0]])
@@ -192,6 +202,11 @@ def test_plot_hand_normalization():
     assert points == {"A": (0.5, 1.0), "B": (1.0, 0.5), "C": (0.0, 0.0)}
 
 
+def test_plot_puts_every_concept_of_equal_totals_at_the_top():
+    points = two_axis_plot_data({"A": 3.0, "B": 3.0}, {"A": 1.0, "B": 2.0})
+    assert points == [("A", 0.0, 1.0), ("B", 1.0, 1.0)]
+
+
 def test_plot_rejects_mismatched_concepts():
     with pytest.raises(KeyMismatchError):
         two_axis_plot_data({"A": 1.0}, {"B": 1.0})
@@ -249,6 +264,13 @@ def test_mix_and_match_missing_function_rejected():
 def test_mix_and_match_unknown_option_rejected():
     with pytest.raises(InvalidOptionError, match="ultrasound"):
         mix_and_match(small_matrix(), "m", {"sense": "ultrasound", "act": "cart"})
+
+
+def test_mix_and_match_extra_function_rejected():
+    matrix = small_matrix()
+    with pytest.raises(InvalidOptionError, match=r"^unknown functions: \['power'\]$"):
+        mix_and_match(matrix, "m", {"sense": "rfid", "act": "cart", "power": "battery"})
+    assert matrix.concepts == {}
 
 
 def test_mix_and_match_identity():

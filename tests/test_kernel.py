@@ -33,7 +33,7 @@ from ortrack.kernel import (
     validate_trace,
 )
 from ortrack.model import ItemKind
-from ortrack.protocol import ProtocolMessage
+from ortrack.protocol import CasePhase, ProtocolMessage, med_on_request
 from ortrack.trace import Trace, TraceIOError, read_trace
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -296,14 +296,25 @@ def test_messages_due_at_one_tick_are_delivered_med_then_mtc_then_cms():
     # the receiver's NODE_PRIORITY breaks the tie, whatever order they were sent in
     receivers = ["MED:OR-1", "MTC:OR-1", "CMS"]
     for sends in itertools.permutations(receivers):
-        engine = kernel._Engine(kernel.Plan(one_room([])), 0)
+        plan = kernel.Plan(one_room([]))
         delivered = []
-        engine.handlers = dict.fromkeys(receivers, (
-            lambda _, __, message, now: delivered.append((now, message.to_node)), None))
+        plan.dispatch = dict.fromkeys(receivers, (
+            lambda _, __, message, now: delivered.append((now, message.to_node)), OR))
+        engine = kernel._Engine(plan, 0)
         for node in sends:
             engine._send(ProtocolMessage(5, "SPD", node, {"kind": "Ping"}), 5)
         engine.run()
         assert delivered == [(6, node) for node in receivers], sends
+
+
+def test_a_scan_result_for_a_complete_cart_is_recorded_as_an_error():
+    engine = kernel._Engine(kernel.Plan(one_room([])), 0)
+    engine.mtcs[OR].phase = CasePhase.COMPLETE
+    engine._send(med_on_request(OR, "C-1", sensing.ScanResult(frozenset(), 1), 5), 5)
+    records = engine.run().records
+    assert [r for r in records if r["type"] in ("error", "alert", "phase")] == [
+        {"t": 6, "type": "error", "op": "CavityScanResult",
+         "detail": "case C-1 already complete"}]
 
 
 def test_engine_bug_is_not_recorded_as_an_error(monkeypatch):
@@ -530,6 +541,24 @@ def test_a_fork_has_every_field_of_a_fresh_engine(scenario, paused_at):
     else:
         assert prefix.now == paused_at
     assert set(vars(prefix.fork(5))) == set(vars(kernel._Engine(plan, 5)))
+    assert set(vars(prefix)) == set(vars(kernel._Engine(plan, 5)))
+
+
+def test_the_tick_a_plan_learns_is_the_last_no_seed_needs():
+    # every seed's first run learns the same tick; a seedless engine runs every tick up
+    # to it, and below the horizon the next tick needs a stream, so no seed-free tick is
+    # left to a fork's own run
+    for scenario, seeds in _plan_cases():
+        ticks = set()
+        for seed in seeds:
+            plan = kernel.Plan(scenario)
+            plan.run(seed)
+            ticks.add(tick := plan.seed_free_until)
+        assert len(ticks) == 1, scenario.name
+        engine = kernel._Engine(plan, kernel._NO_SEED)._advance(tick)
+        if tick < scenario.horizon_s:
+            with pytest.raises(kernel._NeedsSeed):
+                engine._advance(tick + 1)
 
 
 def _mutables(root, skip: set[int]) -> dict[int, object]:
@@ -572,8 +601,14 @@ def test_a_fork_shares_nothing_mutable_with_the_engine_it_forks():
 
 def test_a_plan_pauses_an_engine_only_from_its_second_run_without_an_observer(monkeypatch):
     pauses, forks = [], []
-    pause, fork = kernel.Plan._pause, kernel._Engine.fork
-    monkeypatch.setattr(kernel.Plan, "_pause", lambda plan: pauses.append(plan) or pause(plan))
+    advance, fork = kernel._Engine._advance, kernel._Engine.fork
+
+    def counted(engine, *args):
+        if engine.seed is kernel._NO_SEED:
+            pauses.append(engine.plan)
+        return advance(engine, *args)
+
+    monkeypatch.setattr(kernel._Engine, "_advance", counted)
     monkeypatch.setattr(kernel._Engine, "fork",
                         lambda engine, seed: forks.append(seed) or fork(engine, seed))
     scenario = load_bundled("cavity_retention")

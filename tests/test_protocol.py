@@ -24,6 +24,7 @@ from ortrack.protocol import (
     UnknownCaseError,
     announce_closing,
     cms_handle,
+    mtc_bin_sweep,
     mtc_handle,
     mtc_tray_sweep,
     room_sensor_on_reads,
@@ -353,3 +354,38 @@ def test_state_member_is_its_trace_string(member):
     assert json.dumps({member: [member]}, indent=2) == json.dumps({value: [value]}, indent=2)
     assert f"{member}" == value
     assert member == value and hash(member) == hash(value)
+
+
+# -- guards no scenario reaches
+
+
+@pytest.mark.parametrize("handle, state, node", [
+    (cms_handle, fresh_cms(), "CMS"), (mtc_handle, fresh_mtc(), "MTC"),
+], ids=["cms", "mtc"])
+def test_a_handler_rejects_a_payload_kind_it_does_not_know(handle, state, node):
+    ping = ProtocolMessage(time_s=0, from_node="SPD", to_node="X", payload={"kind": "Ping"})
+    with pytest.raises(ValueError, match=f"^{node} cannot handle payload kind 'Ping'$"):
+        handle(state, ping)
+
+
+@pytest.mark.parametrize("phase", [p for p in CasePhase
+                                   if p not in (CasePhase.AWAITING_SPD, CasePhase.COMPLETE)])
+def test_a_cart_takes_an_spd_ack_only_while_awaiting_it(phase):
+    mtc = fresh_mtc()
+    mtc.phase = phase
+    ack = ProtocolMessage(time_s=60, from_node="CMS", to_node="MTC:OR-1",
+                          payload={"kind": "SpdReadyAck", "case": "C-1"})
+    with pytest.raises(InvalidPhaseError, match="^SPD ack for C-1 in phase"):
+        mtc_handle(mtc, ack)
+    assert mtc.phase is phase and not mtc.spd_acked
+
+
+@pytest.mark.parametrize("sweep", [mtc_tray_sweep, mtc_bin_sweep])
+def test_a_complete_cart_takes_no_sweep(sweep):
+    mtc = fresh_mtc()
+    mtc.phase = CasePhase.AWAITING_SPD
+    assert sweep(mtc, set(), 5) is NOTHING  # the phase before still sweeps
+    mtc.phase = CasePhase.COMPLETE
+    with pytest.raises(StaleCaseError, match="^case C-1 already complete$"):
+        sweep(mtc, {"T-1"}, 6)
+    assert mtc.entries == {}

@@ -373,6 +373,12 @@ def test_report_empty_case():
     assert report.duration_s == 77
 
 
+def test_report_of_a_trace_without_a_meta_record_lasts_zero_seconds():
+    case = {"t": 0, "type": "case", "case_id": "C-1", "phase": "InProgress",
+            "entries": {}, "outcomes": []}
+    assert generate_report(read_trace(Trace([case])), "C-1").duration_s == 0
+
+
 def test_report_unknown_case():
     trace = run(load_bundled("clean_case"))
     with pytest.raises(Exception, match="unknown case"):

@@ -238,3 +238,27 @@ def test_failure_schedule_sorted_disjoint(seed):
     schedule = sensor_failure_schedule(model, 20_000, random.Random(seed))
     for (s1, e1), (s2, e2) in zip(schedule, schedule[1:]):
         assert s1 < e1 <= s2 < e2
+
+
+def test_a_sensor_model_needs_a_positive_mtbf():
+    with pytest.raises(InvalidParamError, match="mtbf_s must be positive"):
+        SensorModel(mtbf_s=0)
+    assert SensorModel(mtbf_s=1e-9).mtbf_s == 1e-9
+
+
+def test_med_scan_needs_a_pass():
+    with pytest.raises(InvalidParamError, match="passes must be >= 1"):
+        med_scan(["T-1"], 0, SensorModel(p_detect=1.0), None)
+    assert med_scan(["T-1"], 1, SensorModel(p_detect=1.0), None).passes == 1
+
+
+def test_availability_rejects_a_negative_repair_time():
+    with pytest.raises(InvalidParamError, match="mttr_s must be nonnegative"):
+        availability(10, -0.5)
+
+
+def test_failure_schedule_needs_a_positive_horizon():
+    model = SensorModel(mtbf_s=1.0, mttr_s=0.0)
+    with pytest.raises(InvalidParamError, match="horizon_s must be positive"):
+        sensor_failure_schedule(model, 0, random.Random(1))
+    assert sensor_failure_schedule(model, 1e-12, random.Random(1)) == []
