@@ -41,7 +41,6 @@ from .model import (
     WorldState,
 )
 from .protocol import (
-    NOTHING,
     Alert,
     AlertKind,
     CasePhase,
@@ -480,6 +479,7 @@ class _Engine:
         self.seq = len(self.heap)
         self.msg_seq = 0
         self.now: int | None = None  # the tick in hand, None before the first
+        self.out = Outputs()  # the outbox each handler appends to; _emit empties it
         self.cms = CmsState()
         self.mtcs: dict[str, MtcState] = {}  # keyed by room id
         self.mtcs_by_case: dict[str, MtcState] = {}  # the same carts, keyed by case id
@@ -498,7 +498,7 @@ class _Engine:
         (it made no stream, so none has one or outages) and its plan's bytes."""
         twin, world, cms, plan = _Engine.__new__(_Engine), self.world, self.cms, self.plan
         twin.plan, twin.scenario, twin.seed, twin.rngs = plan, self.scenario, seed, {}
-        twin.seq, twin.msg_seq, twin.now = self.seq, self.msg_seq, self.now
+        twin.seq, twin.msg_seq, twin.now, twin.out = self.seq, self.msg_seq, self.now, Outputs()
         twin.world = WorldState(dict(world.placements),
                                 {at: tags[:] for at, tags in world.at.items()}, world.rank)
         twin.records = []  # the run's own records, after the prefix its trace shares
@@ -567,16 +567,23 @@ class _Engine:
         heapq.heappush(self.heap, (outcome.at_time, priority, self.seq, now, message))
         self.seq += 1
 
-    def _emit(self, outputs: Outputs, case_id: str | None, now: int) -> None:
-        for message in outputs.messages:
+    def _emit(self, case_id: str | None, now: int) -> None:
+        """Carry out what the last handler call appended to the outbox, and empty it."""
+        out = self.out
+        if not (out.messages or out.alerts or out.phase_changes):
+            return  # most calls append nothing; skip the loops and clears
+        for message in out.messages:
             self._send(message, now)
-        for alert in outputs.alerts:
+        for alert in out.alerts:
             self._record_alert(alert, case_id, now)
-        for case, old, new in outputs.phase_changes:
+        for case, old, new in out.phase_changes:
             self.records.append({"t": now, "type": "phase", "case": case,
                                  "from": old, "to": new})
             if new is CasePhase.COMPLETE:
                 self.mtcs_by_case[case].completed_s = now
+        out.messages.clear()
+        out.alerts.clear()
+        out.phase_changes.clear()
 
     # -- sensing hooks
 
@@ -616,8 +623,9 @@ class _Engine:
             return
         if len(detected) == len(swept := mtc.swept[status]) and swept.issuperset(detected):
             mtc.swept_at[status] = now
-        elif (outputs := handler(mtc, set(detected), now)) is not NOTHING:
-            self._emit(outputs, mtc.case_id, now)
+        else:
+            handler(mtc, set(detected), now, self.out)
+            self._emit(mtc.case_id, now)
 
     def _cart_antennas(self, room: str) -> tuple:
         """A cart's tray and bin antennas, each resolved once per run."""
@@ -635,20 +643,17 @@ class _Engine:
     # -- staff/world event handling
 
     def _on_staff(self, ev: StaffEvent, now: int) -> None:
-        if ev.kind == "announce_closing":
+        if ev.kind in ("announce_closing", "spd_ack"):
             try:
-                self._emit(protocol.announce_closing(self.mtcs_by_case[ev.case], now),
-                           ev.case, now)
-            except InvalidPhaseError as exc:
-                self._record_error("announce_closing", str(exc), now)
-            return
-        if ev.kind == "spd_ack":
-            try:
-                message = spd_acknowledge(ev.case, self.mtcs_by_case, now)
+                if ev.kind == "spd_ack":
+                    self._send(spd_acknowledge(ev.case, self.mtcs_by_case, now), now)
+                elif (mtc := self.mtcs_by_case.get(ev.case)) is None:
+                    raise UnknownCaseError(f"unknown case: {ev.case}")
+                else:
+                    protocol.announce_closing(mtc, now, self.out)
+                    self._emit(ev.case, now)
             except (InvalidPhaseError, UnknownCaseError) as exc:
-                self._record_error("spd_ack", str(exc), now)
-                return
-            self._send(message, now)
+                self._record_error(ev.kind, str(exc), now)
             return
 
         src = self.world.placements[ev.tag]
@@ -666,10 +671,9 @@ class _Engine:
                 tray, bin_ = self.antennas.get(room) or self._cart_antennas(room)
                 self._sweep(mtc, tray, now)
                 self._sweep(mtc, bin_, now)
-        if ev.kind == "remove_from_cavity":
-            mtc = self.mtcs.get(src.site)
-            if mtc is not None and (outputs := mtc_staff_rescan(mtc, now)) is not NOTHING:
-                self._emit(outputs, mtc.case_id, now)
+        if ev.kind == "remove_from_cavity" and (mtc := self.mtcs.get(src.site)) is not None:
+            mtc_staff_rescan(mtc, now, self.out)
+            self._emit(mtc.case_id, now)
 
     # -- message delivery
 
@@ -680,8 +684,9 @@ class _Engine:
         try:
             if handler is not None:
                 handler[0](self, self.mtcs[handler[1]], message, now)
-            elif (outputs := cms_handle(self.cms, message)) is not NOTHING:
-                self._emit(outputs, message.payload.get("case"), now)
+            else:
+                cms_handle(self.cms, message, self.out)
+                self._emit(message.payload.get("case"), now)
         except (StaleCaseError, InvalidPhaseError) as exc:
             self._record_error(message.payload["kind"], str(exc), now)
 
@@ -700,8 +705,8 @@ class _Engine:
 
     def _on_mtc(self, mtc: MtcState, message: ProtocolMessage, now: int) -> None:
         if message.payload["kind"] != "CavityScanResult":
-            if (outputs := mtc_handle(mtc, message)) is not NOTHING:
-                self._emit(outputs, mtc.case_id, now)
+            mtc_handle(mtc, message, self.out)
+            self._emit(mtc.case_id, now)
             return
         if mtc.phase is CasePhase.COMPLETE:
             raise StaleCaseError(f"case {mtc.case_id} already complete")
@@ -711,8 +716,8 @@ class _Engine:
                       self.antennas.get(mtc.room_id) or self._cart_antennas(mtc.room_id)]
         if tray is None or bin_ is None:
             return  # antenna down; a later request will retry
-        self._emit(reconcile.apply_scan_outcome(mtc, cavity, set(tray), set(bin_), now),
-                   mtc.case_id, now)
+        reconcile.apply_scan_outcome(mtc, cavity, set(tray), set(bin_), now, self.out)
+        self._emit(mtc.case_id, now)
 
     # -- main loop
 

@@ -16,8 +16,10 @@ Node responsibilities:
   case cannot complete without that acknowledgment.
 
 All handlers are deterministic: same state and input always produce the
-same successor state and outputs. The kernel serializes delivery, so no
-handler ever runs concurrently with another.
+same successor state and outputs. A handler appends the messages, alerts and
+phase changes it asks for to the ``Outputs`` it is handed and returns None; it
+raises, if it must, before it appends anything. The kernel serializes delivery,
+so no handler ever runs concurrently with another.
 """
 
 from __future__ import annotations
@@ -136,7 +138,9 @@ class ProtocolMessage:
 
 @dataclass(init=False, slots=True)
 class Outputs:
-    """Everything a handler wants the kernel to do or record (slotted: most stay empty)."""
+    """Everything a handler wants the kernel to do or record: the engine's outbox,
+    which each handler appends to and the engine carries out and empties after each
+    handler call. A handler that raises does so before it appends anything."""
 
     messages: list[ProtocolMessage]
     alerts: list[Alert]
@@ -144,16 +148,6 @@ class Outputs:
 
     def __init__(self) -> None:
         self.messages, self.alerts, self.phase_changes = [], [], []
-
-    def extend(self, other: "Outputs") -> None:
-        self.messages.extend(other.messages)
-        self.alerts.extend(other.alerts)
-        self.phase_changes.extend(other.phase_changes)
-
-
-#: The one empty ``Outputs``, returned by every handler call with nothing to
-#: return; nothing may append to it.
-NOTHING = Outputs()
 
 
 def _twin(obj):
@@ -226,7 +220,7 @@ class CmsState:
         self.checklist_mirror[case_id] = set()
 
 
-def cms_handle(state: CmsState, msg: ProtocolMessage) -> Outputs:
+def cms_handle(state: CmsState, msg: ProtocolMessage, out: Outputs) -> None:
     """Route one message through the central service."""
     payload = msg.payload
     kind = payload["kind"]
@@ -235,14 +229,14 @@ def cms_handle(state: CmsState, msg: ProtocolMessage) -> Outputs:
         tag, room, direction = payload["tag"], payload["room"], payload["direction"]
         case_id = state.case_by_room.get(room)
         if case_id is None:
-            return NOTHING  # a room without a case has no cart to tell
+            return  # a room without a case has no cart to tell
         mirror = state.checklist_mirror[case_id]
         if direction == "in" and tag not in mirror:
             news = "NewEquipmentInOR"
         elif direction == "out" and tag in mirror:
             news = "EquipmentLeftOR"
         else:
-            return NOTHING  # the cart already knows
+            return  # the cart already knows
         payload = {"kind": news, "tag": tag, "case": case_id}
 
     elif kind == "ChecklistUpdate":
@@ -251,21 +245,19 @@ def cms_handle(state: CmsState, msg: ProtocolMessage) -> Outputs:
             mirror.add(payload["tag"])
         else:
             mirror.discard(payload["tag"])
-        return NOTHING
+        return
 
     elif kind == "SpdReadyAck":
         room = state.room_by_case[payload["case"]]  # spd_acknowledge rejected an unknown case
         payload = dict(payload)
 
     elif kind == "ClosingAnnounced":
-        return NOTHING  # report bookkeeping only; the trace already records it
+        return  # report bookkeeping only; the trace already records it
 
     else:
         raise ValueError(f"CMS cannot handle payload kind {kind!r}")
-    out = Outputs()
     out.messages.append(ProtocolMessage(
         time_s=msg.time_s, from_node=CMS_NODE, to_node=f"MTC:{room}", payload=payload))
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -335,12 +327,11 @@ class MtcState:
         entry = self.entries[tag]
         return max(entry.last_seen_s, self.swept_at.get(entry.status, 0))
 
-    def mark(self, tag: str, status: TagStatus, seen_s: int, out: Outputs) -> Outputs:
+    def mark(self, tag: str, status: TagStatus, seen_s: int, out: Outputs) -> None:
         """The one writer of an entry's status: give ``tag`` ``status`` and ``seen_s``,
         making its entry if it has none, and move it between the sweep sets. A tag
         joining the active checklist sends the CMS an ``add`` and takes the case out
-        of Setup; one leaving it sends a ``remove``. Returns ``out``, or a fresh
-        ``Outputs`` in place of ``NOTHING`` once one of those is sent."""
+        of Setup; one leaving it sends a ``remove``."""
         swept = self.swept
         if (entry := self.entries.get(tag)) is None:
             self.entries[tag] = ChecklistEntry(status, seen_s)
@@ -353,15 +344,13 @@ class MtcState:
             held.add(tag)
         joins = status is not TagStatus.REMOVED_FROM_OR
         if joins is (was is not TagStatus.REMOVED_FROM_OR):
-            return out  # it neither joins nor leaves the active checklist
-        out = Outputs() if out is NOTHING else out
+            return  # it neither joins nor leaves the active checklist
         out.messages.append(ProtocolMessage(
             time_s=seen_s, from_node=self.node_id, to_node=CMS_NODE,
             payload={"kind": "ChecklistUpdate", "case": self.case_id,
                      "action": "add" if joins else "remove", "tag": tag}))
         if joins and self.phase is CasePhase.SETUP:
             out.phase_changes.append(self.advance(CasePhase.IN_PROGRESS))
-        return out
 
     def advance(self, to: CasePhase) -> tuple[str, CasePhase, CasePhase]:
         if to not in PHASE_GRAPH[self.phase]:
@@ -380,9 +369,8 @@ def request_cavity_scan(state: MtcState, now: int) -> ProtocolMessage:
         payload={"kind": "RequestCavityScan", "case": state.case_id})
 
 
-def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
-    """Apply one message from the central service to the cart's checklist; one that
-    changes no output returns the shared ``NOTHING``."""
+def mtc_handle(state: MtcState, msg: ProtocolMessage, out: Outputs) -> None:
+    """Apply one message from the central service to the cart's checklist."""
     if state.phase is CasePhase.COMPLETE:
         raise StaleCaseError(f"case {state.case_id} already complete")
     payload = msg.payload
@@ -394,8 +382,8 @@ def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
         entry = state.entries.get(tag)
         if entry is not None and entry.status is not TagStatus.REMOVED_FROM_OR:
             entry.last_seen_s = now  # idempotent: an active tag raises no second alert
-            return NOTHING
-        out = state.mark(tag, TagStatus.IN_USE, now, NOTHING)
+            return
+        state.mark(tag, TagStatus.IN_USE, now, out)
         out.alerts.append(Alert(
             severity=Severity.INFO, kind=AlertKind.NEW_EQUIPMENT_DETECTED,
             tags=frozenset([tag]),
@@ -406,8 +394,8 @@ def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
         tag = payload["tag"]
         entry = state.entries.get(tag)
         if entry is None or entry.status is TagStatus.REMOVED_FROM_OR:
-            return NOTHING
-        out = state.mark(tag, TagStatus.REMOVED_FROM_OR, now, NOTHING)
+            return
+        state.mark(tag, TagStatus.REMOVED_FROM_OR, now, out)
         # Removing items mid-reconciliation can mask a retained item.
         severity = (Severity.WARNING
                     if state.phase in (CasePhase.CLOSING_ANNOUNCED, CasePhase.CAVITY_SCAN)
@@ -421,15 +409,14 @@ def mtc_handle(state: MtcState, msg: ProtocolMessage) -> Outputs:
         if state.phase is not CasePhase.AWAITING_SPD:
             raise InvalidPhaseError(f"SPD ack for {state.case_id} in phase {state.phase}")
         state.spd_acked = True
-        out = Outputs()
         out.phase_changes.append(state.advance(CasePhase.COMPLETE))
 
     else:
         raise ValueError(f"MTC cannot handle payload kind {kind!r}")
-    return out
 
 
-def _sweep(state: MtcState, detected: set[str], now: int, status: TagStatus) -> Outputs:
+def _sweep(state: MtcState, detected: set[str], now: int, status: TagStatus,
+           out: Outputs) -> None:
     """Full antenna sweep: presence sets ``status``, absence demotes to InUse.
 
     Only the tags entering or leaving ``swept[status]`` are visited, each through
@@ -437,49 +424,41 @@ def _sweep(state: MtcState, detected: set[str], now: int, status: TagStatus) -> 
     stamped with the last tick it was seen at."""
     if state.phase is CasePhase.COMPLETE:
         raise StaleCaseError(f"case {state.case_id} already complete")
-    out = NOTHING  # until a tag joins the active checklist
     held = state.swept[status]
-    if changed := detected ^ held:
-        for tag in sorted(changed) if len(changed) > 1 else changed:  # adds go out sorted
-            if tag in held:  # gone: seen last at the previous sweep of this kind
-                out = state.mark(tag, TagStatus.IN_USE, state.last_seen(tag), out)
-            else:  # arrived, leaving the other kind's set if it was there
-                out = state.mark(tag, status, now, out)
+    for tag in sorted(detected ^ held):  # adds go out sorted
+        if tag in held:  # gone: seen last at the previous sweep of this kind
+            state.mark(tag, TagStatus.IN_USE, state.last_seen(tag), out)
+        else:  # arrived, leaving the other kind's set if it was there
+            state.mark(tag, status, now, out)
     state.swept_at[status] = now
-    return out
 
 
-def mtc_tray_sweep(state: MtcState, detected: set[str], now: int) -> Outputs:
+def mtc_tray_sweep(state: MtcState, detected: set[str], now: int, out: Outputs) -> None:
     """Full tray antenna sweep: presence sets OnTray, absence demotes to InUse."""
-    return _sweep(state, detected, now, TagStatus.ON_TRAY)
+    _sweep(state, detected, now, TagStatus.ON_TRAY, out)
 
 
-def mtc_bin_sweep(state: MtcState, detected: set[str], now: int) -> Outputs:
+def mtc_bin_sweep(state: MtcState, detected: set[str], now: int, out: Outputs) -> None:
     """Full trash-bin antenna sweep; discarded items stay on the count."""
-    return _sweep(state, detected, now, TagStatus.DISCARDED)
+    _sweep(state, detected, now, TagStatus.DISCARDED, out)
 
 
-def announce_closing(state: MtcState, now: int) -> Outputs:
+def announce_closing(state: MtcState, now: int, out: Outputs) -> None:
     """Staff announced closing: request a cavity scan from the detector."""
     if state.phase is not CasePhase.IN_PROGRESS:
         raise InvalidPhaseError(f"cannot announce closing in phase {state.phase}")
-    out = Outputs()
     out.phase_changes.append(state.advance(CasePhase.CLOSING_ANNOUNCED))
     out.messages.append(ProtocolMessage(
         time_s=now, from_node=state.node_id, to_node=CMS_NODE,
         payload={"kind": "ClosingAnnounced", "case": state.case_id}))
     out.messages.append(request_cavity_scan(state, now))
-    return out
 
 
-def mtc_staff_rescan(state: MtcState, now: int) -> Outputs:
+def mtc_staff_rescan(state: MtcState, now: int, out: Outputs) -> None:
     """Staff acted after a retention alert and asked for a verification re-scan."""
-    if not (state.awaiting_staff_removal and state.phase is CasePhase.CLOSING_ANNOUNCED):
-        return NOTHING
-    state.awaiting_staff_removal = False
-    out = Outputs()
-    out.messages.append(request_cavity_scan(state, now))
-    return out
+    if state.awaiting_staff_removal and state.phase is CasePhase.CLOSING_ANNOUNCED:
+        state.awaiting_staff_removal = False
+        out.messages.append(request_cavity_scan(state, now))
 
 
 # --------------------------------------------------------------------------

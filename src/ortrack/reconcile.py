@@ -73,21 +73,20 @@ def reconcile(state: MtcState, tray_reads: set[str], bin_reads: set[str],
 
 
 def apply_scan_outcome(state: MtcState, cavity: frozenset[str], tray_reads: set[str],
-                       bin_reads: set[str], now: int) -> Outputs:
+                       bin_reads: set[str], now: int, out: Outputs) -> None:
     """One reconciliation pass: sweep, reconcile, and move the case lifecycle.
 
-    Returns the pass's messages, alerts and phase changes. On a count mismatch
-    within budget they carry a fresh scan request; past the budget a manual
-    override is demanded and the phase stays at the cavity scan.
+    Appends the pass's messages, alerts and phase changes to ``out``. On a count
+    mismatch within budget they carry a fresh scan request; past the budget a
+    manual override is demanded and the phase stays at the cavity scan.
     """
-    out = Outputs()
     if state.phase is CasePhase.CLOSING_ANNOUNCED:
         out.phase_changes.append(state.advance(CasePhase.CAVITY_SCAN))
     elif state.phase is not CasePhase.CAVITY_SCAN:
         raise InvalidPhaseError(f"scan result in phase {state.phase}")
 
-    out.extend(mtc_tray_sweep(state, set(tray_reads), now))
-    out.extend(mtc_bin_sweep(state, set(bin_reads), now))
+    mtc_tray_sweep(state, tray_reads, now, out)
+    mtc_bin_sweep(state, bin_reads, now, out)
     report = reconcile(state, tray_reads, bin_reads, cavity)
     state.scans_done += 1
     state.last_outcome = report.outcome
@@ -124,7 +123,6 @@ def apply_scan_outcome(state: MtcState, cavity: frozenset[str], tray_reads: set[
                 severity=Severity.CRITICAL, kind=AlertKind.MANUAL_OVERRIDE,
                 tags=report.missing,
                 text="re-scan budget exhausted; manual override required"))
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ortrack import kernel
 from ortrack.kernel import BusConfig, CaseSpec, ItemSpec, Scenario, StaffEvent
 from ortrack.model import ItemKind
+from ortrack.protocol import Outputs
 from ortrack.sensing import SensorModel
 
 OR = "OR-1"
@@ -59,6 +60,13 @@ def scenario_text(name: str) -> str:
 
 def load_bundled(name: str) -> Scenario:
     return kernel.load_scenario(scenario_text(name))
+
+
+def handled(handler, *args, **kwargs) -> Outputs:
+    """What one call of ``handler`` appends to a fresh outbox."""
+    out = Outputs()
+    handler(*args, **kwargs, out=out)
+    return out
 
 
 def full_sensor_suite(p_detect: float = 1.0) -> dict[str, SensorModel]:

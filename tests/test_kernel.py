@@ -318,12 +318,23 @@ def test_a_scan_result_for_a_complete_cart_is_recorded_as_an_error():
 
 
 def test_engine_bug_is_not_recorded_as_an_error(monkeypatch):
-    def broken(state, message):
+    def broken(state, message, out):
         raise ValueError("engine bug")
 
     monkeypatch.setattr(kernel, "cms_handle", broken)
     with pytest.raises(ValueError, match="engine bug"):
         run(load_bundled("clean_case"))
+
+
+@pytest.mark.parametrize("kind", ["announce_closing", "spd_ack"])
+def test_a_staff_event_for_an_unknown_case_is_recorded_as_an_error(kind):
+    # Plan does not validate a scenario built in Python, so the event reaches the engine
+    scenario = load_bundled("clean_case")
+    scenario.events.append(StaffEvent(scenario.horizon_s, kind, case="C-404"))
+    trace = run(scenario)
+    assert [r for r in trace.records if r["type"] == "error"] == [
+        {"t": scenario.horizon_s, "type": "error", "op": kind, "detail": "unknown case: C-404"}]
+    assert validate_trace(trace) == []
 
 
 # -- delivery
@@ -1018,9 +1029,15 @@ def test_an_event_and_a_delivery_at_the_horizon_tick_are_processed():
     assert any(r["type"] == "msg" and r["status"] == "delivered" for r in at_horizon)
 
 
-def test_no_handler_appends_to_the_shared_empty_outputs():
+def test_the_engine_outbox_is_empty_at_the_end_of_every_tick():
     scenarios = [load_bundled(name) for name in GOLDENS]
     scenarios += [random_scenario(seed, p_detect=0.8, drop_rate=0.1) for seed in range(50)]
     for scenario in scenarios:
-        run(scenario)
-        assert protocol.NOTHING == protocol.Outputs(), scenario.name
+        ticks = []
+
+        def observe(time_s, world, engine):
+            ticks.append(time_s)
+            assert engine.out == protocol.Outputs(), (scenario.name, time_s)
+
+        run(scenario, observe)
+        assert ticks, scenario.name

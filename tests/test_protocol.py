@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from helpers import handled
 from ortrack.model import ItemKind, SubLocation
 from ortrack.protocol import (
     Alert,
@@ -14,7 +15,6 @@ from ortrack.protocol import (
     CmsState,
     InvalidPhaseError,
     MtcState,
-    NOTHING,
     Outputs,
     ProtocolMessage,
     RoomSensorState,
@@ -71,7 +71,7 @@ def test_no_reads_no_messages():
 
 def test_cms_new_tag_entering_or_notifies_cart():
     cms = fresh_cms()
-    out = cms_handle(cms, crossing("T-9", "in"))
+    out = handled(cms_handle, cms, crossing("T-9", "in"))
     assert len(out.messages) == 1
     msg = out.messages[0]
     assert msg.to_node == "MTC:OR-1"
@@ -81,20 +81,20 @@ def test_cms_new_tag_entering_or_notifies_cart():
 def test_cms_checklist_tag_leaving_or_notifies_cart():
     cms = fresh_cms()
     cms.checklist_mirror["C-1"].add("T-3")
-    out = cms_handle(cms, crossing("T-3", "out"))
+    out = handled(cms_handle, cms, crossing("T-3", "out"))
     assert out.messages[0].payload["kind"] == "EquipmentLeftOR"
     assert out.messages[0].payload["tag"] == "T-3"
 
 
 def test_cms_non_or_room_crossing_sends_nothing():
     cms = fresh_cms()
-    out = cms_handle(cms, crossing("T-1", "in", room="SPD", t=30))
+    out = handled(cms_handle, cms, crossing("T-1", "in", room="SPD", t=30))
     assert out.messages == [] and out.alerts == []
 
 
 def test_cms_known_tag_not_on_checklist_leaving_sends_nothing():
     cms = fresh_cms()
-    out = cms_handle(cms, crossing("T-1", "out"))
+    out = handled(cms_handle, cms, crossing("T-1", "out"))
     assert out.messages == []
 
 
@@ -113,7 +113,7 @@ def left_or(tag, t=0, case="C-1"):
 
 def test_mtc_adds_new_equipment_with_info_alert():
     mtc = fresh_mtc()
-    out = mtc_handle(mtc, new_equipment("T-9", t=22))
+    out = handled(mtc_handle, mtc, new_equipment("T-9", t=22))
     entry = mtc.entries["T-9"]
     assert entry.status is TagStatus.IN_USE and entry.last_seen_s == 22
     assert out.alerts[0].kind is AlertKind.NEW_EQUIPMENT_DETECTED
@@ -123,8 +123,8 @@ def test_mtc_adds_new_equipment_with_info_alert():
 
 def test_mtc_removal_excluded_from_count():
     mtc = fresh_mtc()
-    mtc_handle(mtc, new_equipment("T-3"))
-    out = mtc_handle(mtc, left_or("T-3", t=31))
+    handled(mtc_handle, mtc, new_equipment("T-3"))
+    out = handled(mtc_handle, mtc, left_or("T-3", t=31))
     assert mtc.entries["T-3"].status is TagStatus.REMOVED_FROM_OR
     assert mtc.active_tags() == set()
     assert out.alerts[0].kind is AlertKind.EQUIPMENT_LEFT_OR
@@ -132,54 +132,53 @@ def test_mtc_removal_excluded_from_count():
 
 def test_mtc_removal_mid_reconciliation_is_warning():
     mtc = fresh_mtc()
-    mtc_handle(mtc, new_equipment("T-3"))
-    announce_closing(mtc, now=40)
-    out = mtc_handle(mtc, left_or("T-3", t=41))
+    handled(mtc_handle, mtc, new_equipment("T-3"))
+    handled(announce_closing, mtc, now=40)
+    out = handled(mtc_handle, mtc, left_or("T-3", t=41))
     assert out.alerts[0].severity is Severity.WARNING
 
 
 def test_mtc_tray_sweep_idempotent():
     mtc = fresh_mtc()
-    mtc_tray_sweep(mtc, {"T-2"}, now=5)
+    handled(mtc_tray_sweep, mtc, {"T-2"}, now=5)
     before = copy.deepcopy(mtc.entries)
-    out = mtc_tray_sweep(mtc, {"T-2"}, now=6)
+    out = handled(mtc_tray_sweep, mtc, {"T-2"}, now=6)
     assert out.alerts == [] and out.messages == []
     assert mtc.entries["T-2"].status is before["T-2"].status
 
 
 def test_mtc_tray_absence_demotes_to_in_use():
     mtc = fresh_mtc()
-    mtc_tray_sweep(mtc, {"T-1", "T-2"}, now=5)
-    mtc_tray_sweep(mtc, {"T-2"}, now=6)
+    handled(mtc_tray_sweep, mtc, {"T-1", "T-2"}, now=5)
+    handled(mtc_tray_sweep, mtc, {"T-2"}, now=6)
     assert mtc.entries["T-1"].status is TagStatus.IN_USE
     assert mtc.entries["T-2"].status is TagStatus.ON_TRAY
 
 
 def test_mtc_duplicate_new_equipment_is_noop():
     mtc = fresh_mtc()
-    mtc_tray_sweep(mtc, {"T-2"}, now=5)
-    out = mtc_handle(mtc, new_equipment("T-2", t=7))
+    handled(mtc_tray_sweep, mtc, {"T-2"}, now=5)
+    out = handled(mtc_handle, mtc, new_equipment("T-2", t=7))
     assert out.alerts == []
     assert mtc.entries["T-2"].status is TagStatus.ON_TRAY
 
 
-def test_mtc_message_that_changes_no_output_returns_the_shared_nothing():
+def test_mtc_message_that_changes_no_output_appends_nothing():
     mtc = fresh_mtc()
-    mtc_handle(mtc, new_equipment("T-1"))
-    assert mtc_handle(mtc, new_equipment("T-1", t=4)) is NOTHING  # already active
+    handled(mtc_handle, mtc, new_equipment("T-1"))
+    assert handled(mtc_handle, mtc, new_equipment("T-1", t=4)) == Outputs()  # already active
     assert mtc.entries["T-1"].last_seen_s == 4
-    assert mtc_handle(mtc, left_or("T-2", t=5)) is NOTHING  # never on the checklist
-    mtc_handle(mtc, left_or("T-1", t=6))
-    assert mtc_handle(mtc, left_or("T-1", t=7)) is NOTHING  # already off it
+    assert handled(mtc_handle, mtc, left_or("T-2", t=5)) == Outputs()  # never on the checklist
+    handled(mtc_handle, mtc, left_or("T-1", t=6))
+    assert handled(mtc_handle, mtc, left_or("T-1", t=7)) == Outputs()  # already off it
     assert mtc.entries["T-1"].last_seen_s == 6
-    assert NOTHING == Outputs()
 
 
 def test_mtc_stale_case_rejected():
     mtc = fresh_mtc()
     mtc.phase = CasePhase.COMPLETE
     with pytest.raises(StaleCaseError):
-        mtc_handle(mtc, new_equipment("T-1"))
+        handled(mtc_handle, mtc, new_equipment("T-1"))
 
 
 # -- closing announcement
@@ -187,8 +186,8 @@ def test_mtc_stale_case_rejected():
 
 def test_announce_closing_requests_scan():
     mtc = fresh_mtc()
-    mtc_handle(mtc, new_equipment("T-1"))
-    out = announce_closing(mtc, now=50)
+    handled(mtc_handle, mtc, new_equipment("T-1"))
+    out = handled(announce_closing, mtc, now=50)
     assert mtc.phase is CasePhase.CLOSING_ANNOUNCED
     kinds = [m.payload["kind"] for m in out.messages]
     assert "RequestCavityScan" in kinds
@@ -198,15 +197,15 @@ def test_announce_closing_requests_scan():
 def test_announce_closing_requires_in_progress():
     mtc = fresh_mtc()
     with pytest.raises(InvalidPhaseError):
-        announce_closing(mtc, now=50)  # still in setup
+        handled(announce_closing, mtc, now=50)  # still in setup
 
 
 def test_double_announce_rejected():
     mtc = fresh_mtc()
-    mtc_handle(mtc, new_equipment("T-1"))
-    announce_closing(mtc, now=50)
+    handled(mtc_handle, mtc, new_equipment("T-1"))
+    handled(announce_closing, mtc, now=50)
     with pytest.raises(InvalidPhaseError):
-        announce_closing(mtc, now=51)
+        handled(announce_closing, mtc, now=51)
 
 
 # -- SPD acknowledgment
@@ -250,7 +249,7 @@ def test_ack_completes_case_via_cart():
     mtc.phase = CasePhase.AWAITING_SPD
     ack = ProtocolMessage(time_s=60, from_node="CMS", to_node="MTC:OR-1",
                           payload={"kind": "SpdReadyAck", "case": "C-1"})
-    out = mtc_handle(mtc, ack)
+    out = handled(mtc_handle, mtc, ack)
     assert mtc.spd_acked
     assert mtc.phase is CasePhase.COMPLETE
     assert out.phase_changes[-1][2] is CasePhase.COMPLETE
@@ -287,14 +286,14 @@ def test_handlers_deterministic_on_equal_states():
     # same (state, input) must produce the same (state', outputs)
     cms1, cms2 = fresh_cms(), fresh_cms()
     msg = crossing("T-9", "in", t=3)
-    out1 = cms_handle(cms1, msg)
-    out2 = cms_handle(cms2, copy.deepcopy(msg))
+    out1 = handled(cms_handle, cms1, msg)
+    out2 = handled(cms_handle, cms2, copy.deepcopy(msg))
     assert cms1 == cms2
     assert [m.payload for m in out1.messages] == [m.payload for m in out2.messages]
 
     mtc1, mtc2 = fresh_mtc(), fresh_mtc()
-    out1 = mtc_handle(mtc1, new_equipment("T-9"))
-    out2 = mtc_handle(mtc2, new_equipment("T-9"))
+    out1 = handled(mtc_handle, mtc1, new_equipment("T-9"))
+    out2 = handled(mtc_handle, mtc2, new_equipment("T-9"))
     assert mtc1.entries == mtc2.entries
     assert [a.kind for a in out1.alerts] == [a.kind for a in out2.alerts]
 
@@ -329,9 +328,9 @@ def test_outputs_differing_in_one_list_compare_unequal():
 
 def test_checklist_entry_uniqueness():
     mtc = fresh_mtc()
-    mtc_handle(mtc, new_equipment("T-1"))
-    mtc_tray_sweep(mtc, {"T-1"}, now=2)
-    mtc_handle(mtc, new_equipment("T-1", t=3))
+    handled(mtc_handle, mtc, new_equipment("T-1"))
+    handled(mtc_tray_sweep, mtc, {"T-1"}, now=2)
+    handled(mtc_handle, mtc, new_equipment("T-1", t=3))
     assert list(mtc.entries) == ["T-1"]
     assert isinstance(mtc.entries["T-1"], ChecklistEntry)
 
@@ -365,7 +364,7 @@ def test_state_member_is_its_trace_string(member):
 def test_a_handler_rejects_a_payload_kind_it_does_not_know(handle, state, node):
     ping = ProtocolMessage(time_s=0, from_node="SPD", to_node="X", payload={"kind": "Ping"})
     with pytest.raises(ValueError, match=f"^{node} cannot handle payload kind 'Ping'$"):
-        handle(state, ping)
+        handled(handle, state, ping)
 
 
 @pytest.mark.parametrize("phase", [p for p in CasePhase
@@ -376,7 +375,7 @@ def test_a_cart_takes_an_spd_ack_only_while_awaiting_it(phase):
     ack = ProtocolMessage(time_s=60, from_node="CMS", to_node="MTC:OR-1",
                           payload={"kind": "SpdReadyAck", "case": "C-1"})
     with pytest.raises(InvalidPhaseError, match="^SPD ack for C-1 in phase"):
-        mtc_handle(mtc, ack)
+        handled(mtc_handle, mtc, ack)
     assert mtc.phase is phase and not mtc.spd_acked
 
 
@@ -384,8 +383,8 @@ def test_a_cart_takes_an_spd_ack_only_while_awaiting_it(phase):
 def test_a_complete_cart_takes_no_sweep(sweep):
     mtc = fresh_mtc()
     mtc.phase = CasePhase.AWAITING_SPD
-    assert sweep(mtc, set(), 5) is NOTHING  # the phase before still sweeps
+    assert handled(sweep, mtc, set(), 5) == Outputs()  # the phase before still sweeps
     mtc.phase = CasePhase.COMPLETE
     with pytest.raises(StaleCaseError, match="^case C-1 already complete$"):
-        sweep(mtc, {"T-1"}, 6)
+        handled(sweep, mtc, {"T-1"}, 6)
     assert mtc.entries == {}

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 from unittest import mock
@@ -11,11 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import OR, load_bundled, one_room, random_scenario
+from helpers import OR, handled, load_bundled, one_room, random_scenario
 from ortrack import kernel, reconcile as reconcile_module
 from ortrack.kernel import BusConfig, LinkConfig, StaffEvent, run
 from ortrack.protocol import (
-    NOTHING,
     AlertKind,
     CasePhase,
     ChecklistEntry,
@@ -43,9 +43,9 @@ from ortrack.trace import Trace, TraceIOError, UnknownTagError, load, locate, re
 def cart_of(active, removed=()):
     mtc = MtcState(case_id="C-1", room_id="OR-1")
     for tag in active:
-        mtc.mark(tag, TagStatus.IN_USE, 0, NOTHING)
+        mtc.mark(tag, TagStatus.IN_USE, 0, Outputs())
     for tag in removed:
-        mtc.mark(tag, TagStatus.REMOVED_FROM_OR, 0, NOTHING)
+        mtc.mark(tag, TagStatus.REMOVED_FROM_OR, 0, Outputs())
     return mtc
 
 
@@ -131,9 +131,9 @@ def make_mtc(tray_tags, cavity_tags, max_rescans=2):
     mtc = MtcState(case_id="C-1", room_id="OR-1", scan_passes=1, max_rescans=max_rescans)
     mtc.phase = CasePhase.IN_PROGRESS
     for tag in tray_tags:
-        mtc.mark(tag, TagStatus.ON_TRAY, 0, NOTHING)
+        mtc.mark(tag, TagStatus.ON_TRAY, 0, Outputs())
     for tag in cavity_tags:
-        mtc.mark(tag, TagStatus.IN_USE, 0, NOTHING)
+        mtc.mark(tag, TagStatus.IN_USE, 0, Outputs())
     mtc.phase = CasePhase.CLOSING_ANNOUNCED
     return mtc
 
@@ -144,12 +144,12 @@ def requests_rescan(out):
 
 def test_closing_loop_retention_then_staff_fix():
     state = make_mtc({"T-1", "T-2"}, {"T-4"})
-    first = apply_scan_outcome(state, scan_of(["T-4"]), {"T-1", "T-2"}, set(), 0)
+    first = handled(apply_scan_outcome, state, scan_of(["T-4"]), {"T-1", "T-2"}, set(), 0)
     assert [alert.tags for alert in first.alerts] == [frozenset({"T-4"})]
     assert not requests_rescan(first)
-    staff = mtc_staff_rescan(state, 0)  # staff pulled T-4 out onto the tray
+    staff = handled(mtc_staff_rescan, state, 0)  # staff pulled T-4 out onto the tray
     assert requests_rescan(staff)
-    second = apply_scan_outcome(state, scan_of([]), {"T-1", "T-2", "T-4"}, set(), 0)
+    second = handled(apply_scan_outcome, state, scan_of([]), {"T-1", "T-2", "T-4"}, set(), 0)
     kinds = [a.kind for a in first.alerts + staff.alerts + second.alerts]
     assert kinds == [AlertKind.RSB_SUSPECTED]
     assert state.scans_done == 2
@@ -158,7 +158,7 @@ def test_closing_loop_retention_then_staff_fix():
 
 def test_closing_loop_clean_single_pass():
     state = make_mtc({"T-1"}, set())
-    out = apply_scan_outcome(state, scan_of([]), {"T-1"}, set(), 0)
+    out = handled(apply_scan_outcome, state, scan_of([]), {"T-1"}, set(), 0)
     assert out.alerts == []
     assert not requests_rescan(out)
     assert state.scans_done == 1
@@ -170,7 +170,7 @@ def test_closing_loop_persistent_mismatch_demands_override():
     state = make_mtc({"T-1", "T-9"}, set(), max_rescans=2)
     alerts = []
     while True:  # each re-scan request comes back as another scan result
-        out = apply_scan_outcome(state, scan_of([]), {"T-1"}, set(), 0)
+        out = handled(apply_scan_outcome, state, scan_of([]), {"T-1"}, set(), 0)
         alerts += out.alerts
         if not requests_rescan(out):
             break
@@ -182,7 +182,7 @@ def test_closing_loop_persistent_mismatch_demands_override():
 
 def test_closing_loop_retention_without_staff_parks_case():
     state = make_mtc({"T-1"}, {"T-4"})
-    out = apply_scan_outcome(state, scan_of(["T-4"]), {"T-1"}, set(), 0)
+    out = handled(apply_scan_outcome, state, scan_of(["T-4"]), {"T-1"}, set(), 0)
     assert [a.kind for a in out.alerts] == [AlertKind.RSB_SUSPECTED]
     assert not requests_rescan(out)
     assert state.phase is CasePhase.CLOSING_ANNOUNCED
@@ -193,15 +193,14 @@ def test_scan_result_outside_closing_is_a_phase_error():
     state = make_mtc({"T-1"}, set())
     state.phase = CasePhase.IN_PROGRESS
     with pytest.raises(InvalidPhaseError, match="scan result in phase"):
-        apply_scan_outcome(state, scan_of([]), {"T-1"}, set(), 0)
+        handled(apply_scan_outcome, state, scan_of([]), {"T-1"}, set(), 0)
 
 
 # -- tray and bin sweeps against a walk of the whole checklist
 
 
-def full_walk_sweep(state, detected, now, status):
+def full_walk_sweep(status, state, detected, now, out):
     """Reference sweep: sorted adds, then every entry with ``status`` not seen is demoted."""
-    out = Outputs()
     for tag in sorted(detected):
         entry = state.entries.get(tag)
         if entry is not None and entry.status is not TagStatus.REMOVED_FROM_OR:
@@ -217,7 +216,6 @@ def full_walk_sweep(state, detected, now, status):
     for tag, entry in state.entries.items():
         if entry.status is status and tag not in detected:
             entry.status = TagStatus.IN_USE
-    return out
 
 
 SWEEP_TAGS = ("T-1", "T-2", "T-3", "T-4", "T-5")
@@ -235,9 +233,9 @@ SWEEP_STEPS = st.lists(st.one_of(
 def full_walk_sweeps():
     """Route the sweeps that ``reconcile`` names, also inside a scan, to the full walk."""
     with mock.patch.object(reconcile_module, "mtc_tray_sweep",
-                           lambda s, d, t: full_walk_sweep(s, d, t, TagStatus.ON_TRAY)), \
+                           functools.partial(full_walk_sweep, TagStatus.ON_TRAY)), \
          mock.patch.object(reconcile_module, "mtc_bin_sweep",
-                           lambda s, d, t: full_walk_sweep(s, d, t, TagStatus.DISCARDED)):
+                           functools.partial(full_walk_sweep, TagStatus.DISCARDED)):
         yield
 
 
@@ -245,13 +243,14 @@ def sweep_step(cart, step, now):
     kind = step[0]
     try:
         if kind in ("tray", "bin"):
-            return getattr(reconcile_module, f"mtc_{kind}_sweep")(cart, set(step[1]), now)
+            return handled(getattr(reconcile_module, f"mtc_{kind}_sweep"), cart, set(step[1]),
+                           now)
         if kind == "close":
-            return announce_closing(cart, now)
+            return handled(announce_closing, cart, now)
         if kind == "scan":
             tray, bin_, cavity = step[1:]
-            return apply_scan_outcome(cart, scan_of(cavity), set(tray), set(bin_), now)
-        return mtc_handle(cart, ProtocolMessage(
+            return handled(apply_scan_outcome, cart, scan_of(cavity), set(tray), set(bin_), now)
+        return handled(mtc_handle, cart, ProtocolMessage(
             time_s=now, from_node="CMS", to_node=cart.node_id,
             payload={"kind": kind, "tag": step[1], "case": cart.case_id}))
     except InvalidPhaseError as exc:
@@ -284,24 +283,24 @@ def resolved(cart):
 
 def test_first_tray_sweep_on_a_hand_built_cart_demotes_an_unseen_entry():
     state = make_mtc({"T-1", "T-2"}, set())
-    assert mtc_tray_sweep(state, {"T-2"}, 5) == Outputs()
+    assert handled(mtc_tray_sweep, state, {"T-2"}, 5) == Outputs()
     assert resolved(state) == {"T-1": (TagStatus.IN_USE, 0), "T-2": (TagStatus.ON_TRAY, 5)}
 
 
 def test_a_tag_that_leaves_the_tray_keeps_the_tick_of_its_last_sighting():
     state = make_mtc(set(), set())
     for now in (5, 9):
-        mtc_tray_sweep(state, {"T-1", "T-2"}, now)
-    mtc_tray_sweep(state, {"T-2"}, 12)
+        handled(mtc_tray_sweep, state, {"T-1", "T-2"}, now)
+    handled(mtc_tray_sweep, state, {"T-2"}, 12)
     assert resolved(state) == {"T-1": (TagStatus.IN_USE, 9), "T-2": (TagStatus.ON_TRAY, 12)}
 
 
 def test_a_tag_that_hops_from_the_tray_to_the_bin_leaves_the_tray_set():
     state = make_mtc(set(), set())
-    mtc_tray_sweep(state, {"T-1", "T-2"}, 5)
-    mtc_bin_sweep(state, {"T-1"}, 8)
+    handled(mtc_tray_sweep, state, {"T-1", "T-2"}, 5)
+    handled(mtc_bin_sweep, state, {"T-1"}, 8)
     assert state.swept == {TagStatus.ON_TRAY: {"T-2"}, TagStatus.DISCARDED: {"T-1"}}
-    mtc_tray_sweep(state, {"T-2"}, 11)  # T-1 is no longer the tray's to demote
+    handled(mtc_tray_sweep, state, {"T-2"}, 11)  # T-1 is no longer the tray's to demote
     assert resolved(state) == {"T-1": (TagStatus.DISCARDED, 8), "T-2": (TagStatus.ON_TRAY, 11)}
 
 
