@@ -358,7 +358,9 @@ def validate_scenario(scenario: Scenario) -> None:
 
 def destination(ev: StaffEvent, src: Location, rooms: list[str]) -> tuple[Location, str]:
     """Where staff event ``ev`` moves an item now at ``src``; ValueError if it cannot."""
-    sources, sub, cause = _MOVE_RULES[ev.kind]
+    if (rule := _MOVE_RULES.get(ev.kind)) is None:
+        raise ValueError(f"unknown kind {ev.kind!r}")
+    sources, sub, cause = rule
     if src.sub not in sources:
         raise ValueError(f"{ev.tag} is not in a cavity" if ev.kind == "remove_from_cavity"
                          else f"{ev.tag} cannot {ev.kind} from {src.site}/{src.sub}")
@@ -395,8 +397,9 @@ _DROPPED = DeliveryOutcome(False)
 def deliver(latency: int, drop_rate: float, now: int,
             rng: random.Random | None) -> DeliveryOutcome:
     """Decide one message's fate on a resolved link: dropped, or delivered
-    after its latency. ``rng`` may be None when ``drop_rate`` is 0. Every drop
-    shares one outcome, and a delivery skips the NamedTuple's ``__new__``."""
+    after its latency. The engine asks only for a lossy link's message; a
+    direct caller may pass a ``drop_rate`` of 0, and then ``rng`` may be None.
+    Every drop shares one outcome, and a delivery skips the NamedTuple's ``__new__``."""
     if drop_rate > 0.0 and rng.random() < drop_rate:
         return _DROPPED
     return tuple.__new__(DeliveryOutcome, (True, now + latency))
@@ -559,12 +562,13 @@ class _Engine:
         self.msg_seq += 1
         ends = message.from_node, message.to_node
         priority, latency, drop_rate, stream = self.plan.routes.get(ends) or self.plan.link(ends)
-        outcome = deliver(latency, drop_rate, now, None if stream is None else self._rng(stream))
-        if not outcome.delivered:
+        # only a lossy link has a stream; a message on any other is due after its latency
+        if stream is not None and not deliver(latency, drop_rate, now,
+                                              self._rng(stream)).delivered:
             self.records.append({"t": now, "type": "msg", "status": "dropped",
                                  "sent_at": now, "msg": message.to_json()})
             return
-        heapq.heappush(self.heap, (outcome.at_time, priority, self.seq, now, message))
+        heapq.heappush(self.heap, (now + latency, priority, self.seq, now, message))
         self.seq += 1
 
     def _emit(self, case_id: str | None, now: int) -> None:
@@ -656,7 +660,8 @@ class _Engine:
                 self._record_error(ev.kind, str(exc), now)
             return
 
-        src = self.world.placements[ev.tag]
+        if (src := self.world.placements.get(ev.tag)) is None:  # run() does not validate
+            raise ValueError(f"unknown item: {ev.tag}")
         dst, cause = destination(ev, src, self.scenario.rooms)
         self.world.apply_ground_truth(ev.tag, dst)
         self.records.append({
@@ -767,7 +772,8 @@ def run(scenario: Scenario, observer=None) -> Trace:
 
 
 def validate_trace(trace: Trace) -> list[str]:
-    """Structural checks: well-formed records, tick order, phase paths, causality, msg ids."""
+    """Structural checks: well-formed records of known types, tick order, phase paths,
+    causality, msg ids."""
     problems = []
     last_t = 0
     phase_by_case: dict[str, CasePhase] = {}
@@ -795,6 +801,8 @@ def validate_trace(trace: Trace) -> list[str]:
                 seen_msg_ids.add(msg_id)
                 if record["status"] == "delivered" and record["sent_at"] > t:
                     problems.append(f"record {idx}: delivered before sent")
+            elif record["type"] not in ("meta", "gt", "alert", "error", "case"):
+                problems.append(f"record {idx}: unknown type {record['type']!r}")
         except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"record {idx}: malformed ({exc!r:.60})")
     return problems

@@ -18,7 +18,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import tracing  # noqa: E402
 
 #: Layers the engine calls directly while running ``cavity_retention`` (which
-#: draws from a random stream) and ``clean_case`` (whose discard makes a bin sweep read).
+#: draws from a random stream), ``clean_case`` (whose discard makes a bin sweep read)
+#: and ``dropped_link`` (whose lossy link is the only kind that asks ``deliver``).
 ENGINE_CALLS = ("kernel.rng_stream", "kernel.deliver",
                 "sensing.read_tags", "sensing.med_scan", "model.WorldState.tags_at",
                 "protocol.room_sensor_on_reads", "protocol.cms_handle",
@@ -27,7 +28,8 @@ ENGINE_CALLS = ("kernel.rng_stream", "kernel.deliver",
 
 
 def test_traced_run_matches_untraced_and_uninstall_restores():
-    scenarios = [load_bundled(name) for name in ("cavity_retention", "clean_case")]
+    scenarios = [load_bundled(name)
+                 for name in ("cavity_retention", "clean_case", "dropped_link")]
     originals = [(owner, attr, owner.__dict__[attr])
                  for places in tracing.TARGETS.values() for owner, attr in places]
     plain = [kernel.run(scenario).to_ndjson() for scenario in scenarios]
@@ -35,11 +37,16 @@ def test_traced_run_matches_untraced_and_uninstall_restores():
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        traced = [kernel.run(scenario).to_ndjson() for scenario in scenarios]
+        traced, deliver_calls = [], []
+        for scenario in scenarios:
+            traced.append(kernel.run(scenario).to_ndjson())
+            deliver_calls.append(tracer.snapshot()["kernel.deliver.calls"])
     finally:
         tracer.uninstall()
 
     assert traced == plain
+    # the first two scenarios' links are all lossless, so their messages skip deliver
+    assert deliver_calls[:2] == [0, 0] and deliver_calls[2] > 0
     called_by_run = {name for parent, name in tracer.edges if parent == "kernel.run"}
     assert [name for name in ENGINE_CALLS if name not in called_by_run] == []
     assert all(owner.__dict__[attr] is original for owner, attr, original in originals)

@@ -337,6 +337,19 @@ def test_a_staff_event_for_an_unknown_case_is_recorded_as_an_error(kind):
     assert validate_trace(trace) == []
 
 
+@pytest.mark.parametrize("event, message", [
+    (StaffEvent(1, "move", tag="NOPE", to_site=OR), "unknown item: NOPE"),
+    (StaffEvent(1, "discard"), "unknown item: None"),
+    (StaffEvent(1, "teleport", tag="T-1", to_site=OR), "unknown kind 'teleport'"),
+], ids=["unknown-tag", "no-tag", "unknown-kind"])
+def test_an_unknown_item_or_kind_raises_a_value_error_in_the_loaders_words(event, message):
+    # Plan does not validate a scenario built in Python, so the move reaches the engine
+    scenario = load_bundled("clean_case")
+    scenario.events.insert(0, event)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(scenario)
+
+
 # -- delivery
 
 
@@ -378,6 +391,51 @@ def test_per_link_override():
                     links={"CMS->MTC": LinkConfig(drop_rate=1.0)})
     assert bus.link_params("CMS", "MTC") == (1, 1.0)
     assert bus.link_params("MTC", "CMS") == (1, 0.0)
+
+
+def _lossless_rule_cases():
+    """The goldens, random one-room cases at drop rates 0 and 0.1, and random cases
+    whose links mix latency overrides with lossless, lossy and dead links."""
+    yield from (load_bundled(name) for name in GOLDENS)
+    for seed in range(100):
+        yield from (random_scenario(seed, drop_rate=rate) for rate in (0.0, 0.1))
+    mixed = BusConfig(latency_s=1, drop_rate=0.0, links={
+        "CMS->MTC": LinkConfig(latency_s=3), "RS->CMS": LinkConfig(latency_s=2, drop_rate=0.1),
+        "SPD->CMS": LinkConfig(drop_rate=1.0)})
+    for seed in range(10):
+        yield dataclasses.replace(random_scenario(seed), bus=mixed)
+
+
+def _link_params(bus: BusConfig, from_node: str, to_node: str) -> tuple[int, float]:
+    return bus.link_params(from_node.partition(":")[0], to_node.partition(":")[0])
+
+
+def test_only_a_lossy_link_asks_deliver_and_every_message_waits_its_latency(monkeypatch):
+    # a lossless link has no stream and no drop to decide: its message goes straight
+    # onto the heap, due after the link's latency, with no call to deliver
+    calls, lossy_sends = [], []
+    send, deliver_ = kernel._Engine._send, kernel.deliver
+    monkeypatch.setattr(kernel, "deliver", lambda *args: calls.append(args) or deliver_(*args))
+
+    def counting_send(engine, message, now):
+        bus = engine.scenario.bus
+        lossy_sends.append(_link_params(bus, message.from_node, message.to_node)[1] > 0.0)
+        send(engine, message, now)
+
+    monkeypatch.setattr(kernel._Engine, "_send", counting_send)
+    total = 0
+    for scenario in _lossless_rule_cases():
+        del calls[:], lossy_sends[:]
+        trace = run(scenario)
+        for record in trace.records:
+            if record["type"] == "msg" and record["status"] == "delivered":
+                msg = record["msg"]
+                latency = _link_params(scenario.bus, msg["from"], msg["to"])[0]
+                assert record["t"] == record["sent_at"] + latency, (scenario.name, record)
+        assert len(calls) == sum(lossy_sends), scenario.name
+        assert all(drop_rate > 0.0 for _, drop_rate, _, _ in calls), scenario.name
+        total += len(calls)
+    assert total > 0
 
 
 @pytest.mark.parametrize("scenario", [
@@ -661,8 +719,10 @@ def _msg_record(msg_id: int, t: int = 0, status: str = "dropped", sent_at: int =
     ([_msg_record(0), _msg_record(0)], "duplicate msg_id 0"),
     ([_msg_record(0, t=0, status="delivered", sent_at=5)], "delivered before sent"),
     ([_msg_record(0, t=5, status="delivered", sent_at=5)], None),
+    ([{"t": 0, "type": "meta"}, {"t": 0, "type": "bogus"}], "unknown type 'bogus'"),
+    ([{"t": 0, "type": kind} for kind in ("meta", "gt", "alert", "error", "case")], None),
 ], ids=["phase-skips-ahead", "msg-id-repeated", "delivered-before-sent",
-        "delivered-in-its-send-tick"])
+        "delivered-in-its-send-tick", "unknown-type", "types-without-checks"])
 def test_validate_trace_checks_phase_paths_msg_ids_and_causality(records, problem):
     expected = [] if problem is None else [f"record {len(records) - 1}: {problem}"]
     assert validate_trace(Trace(records=records)) == expected
