@@ -53,13 +53,11 @@ from .protocol import (
     Severity,
     StaleCaseError,
     TagStatus,
-    UnknownCaseError,
     cms_handle,
     med_on_request,
     mtc_handle,
     mtc_staff_rescan,
     room_sensor_on_reads,
-    spd_acknowledge,
 )
 from .sensing import SensorDownError, SensorModel
 from .trace import Trace, share
@@ -113,7 +111,10 @@ _MOVE_RULES = {
     "discard": (_OUT_OF_CAVITY - {SubLocation.TRASH_BIN}, SubLocation.TRASH_BIN, "Discard"),
     "carry_out": (_OUT_OF_CAVITY, None, "RoomTransit"),
 }
-EVENT_KINDS = {"announce_closing", "spd_ack", *_MOVE_RULES}
+#: Staff case event kind -> the ``protocol`` handler it calls on its case's cart.
+_CASE_EVENTS = {"announce_closing": protocol.announce_closing,
+                "spd_ack": protocol.spd_acknowledge}
+EVENT_KINDS = {*_CASE_EVENTS, *_MOVE_RULES}
 
 #: Cart antenna -> (sub-location it covers, status its sweep sets, name of its
 #: sweep handler in ``protocol``, looked up on the cart's first sweep in a run).
@@ -344,7 +345,7 @@ def validate_scenario(scenario: Scenario) -> None:
         last_t = ev.time_s
         if ev.time_s > scenario.horizon_s:
             _fail(f"events[{idx}]: event after horizon")
-        if ev.kind not in _MOVE_RULES:
+        if ev.kind in _CASE_EVENTS:
             if ev.case not in case_ids:
                 _fail(f"events[{idx}]: unknown case: {ev.case}")
         elif ev.tag not in placements:
@@ -544,16 +545,13 @@ class _Engine:
 
     # -- trace helpers
 
-    def _record_alert(self, alert: Alert, case_id: str | None, now: int) -> None:
-        self.records.append({"t": now, "type": "alert", "case": case_id, **alert.to_json()})
-
     def _record_error(self, op: str, detail: str, now: int) -> None:
         self.records.append({"t": now, "type": "error", "op": op, "detail": detail})
 
     def _sensor_down(self, exc: SensorDownError, case_id: str | None, now: int) -> None:
-        self._record_alert(Alert(severity=Severity.WARNING, kind=AlertKind.SENSOR_DOWN,
-                                 tags=frozenset(), text=str(exc)),
-                           case_id, now)
+        self.out.alerts.append(Alert(severity=Severity.WARNING, kind=AlertKind.SENSOR_DOWN,
+                                     tags=frozenset(), text=str(exc)))
+        self._emit(case_id, now)
 
     # -- message plumbing
 
@@ -579,7 +577,7 @@ class _Engine:
         for message in out.messages:
             self._send(message, now)
         for alert in out.alerts:
-            self._record_alert(alert, case_id, now)
+            self.records.append({"t": now, "type": "alert", "case": case_id, **alert.to_json()})
         for case, old, new in out.phase_changes:
             self.records.append({"t": now, "type": "phase", "case": case,
                                  "from": old, "to": new})
@@ -607,11 +605,9 @@ class _Engine:
             # entrance sensor starts believing those tags inside
             sensor = RoomSensorState(site, set(self.plan.tags if site == EQUIPMENT_ROOM else ()))
             entrance = self.entrances[site] = self._reader(f"entrance:{site}"), sensor
-        reads = self._read(entrance[0], [tag], None, now, distance_m)
-        if reads is None:
-            return
-        for message in room_sensor_on_reads(entrance[1], reads, now):
-            self._send(message, now)
+        if (reads := self._read(entrance[0], [tag], None, now, distance_m)) is not None:
+            room_sensor_on_reads(entrance[1], reads, now, self.out)
+            self._emit(None, now)
 
     def _sweep(self, mtc: MtcState, antenna: tuple, now: int) -> None:
         """Sweep one cart antenna; a certain one is not read when its location holds
@@ -647,16 +643,14 @@ class _Engine:
     # -- staff/world event handling
 
     def _on_staff(self, ev: StaffEvent, now: int) -> None:
-        if ev.kind in ("announce_closing", "spd_ack"):
+        if (handler := _CASE_EVENTS.get(ev.kind)) is not None:
+            if (mtc := self.mtcs_by_case.get(ev.case)) is None:
+                self._record_error(ev.kind, f"unknown case: {ev.case}", now)
+                return
             try:
-                if ev.kind == "spd_ack":
-                    self._send(spd_acknowledge(ev.case, self.mtcs_by_case, now), now)
-                elif (mtc := self.mtcs_by_case.get(ev.case)) is None:
-                    raise UnknownCaseError(f"unknown case: {ev.case}")
-                else:
-                    protocol.announce_closing(mtc, now, self.out)
-                    self._emit(ev.case, now)
-            except (InvalidPhaseError, UnknownCaseError) as exc:
+                handler(mtc, now, self.out)
+                self._emit(ev.case, now)
+            except InvalidPhaseError as exc:
                 self._record_error(ev.kind, str(exc), now)
             return
 
@@ -696,17 +690,16 @@ class _Engine:
             self._record_error(message.payload["kind"], str(exc), now)
 
     def _med_scan(self, mtc: MtcState, message: ProtocolMessage, now: int) -> None:
-        case_id = message.payload["case"]
         sensor_id, model_, rng, outages = self._reader(f"med:{mtc.room_id}")
         if outages:
             try:
                 sensing.raise_if_down(sensor_id, outages, now)
             except SensorDownError as exc:
-                self._sensor_down(exc, case_id, now)
+                self._sensor_down(exc, mtc.case_id, now)
                 return
         cavity = self.world.tags_at(Location(mtc.room_id, SubLocation.PATIENT_CAVITY))
-        scan = sensing.med_scan(cavity, mtc.scan_passes, model_, rng)
-        self._send(med_on_request(mtc.room_id, case_id, scan, now), now)
+        med_on_request(mtc, sensing.med_scan(cavity, mtc.scan_passes, model_, rng), now, self.out)
+        self._emit(mtc.case_id, now)
 
     def _on_mtc(self, mtc: MtcState, message: ProtocolMessage, now: int) -> None:
         if message.payload["kind"] != "CavityScanResult":
@@ -799,7 +792,9 @@ def validate_trace(trace: Trace) -> list[str]:
                 if msg_id in seen_msg_ids:
                     problems.append(f"record {idx}: duplicate msg_id {msg_id}")
                 seen_msg_ids.add(msg_id)
-                if record["status"] == "delivered" and record["sent_at"] > t:
+                if (status := record["status"]) not in ("delivered", "dropped"):
+                    problems.append(f"record {idx}: unknown msg status {status!r}")
+                elif status == "delivered" and record["sent_at"] > t:
                     problems.append(f"record {idx}: delivered before sent")
             elif record["type"] not in ("meta", "gt", "alert", "error", "case"):
                 problems.append(f"record {idx}: unknown type {record['type']!r}")

@@ -16,10 +16,11 @@ Node responsibilities:
   case cannot complete without that acknowledgment.
 
 All handlers are deterministic: same state and input always produce the
-same successor state and outputs. A handler appends the messages, alerts and
-phase changes it asks for to the ``Outputs`` it is handed and returns None; it
-raises, if it must, before it appends anything. The kernel serializes delivery,
-so no handler ever runs concurrently with another.
+same successor state and outputs. Every handler, of every node, appends the
+messages, alerts and phase changes it asks for to the ``Outputs`` it is handed
+and returns None; it raises, if it must, before it appends anything.
+``request_cavity_scan`` is the one message builder, which handlers append from.
+The kernel serializes delivery, so no handler ever runs concurrently with another.
 """
 
 from __future__ import annotations
@@ -180,14 +181,14 @@ class RoomSensorState:
         return f"RS:{self.room_id}"
 
 
-def room_sensor_on_reads(state: RoomSensorState, tags: list[str],
-                         now: int) -> list[ProtocolMessage]:
+def room_sensor_on_reads(state: RoomSensorState, tags: list[str], now: int,
+                         out: Outputs) -> None:
     """Turn the tags an entrance read saw at ``now`` into crossing reports.
 
     Direction is inferred from the believed side of the entrance: a read of
     a tag believed outside means it came in, and vice versa.
     """
-    messages = []
+    messages = out.messages
     for tag in tags:
         if tag in state.believed_inside:
             direction = "out"
@@ -199,7 +200,6 @@ def room_sensor_on_reads(state: RoomSensorState, tags: list[str],
             time_s=now, from_node=state.node_id, to_node=CMS_NODE,
             payload={"kind": "RoomCrossing", "tag": tag,
                      "room": state.room_id, "direction": direction}))
-    return messages
 
 
 # --------------------------------------------------------------------------
@@ -248,7 +248,7 @@ def cms_handle(state: CmsState, msg: ProtocolMessage, out: Outputs) -> None:
         return
 
     elif kind == "SpdReadyAck":
-        room = state.room_by_case[payload["case"]]  # spd_acknowledge rejected an unknown case
+        room = state.room_by_case[payload["case"]]  # the engine acks only a case it has
         payload = dict(payload)
 
     elif kind == "ClosingAnnounced":
@@ -465,25 +465,23 @@ def mtc_staff_rescan(state: MtcState, now: int, out: Outputs) -> None:
 # Medical equipment detector
 
 
-def med_on_request(room_id: str, case_id: str, scan: ScanResult, now: int) -> ProtocolMessage:
-    """Wrap a finished cavity scan into a result message for the cart."""
-    return ProtocolMessage(
-        time_s=now, from_node=f"MED:{room_id}", to_node=f"MTC:{room_id}",
-        payload={"kind": "CavityScanResult", "case": case_id, "scan": scan.to_json()})
+def med_on_request(cart: MtcState, scan: ScanResult, now: int, out: Outputs) -> None:
+    """Wrap a finished cavity scan into a result message for ``cart``, its room's
+    only cart, whose case asked for the scan."""
+    out.messages.append(ProtocolMessage(
+        time_s=now, from_node=cart.med_node, to_node=cart.node_id,
+        payload={"kind": "CavityScanResult", "case": cart.case_id, "scan": scan.to_json()}))
 
 
 # --------------------------------------------------------------------------
 # Sterile processing department
 
 
-def spd_acknowledge(case_id: str, carts: dict[str, MtcState], now: int) -> ProtocolMessage:
-    """SPD confirms readiness at ``now``; only valid while the case awaits it (a
-    reconciled case moves on to AwaitingSpd within the same handler call)."""
-    cart = carts.get(case_id)
-    if cart is None:
-        raise UnknownCaseError(f"unknown case: {case_id}")
-    if cart.phase is not CasePhase.AWAITING_SPD:
-        raise InvalidPhaseError(f"SPD ack for {case_id} in phase {cart.phase}")
-    return ProtocolMessage(
+def spd_acknowledge(state: MtcState, now: int, out: Outputs) -> None:
+    """SPD confirms readiness for the cart's case at ``now``; only valid while the case
+    awaits it (a reconciled case moves on to AwaitingSpd within the same handler call)."""
+    if state.phase is not CasePhase.AWAITING_SPD:
+        raise InvalidPhaseError(f"SPD ack for {state.case_id} in phase {state.phase}")
+    out.messages.append(ProtocolMessage(
         time_s=now, from_node=SPD_NODE, to_node=CMS_NODE,
-        payload={"kind": "SpdReadyAck", "case": case_id})
+        payload={"kind": "SpdReadyAck", "case": state.case_id}))

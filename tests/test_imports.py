@@ -1,7 +1,8 @@
 """The package declares ``dependencies = []``: it imports the standard library only.
 
-Its modules import one another at the top only, and the trace's modules sit
-below the engine: ``reconcile`` and ``trace`` import nothing from ``kernel``.
+Its modules import one another at the top only, every name they import is used,
+and the trace's modules sit below the engine: ``reconcile`` and ``trace`` import
+nothing from ``kernel``.
 """
 
 import ast
@@ -49,3 +50,21 @@ def test_no_module_imports_inside_a_function():
 def test_reconcile_and_trace_import_nothing_from_kernel():
     for name in ("reconcile", "trace"):
         assert "ortrack.kernel" not in set(imported(parse(PACKAGE / f"{name}.py"))), name
+
+
+def bound_by_imports(tree: ast.Module):
+    """Each name an import at the top of ``tree`` binds, ``__future__`` features aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in SOURCES:
+        tree = parse(path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in bound_by_imports(tree) if name not in used]
+    assert unused == []

@@ -309,8 +309,10 @@ def test_messages_due_at_one_tick_are_delivered_med_then_mtc_then_cms():
 
 def test_a_scan_result_for_a_complete_cart_is_recorded_as_an_error():
     engine = kernel._Engine(kernel.Plan(one_room([])), 0)
-    engine.mtcs[OR].phase = CasePhase.COMPLETE
-    engine._send(med_on_request(OR, "C-1", sensing.ScanResult(frozenset(), 1), 5), 5)
+    cart = engine.mtcs[OR]
+    cart.phase = CasePhase.COMPLETE
+    med_on_request(cart, sensing.ScanResult(frozenset(), 1), 5, engine.out)
+    engine._emit(cart.case_id, 5)
     records = engine.run().records
     assert [r for r in records if r["type"] in ("error", "alert", "phase")] == [
         {"t": 6, "type": "error", "op": "CavityScanResult",
@@ -348,6 +350,8 @@ def test_an_unknown_item_or_kind_raises_a_value_error_in_the_loaders_words(event
     scenario.events.insert(0, event)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run(scenario)
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'events[0]: {message}')}$"):
+        kernel.validate_scenario(scenario)
 
 
 # -- delivery
@@ -719,10 +723,12 @@ def _msg_record(msg_id: int, t: int = 0, status: str = "dropped", sent_at: int =
     ([_msg_record(0), _msg_record(0)], "duplicate msg_id 0"),
     ([_msg_record(0, t=0, status="delivered", sent_at=5)], "delivered before sent"),
     ([_msg_record(0, t=5, status="delivered", sent_at=5)], None),
+    ([_msg_record(0, status="bogus")], "unknown msg status 'bogus'"),
     ([{"t": 0, "type": "meta"}, {"t": 0, "type": "bogus"}], "unknown type 'bogus'"),
     ([{"t": 0, "type": kind} for kind in ("meta", "gt", "alert", "error", "case")], None),
 ], ids=["phase-skips-ahead", "msg-id-repeated", "delivered-before-sent",
-        "delivered-in-its-send-tick", "unknown-type", "types-without-checks"])
+        "delivered-in-its-send-tick", "unknown-msg-status", "unknown-type",
+        "types-without-checks"])
 def test_validate_trace_checks_phase_paths_msg_ids_and_causality(records, problem):
     expected = [] if problem is None else [f"record {len(records) - 1}: {problem}"]
     assert validate_trace(Trace(records=records)) == expected

@@ -21,7 +21,6 @@ from ortrack.protocol import (
     Severity,
     StaleCaseError,
     TagStatus,
-    UnknownCaseError,
     announce_closing,
     cms_handle,
     mtc_bin_sweep,
@@ -55,15 +54,15 @@ def fresh_mtc(case="C-1", room="OR-1"):
 
 def test_toggle_infers_in_then_out():
     sensor = RoomSensorState(room_id="OR-1")
-    first = room_sensor_on_reads(sensor, ["T-5"], 1)
-    second = room_sensor_on_reads(sensor, ["T-5"], 9)
+    first = handled(room_sensor_on_reads, sensor, ["T-5"], 1).messages
+    second = handled(room_sensor_on_reads, sensor, ["T-5"], 9).messages
     assert first[0].payload["direction"] == "in"
     assert second[0].payload["direction"] == "out"
     assert (first[0].time_s, second[0].time_s) == (1, 9)
 
 
 def test_no_reads_no_messages():
-    assert room_sensor_on_reads(RoomSensorState(room_id="OR-1"), [], 0) == []
+    assert handled(room_sensor_on_reads, RoomSensorState(room_id="OR-1"), [], 0) == Outputs()
 
 
 # -- central service
@@ -218,17 +217,15 @@ def _awaiting_spd_case():
 
 
 def test_spd_ack_goes_to_cms():
-    carts = {"C-1": _awaiting_spd_case()}
-    msg = spd_acknowledge("C-1", carts, 70)
+    [msg] = handled(spd_acknowledge, _awaiting_spd_case(), 70).messages
     assert msg.from_node == "SPD" and msg.to_node == "CMS"
     assert msg.payload == {"kind": "SpdReadyAck", "case": "C-1"}
     assert msg.time_s == 70
 
 
 def test_spd_ack_before_reconciliation_rejected():
-    carts = {"C-1": fresh_mtc()}
     with pytest.raises(InvalidPhaseError):
-        spd_acknowledge("C-1", carts, 0)
+        handled(spd_acknowledge, fresh_mtc(), 0)
 
 
 def test_spd_ack_of_a_reconciled_case_rejected():
@@ -236,12 +233,7 @@ def test_spd_ack_of_a_reconciled_case_rejected():
     mtc = fresh_mtc()
     mtc.phase = CasePhase.RECONCILED
     with pytest.raises(InvalidPhaseError):
-        spd_acknowledge("C-1", {"C-1": mtc}, 0)
-
-
-def test_spd_ack_unknown_case():
-    with pytest.raises(UnknownCaseError):
-        spd_acknowledge("C-404", {}, 0)
+        handled(spd_acknowledge, mtc, 0)
 
 
 def test_ack_completes_case_via_cart():
