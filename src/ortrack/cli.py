@@ -75,8 +75,7 @@ def batch_summary(scenario: kernel.Scenario, runs: int, seed_base: int) -> dict:
     retained_complete = 0
     finding_runs = 0
     plan = kernel.Plan(scenario)  # the seed-free set-up, shared by every run
-    for seed in range(seed_base, seed_base + runs):
-        summary = run_summary(plan.run(seed))
+    for summary in plan.fold_runs(range(seed_base, seed_base + runs), run_summary):
         _merge_counts(alert_counts, summary["alert_counts"])
         _merge_counts(outcome_counts, summary["outcome_counts"])
         retained += summary["retained_at_reconcile"]

@@ -1,23 +1,20 @@
 """Deterministic discrete-event scheduler, scenario loader, trace emitter and validator.
 
 A run is a pure function of (scenario, seed). ``Plan(s)`` does the seed-free
-set-up once (id checks, initial world, staff-event heap, links), and
-``Plan(s).run(seed)`` copies it, so a Monte Carlo batch pays per run only for
-what its seed changes; ``run(s)`` is ``Plan(s).run(s.seed)``. One logical seed
-is split into independent named streams, made on first use and only where a
-draw can change an outcome: ``sensor:<id>`` for a reader with ``p_detect < 1``,
-``failures:<id>`` for one with an ``mtbf_s`` and ``bus:<FROM>-><TO>`` for a link
-with ``drop_rate > 0``. So adding a sensor never perturbs anyone else's draws.
-``_Engine._rng`` makes every stream and, with the meta record, is all that reads
-the seed, so the ticks before the first stream is made are the same under any
-seed: a plan's first run finds the last of them, the plan runs them once with no
-seed, and each later run forks that engine. The future-event list is a heap of
-flat ``(time, receiver priority, sequence number, sent_at, item)`` entries,
-``sent_at`` None for a staff event; staff and world events sort before any
-message at the same tick.
+set-up once (id checks, initial world, staff-event heap, links), and each
+``Plan(s).run(seed)`` starts a fresh engine from it; ``run(s)`` is
+``Plan(s).run(s.seed)``. One logical seed is split into independent named streams,
+made by ``_Engine._rng`` on first use and only where a draw can change an outcome:
+``sensor:<id>`` for a reader with ``p_detect < 1``, ``failures:<id>`` for one with
+an ``mtbf_s`` and ``bus:<FROM>-><TO>`` for a link with ``drop_rate > 0``. So adding a
+sensor never perturbs anyone else's draws. Every draw but an outage schedule's is
+tested once, as ``draw < threshold``, so ``Plan.fold_runs`` runs a batch's seeds
+once per distinct path of outcomes. The future-event list is a heap of flat
+``(time, receiver priority, sequence number, sent_at, item)`` entries, ``sent_at``
+None for a staff event; staff and world events sort before any message at the same tick.
 
-An engine appends its records to its own list, its ``trace.Trace``'s; a fork's trace
-shares its paused engine's records as bytes (``trace.share``). ``validate_trace`` checks one.
+An engine appends its records to its own list, its ``trace.Trace``'s; ``validate_trace``
+checks one.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import marshal
 import random
 import sys
 from dataclasses import dataclass, field
@@ -60,7 +56,7 @@ from .protocol import (
     room_sensor_on_reads,
 )
 from .sensing import SensorDownError, SensorModel
-from .trace import Trace, share
+from .trace import Trace, read_trace
 
 
 class ParseError(Exception):
@@ -97,8 +93,9 @@ _HOME = Location(EQUIPMENT_ROOM)
 _NUMBER = (int, float)
 _MAX = sys.float_info.max
 _REQUIRED = object()
-_NO_SEED = object()  # the seed of an engine that runs a plan's seed-free prefix
 _DEFAULT_SENSOR = SensorModel()  # frozen, so every unconfigured reader shares it
+#: Seeds per check of ``Plan.fold_runs``' stop rule.
+_MEMO_WINDOW = 32
 
 #: Staff event kind -> (sub-locations the item may start from, sub-location it
 #: ends at, cause the ``gt`` record names). An end of None is a site the event names.
@@ -122,10 +119,6 @@ _ANTENNAS = {"tray": (SubLocation.TOOL_TRAY, TagStatus.ON_TRAY, "mtc_tray_sweep"
              "bin": (SubLocation.TRASH_BIN, TagStatus.DISCARDED, "mtc_bin_sweep")}
 
 
-class _NeedsSeed(Exception):
-    """An engine with no seed ran past its ``Plan.seed_free_until``; nothing catches it."""
-
-
 def stream_seed(seed: int, name: str) -> int:
     digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
@@ -134,6 +127,29 @@ def stream_seed(seed: int, name: str) -> int:
 def rng_stream(seed: int, name: str) -> random.Random:
     """Independent named random stream derived from the scenario seed."""
     return random.Random(stream_seed(seed, name))
+
+
+class _Draw(float):
+    """A recorded stream's draw, which logs its one test, ``draw < threshold``."""
+
+    __slots__ = ("stream",)
+
+    def __lt__(self, threshold) -> bool:
+        outcome = float(self) < threshold
+        self.stream.path.append((self.stream.name, threshold, outcome))
+        return outcome
+
+
+class _Recorder:
+    """``rng_stream(seed, name)``, each of whose draws logs its test to ``path``."""
+
+    def __init__(self, seed: int, name: str, path: list):
+        self.name, self.path, self.draw = name, path, rng_stream(seed, name).random
+
+    def random(self) -> _Draw:
+        draw = _Draw(self.draw())
+        draw.stream = self
+        return draw
 
 
 @dataclass(frozen=True)
@@ -414,12 +430,8 @@ class Plan:
     """A scenario's seed-free run set-up: its ids checked, each tag's creation
     index, the heapified staff events, the meta record's parts, each node's handler
     and each link, resolved by its (from type, to type) pair on the first message
-    between two nodes in any run. A run only adds links and, once, the last tick
-    every seed runs alike: the tick before its first stream, or else the horizon.
-
-    A run with an observer, or one before that tick is known, starts a fresh engine;
-    each other run forks ``prefix``, an engine with no seed advanced to that tick,
-    whose records and pending payloads the plan holds as bytes."""
+    between two nodes in any run. Each run starts a fresh engine from it and only
+    adds links; ``fold_runs`` runs each distinct path of draw outcomes once."""
 
     def __init__(self, scenario: Scenario):
         items, item_ids = scenario.items, _item_ids(scenario.items)
@@ -427,6 +439,7 @@ class Plan:
         # run() does not validate; the world is keyed by tag and the trace names each item
         _unique(self.tags, "tag_id")
         _unique(item_ids, "item_id")
+        _unique([spec.room_id for spec in scenario.cases], "room with a case")  # one cart each
         self.rank = {tag: idx for idx, tag in enumerate(self.tags)}
         self.heap = [(ev.time_s, 0, seq, None, ev) for seq, ev in enumerate(scenario.events)]
         heapq.heapify(self.heap)
@@ -443,8 +456,6 @@ class Plan:
         # and the same link by (from node, to node)
         self.links: dict[tuple, tuple] = {}
         self.routes: dict[tuple, tuple] = {}
-        self.seed_free_until: int | None = None  # the last tick every seed runs alike
-        self.prefix = self.shared = self.payloads = None  # made on the first fork
 
     def link(self, ends: tuple[str, str]) -> tuple:
         """The link between two nodes: receiver priority, latency, drop rate and
@@ -460,19 +471,60 @@ class Plan:
 
     def run(self, seed: int, observer=None) -> Trace:
         """Execute the scenario to its horizon under ``seed``."""
-        if observer is not None or self.seed_free_until is None:
-            return _Engine(self, seed).run(observer)
-        if self.prefix is None:
-            self.prefix = prefix = _Engine(self, _NO_SEED)._advance(self.seed_free_until)
-            self.shared = share(prefix.records)  # for each fork's trace
-            self.payloads = [None if e[3] is None else marshal.dumps(e[4].payload)
-                             for e in prefix.heap]
-        return self.prefix.fork(seed).run()
+        return _Engine(self, seed).run(observer)
+
+    def fold_runs(self, seeds, summarize):
+        """Yield ``summarize(self.run(seed))`` for each seed in order, running each
+        distinct path of draw outcomes once. ``summarize`` must not read the seed, and
+        a summary is yielded to every seed of its path, so a caller must not change it.
+
+        Every draw is tested once, as ``draw < threshold``, so the outcomes so far decide
+        the next test's stream and threshold, and all of them decide the run. The tree
+        holds an inner node ``[stream name, threshold, miss, hit]`` per test and a leaf
+        ``(summary,)`` per path: a seed walks it with its own streams, and one that walks
+        off runs for real, its tests recorded, and adds its path. A plan with an outage
+        schedule runs every seed, and so does the rest of a batch once more than half of
+        a ``_MEMO_WINDOW`` of seeds made new paths."""
+        tree = [None]  # the root's slot
+        memo, grown = not any(m.mtbf_s is not None for m in self.scenario.sensors.values()), 0
+        for count, seed in enumerate(seeds, 1):
+            if not memo:
+                yield summarize(self.run(seed))
+                continue
+            node, rngs = tree[0], {}
+            while type(node) is list:
+                if (rng := rngs.get(node[0])) is None:
+                    rng = rngs[node[0]] = rng_stream(seed, node[0])
+                node = node[2 + (rng.random() < node[1])]
+            if node is None:
+                path = []
+                node = _graft(tree, path, summarize(_Engine(self, seed, path).run()))
+                grown += 1
+            yield node[0]
+            if count % _MEMO_WINDOW == 0:
+                memo, grown = grown * 2 <= _MEMO_WINDOW, 0
+
+
+def _graft(tree: list, path: list, summary) -> tuple:
+    """Add a recorded run's path of (stream name, threshold, outcome) tests and its
+    leaf to ``tree``; a test that is not the one the tree holds there raises."""
+    slots, slot = tree, 0
+    for name, threshold, outcome in path:
+        if (node := slots[slot]) is None:
+            node = slots[slot] = [name, threshold, None, None]
+        elif type(node) is not list or node[:2] != [name, threshold]:
+            raise RuntimeError(f"a run tested {name} < {threshold} where another run "
+                               f"with the same outcomes so far took {node[:2]}")
+        slots, slot = node, 2 + outcome
+    if slots[slot] is not None:
+        raise RuntimeError("a run ended where another run with the same outcomes went on")
+    leaf = slots[slot] = (summary,)
+    return leaf
 
 
 class _Engine:
-    def __init__(self, plan: Plan, seed):
-        self.plan, self.scenario, self.seed = plan, plan.scenario, seed
+    def __init__(self, plan: Plan, seed: int, path: list | None = None):
+        self.plan, self.scenario, self.seed, self.path = plan, plan.scenario, seed, path
         self.world = WorldState(dict.fromkeys(plan.tags, _HOME), {_HOME: [*plan.tags]},
                                 plan.rank)
         self.records = [{**plan.meta, "seed": seed, "rooms": sorted(plan.scenario.rooms),
@@ -482,7 +534,6 @@ class _Engine:
         self.heap: list[tuple] = list(plan.heap)
         self.seq = len(self.heap)
         self.msg_seq = 0
-        self.now: int | None = None  # the tick in hand, None before the first
         self.out = Outputs()  # the outbox each handler appends to; _emit empties it
         self.cms = CmsState()
         self.mtcs: dict[str, MtcState] = {}  # keyed by room id
@@ -496,30 +547,6 @@ class _Engine:
                 case_id=spec.case_id, room_id=spec.room_id,
                 scan_passes=spec.scan_passes, max_rescans=spec.max_rescans)
             self.cms.register_case(spec.case_id, spec.room_id)
-
-    def fork(self, seed: int) -> _Engine:
-        """A paused engine's state under ``seed``, sharing nothing mutable but its readers
-        (it made no stream, so none has one or outages) and its plan's bytes."""
-        twin, world, cms, plan = _Engine.__new__(_Engine), self.world, self.cms, self.plan
-        twin.plan, twin.scenario, twin.seed, twin.rngs = plan, self.scenario, seed, {}
-        twin.seq, twin.msg_seq, twin.now, twin.out = self.seq, self.msg_seq, self.now, Outputs()
-        twin.world = WorldState(dict(world.placements),
-                                {at: tags[:] for at, tags in world.at.items()}, world.rank)
-        twin.records = []  # the run's own records, after the prefix its trace shares
-        twin.trace = Trace.forked(plan.shared, seed, twin.records)
-        twin.heap = [entry if payload is None else (*entry[:4], ProtocolMessage(
-            (m := entry[4]).time_s, m.from_node, m.to_node, marshal.loads(payload), m.msg_id))
-            for entry, payload in zip(self.heap, plan.payloads)]
-        twin.readers = dict(self.readers)
-        twin.entrances = {site: (reader, RoomSensorState(rs.room_id, set(rs.believed_inside)))
-                          for site, (reader, rs) in self.entrances.items()}
-        twin.antennas = {room: tuple((*a[:4], twin.world.at[a[0]], a[5]) for a in antennas)
-                         for room, antennas in self.antennas.items()}
-        twin.cms = CmsState(dict(cms.case_by_room), dict(cms.room_by_case),
-                            {case: set(tags) for case, tags in cms.checklist_mirror.items()})
-        carts = twin.mtcs_by_case = {case: mtc.copy() for case, mtc in self.mtcs_by_case.items()}
-        twin.mtcs = {mtc.room_id: mtc for mtc in carts.values()}
-        return twin
 
     def _reader(self, sensor_id: str) -> tuple:
         """A reader's id, model, stream (only when ``p_detect < 1``) and outage
@@ -535,12 +562,9 @@ class _Engine:
 
     def _rng(self, name: str) -> random.Random:
         rng = self.rngs.get(name)
-        if rng is None:
-            if self.seed is _NO_SEED:
-                raise _NeedsSeed(name)
-            if self.plan.seed_free_until is None:  # the plan's first stream
-                self.plan.seed_free_until = self.now - 1
-            rng = self.rngs[name] = rng_stream(self.seed, name)
+        if rng is None:  # a run that records its tests has a path to log them to
+            rng = self.rngs[name] = (rng_stream(self.seed, name) if self.path is None
+                                     else _Recorder(self.seed, name, self.path))
         return rng
 
     # -- trace helpers
@@ -719,14 +743,9 @@ class _Engine:
 
     # -- main loop
 
-    def _advance(self, last_tick: int, observer=None) -> _Engine:
-        """Process every tick up to ``last_tick``; ``now`` is the tick in hand. Returns self."""
-        heap, pop = self.heap, heapq.heappop
-        while heap:
-            time_s = heap[0][0]
-            if time_s > last_tick:
-                break
-            self.now = time_s
+    def run(self, observer=None) -> Trace:
+        horizon, heap, pop = self.scenario.horizon_s, self.heap, heapq.heappop
+        while heap and (time_s := heap[0][0]) <= horizon:
             while heap and heap[0][0] == time_s:
                 _, _, _, sent_at, item = pop(heap)
                 if sent_at is None:
@@ -735,13 +754,6 @@ class _Engine:
                     self._on_deliver(item, sent_at, time_s)
             if observer is not None:
                 observer(time_s, self.world, self)
-        return self
-
-    def run(self, observer=None) -> Trace:
-        horizon = self.scenario.horizon_s
-        self._advance(horizon, observer)
-        if self.plan.seed_free_until is None:  # no run of the plan has made a stream
-            self.plan.seed_free_until = horizon
         for mtc in self.mtcs_by_case.values():
             self.records.append({
                 "t": horizon, "type": "case", "case_id": mtc.case_id,
@@ -765,13 +777,17 @@ def run(scenario: Scenario, observer=None) -> Trace:
 
 
 def validate_trace(trace: Trace) -> list[str]:
-    """Structural checks: well-formed records of known types, tick order, phase paths,
-    causality, msg ids."""
-    problems = []
+    """Structural checks: well-formed records of known types (each one ``read_trace``
+    rejects is malformed), tick order, phase paths, causality, msg ids."""
+    problems, malformed = [], {}
+    read_trace(trace, malformed)
     last_t = 0
     phase_by_case: dict[str, CasePhase] = {}
     seen_msg_ids: set[int] = set()
     for idx, record in enumerate(trace.records):
+        if idx in malformed:
+            problems.append(malformed[idx])
+            continue
         try:
             t = record["t"]
             if t < last_t:

@@ -151,13 +151,6 @@ class Outputs:
         self.messages, self.alerts, self.phase_changes = [], [], []
 
 
-def _twin(obj):
-    """A shallow copy of ``obj``, made as ``copy.copy`` makes it but several times faster."""
-    twin = object.__new__(type(obj))
-    twin.__dict__.update(obj.__dict__)
-    return twin
-
-
 @dataclass
 class ChecklistEntry:
     """A tag on a cart's checklist, written only by ``MtcState.mark``; an ``OnTray``
@@ -300,14 +293,6 @@ class MtcState:
         for tag, entry in self.entries.items():
             if (held := swept.get(entry.status)) is not None:
                 held.add(tag)
-
-    def copy(self) -> "MtcState":
-        """This cart with its own checklist entries, sweep sets and sweep ticks."""
-        twin = _twin(self)
-        twin.entries = {tag: _twin(entry) for tag, entry in self.entries.items()}
-        twin.swept = {status: set(tags) for status, tags in self.swept.items()}
-        twin.swept_at = dict(self.swept_at)
-        return twin
 
     @property
     def node_id(self) -> str:

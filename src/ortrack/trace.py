@@ -4,15 +4,13 @@ Records serialize through one C encoder, built at import, with alphabetically or
 keys, so equal runs are equal bytes. ``load`` reads a persisted trace back, ``read_trace``
 walks it once into the ``TraceReading`` every post-run consumer projects from, and
 ``locate`` reads a tag's location belief from that; an unreadable trace raises ``TraceIOError``.
-Forks of one paused run share its records and their ``read_trace`` fold as bytes only
-(``share``); a fork's ``read_trace`` starts from that fold and walks only its own records.
+``kernel.validate_trace`` asks ``read_trace`` which records it would reject.
 """
 
 from __future__ import annotations
 
 import json
-import marshal
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .model import SubLocation
@@ -35,25 +33,9 @@ class UnknownTagError(Exception):
 
 @dataclass
 class Trace:
-    """Ordered run records; equal traces serialize to identical bytes. A ``forked`` one has
-    no ``records`` until first asked for them: its caller then owns fresh dicts."""
+    """Ordered run records; equal traces serialize to identical bytes."""
 
     records: list[dict] = field(default_factory=list)
-    fork = None  # (prefix records, their fold, their count, seed, own records) or None
-
-    @classmethod
-    def forked(cls, prefix: tuple[bytes, bytes, int], seed: int, tail: list[dict]) -> Trace:
-        trace = cls.__new__(cls)
-        trace.fork = (*prefix, seed, tail)
-        return trace
-
-    def __getattr__(self, name: str):  # reached only while ``records`` is not set
-        if name != "records" or self.fork is None:
-            raise AttributeError(name)
-        prefix, _, _, seed, tail = self.fork
-        self.fork, self.records = None, marshal.loads(prefix) + tail
-        self.records[0]["seed"] = seed
-        return self.records
 
     def to_ndjson(self) -> str:
         return "".join(["".join(_encode(r, 0)) + "\n" for r in self.records])
@@ -76,12 +58,6 @@ class Trace:
             if not isinstance(record, dict):
                 raise TraceIOError(f"record at line {lineno} is not a JSON object")
         return cls(records=records)
-
-
-def share(records: list[dict]) -> tuple[bytes, bytes, int]:
-    """What a run's forks share: its records, plain JSON with no seed, and their fold as bytes."""
-    records = json.loads(json.dumps([{**records[0], "seed": None}, *records[1:]]))
-    return marshal.dumps(records), marshal.dumps(astuple(read_trace(Trace(records)))), len(records)
 
 
 def load(store_path: str) -> Trace:
@@ -118,19 +94,13 @@ class TraceReading:
     retained_at: set[str] = field(default_factory=set)
 
 
-def read_trace(trace: Trace) -> TraceReading:
-    """Walk the records once, in order (of a fork, from its prefix's fold, only its own), and
-    collect a ``TraceReading``; a record of the wrong shape raises ``TraceIOError``."""
-    if trace.fork is None:
-        reading, records, start, room_by_case = TraceReading(), trace.records, 0, {}
-    else:
-        _, fold, start, seed, records = trace.fork
-        reading = TraceReading(*marshal.loads(fold))
-        reading.meta["seed"] = seed
-        room_by_case = {case["case_id"]: case["room_id"] for case in reading.meta["cases"]}
+def read_trace(trace: Trace, malformed: dict[int, str] | None = None) -> TraceReading:
+    """Walk the records once, in order, and collect a ``TraceReading``; a record of the
+    wrong shape raises ``TraceIOError``, or, given ``malformed``, is put there by index."""
+    reading, room_by_case = TraceReading(), {}
     seen, cavity, belief = reading.first_seen.setdefault, reading.cavity, reading.belief
-    try:
-        for idx, record in enumerate(records, start):
+    for idx, record in enumerate(trace.records):
+        try:
             kind, t = record["type"], record["t"]
             if kind == "msg":
                 payload = record["msg"]["payload"]
@@ -172,8 +142,11 @@ def read_trace(trace: Trace) -> TraceReading:
                 reading.meta = record
                 reading.kinds = {item["tag"]: item["kind"] for item in record["items"]}
                 room_by_case = {case["case_id"]: case["room_id"] for case in record["cases"]}
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # entries not a mapping
-        raise TraceIOError(f"record {idx}: malformed ({exc!r:.60})") from exc
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # entries not a mapping
+            problem = f"record {idx}: malformed ({exc!r:.60})"
+            if malformed is None:
+                raise TraceIOError(problem) from exc
+            malformed[idx] = problem
     return reading
 
 

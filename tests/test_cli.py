@@ -191,7 +191,6 @@ def test_montecarlo_rejects_runs_below_one(runs, capsys):
     assert "runs must be >= 1" in captured.err
 
 
-@pytest.mark.slow
 def test_montecarlo_miss_rate_matches_binomial():
     # single-pass scan at p=0.8 against an unmonitored cavity item: each run
     # misses with probability 0.2; 100,000 runs pin the rate within 3 sigma

@@ -273,6 +273,15 @@ def test_run_rejects_a_repeated_tag_in_a_scenario_built_in_python():
         run(scenario)
 
 
+def test_run_rejects_two_cases_in_one_room_in_a_scenario_built_in_python():
+    # run does not validate, so setup checks the rooms the carts are keyed by: a second
+    # case in a room would take over the first case's cart
+    scenario = one_room([])
+    scenario.cases.append(kernel.CaseSpec("C-2", OR))
+    with pytest.raises(ValidationError, match="room with a case"):
+        run(scenario)
+
+
 def test_run_rejects_an_empty_tag_in_a_scenario_built_in_python():
     scenario = Scenario(name="empty", seed=0, horizon_s=10, rooms=[OR],
                         items=[ItemSpec("", ItemKind.SPONGE)], sensors={}, cases=[], events=[])
@@ -500,7 +509,7 @@ def test_all_goldens_validate():
 
 def _outage_golden():
     """cavity_retention with a failing detector: its outage schedule is drawn at the
-    first cavity scan, after the ticks every seed shares."""
+    first cavity scan."""
     scenario = load_bundled("cavity_retention")
     return dataclasses.replace(scenario, sensors={
         **scenario.sensors, "med:OR-1": sensing.SensorModel(p_detect=1.0, mtbf_s=20.0,
@@ -508,9 +517,9 @@ def _outage_golden():
 
 
 def _plan_cases():
-    """(scenario, seeds): the goldens over 20 seeds, a golden whose outages are drawn
-    after its seed-free prefix, all-certain random surgeries, whose whole run is that
-    prefix, and lossy, noisy ones, whose bus and reader streams a run makes on first use."""
+    """(scenario, seeds): the goldens over 20 seeds, a golden with an outage schedule,
+    all-certain random surgeries, which draw nothing, and lossy, noisy ones, whose bus
+    and reader streams a run makes on first use."""
     for name in GOLDENS:
         yield load_bundled(name), range(20)
     yield _outage_golden(), range(20)
@@ -534,8 +543,8 @@ def _scribble(tree) -> None:
 
 
 def test_one_plan_run_over_many_seeds_gives_fresh_runs():
-    # a run that changed the plan or the engine later runs fork, or kept a dict or
-    # list the plan, that engine or an earlier trace holds, would show in a later run
+    # a run that changed the plan, or kept a dict or list the plan or an earlier
+    # trace holds, would show in a later run
     for scenario, seeds in _plan_cases():
         fresh = {seed: run(dataclasses.replace(scenario, seed=seed)).to_ndjson()
                  for seed in seeds}
@@ -547,45 +556,6 @@ def test_one_plan_run_over_many_seeds_gives_fresh_runs():
                 _scribble(record)
 
 
-def _scribble_reading(reading) -> None:
-    """Change every field of a ``TraceReading`` in place, its records, sets and tuples'
-    containers included."""
-    for tags in [*reading.cavity.values(), reading.retained_at]:
-        tags.add("scribbled")
-    for tree in (reading.meta, reading.kinds, reading.cases, reading.alerts, reading.belief,
-                 reading.scan_passes, reading.first_seen, reading.cavity):
-        _scribble(tree)
-
-
-def test_a_forked_run_reads_as_a_fresh_run_of_its_seed_reads():
-    # a fork's reading starts from its prefix's fold: every field, the seed included, must
-    # equal a reading of the fresh run's records, and no reading may share with the next
-    forked = 0
-    for scenario, seeds in _plan_cases():
-        plan = kernel.Plan(scenario)
-        for seed in [*seeds, *reversed(seeds)]:
-            trace = plan.run(seed)
-            forked += trace.fork is not None
-            reading = read_trace(trace)
-            fresh = run(dataclasses.replace(scenario, seed=seed))
-            assert reading == read_trace(Trace(fresh.records)), (scenario.name, seed)
-            assert reading.meta["seed"] == seed
-            _scribble_reading(reading)
-    assert forked >= 500  # most plans pause a prefix
-
-
-def test_a_malformed_record_of_a_forked_run_is_counted_after_its_prefix():
-    plan = _paused_plan(load_bundled("cavity_retention"))
-    trace = plan.run(3)
-    trace.fork[-1].insert(2, {"t": 0})  # the run's own third record
-    idx = trace.fork[2] + 2  # after the prefix's records
-    with pytest.raises(TraceIOError, match=rf"^record {idx}: malformed"):
-        read_trace(trace)
-    assert trace.records[idx] == {"t": 0}  # the records, loaded, read the same
-    with pytest.raises(TraceIOError, match=rf"^record {idx}: malformed"):
-        read_trace(trace)
-
-
 def test_the_outage_golden_draws_outages_that_hit():
     hits = sum(r["type"] == "alert" and r["kind"] == "SensorDown"
                for seed in range(20)
@@ -593,120 +563,85 @@ def test_the_outage_golden_draws_outages_that_hit():
     assert hits > 0
 
 
-def _paused_plan(scenario) -> kernel.Plan:
-    """A plan of ``scenario`` after two runs, its prefix paused."""
-    plan = kernel.Plan(scenario)
-    plan.run(0)
-    plan.run(1)
-    return plan
+def _counted_grafts(monkeypatch) -> list:
+    """The paths ``Plan.fold_runs`` adds to its tree from here on."""
+    grafts, graft = [], kernel._graft
+    monkeypatch.setattr(kernel, "_graft", lambda tree, path, summary: grafts.append(path)
+                        or graft(tree, path, summary))
+    return grafts
 
 
-@pytest.mark.parametrize("scenario, paused_at", [
-    pytest.param(lambda: load_bundled("cavity_retention"), 30, id="cavity_retention"),
-    pytest.param(_outage_golden, 30, id="outage-golden"),
-    pytest.param(lambda: random_scenario(3), None, id="all-certain"),
-])
-def test_a_fork_has_every_field_of_a_fresh_engine(scenario, paused_at):
-    plan = _paused_plan(scenario())
-    prefix = plan.prefix
-    if paused_at is None:  # no tick needs the seed: the prefix ran to the horizon
-        assert all(entry[0] > plan.scenario.horizon_s for entry in prefix.heap)
-    else:
-        assert prefix.now == paused_at
-    assert set(vars(prefix.fork(5))) == set(vars(kernel._Engine(plan, 5)))
-    assert set(vars(prefix)) == set(vars(kernel._Engine(plan, 5)))
+def _memo_cases():
+    """(scenario, seeds, most paths fold_runs may add): the goldens, the outage golden, which
+    may add none, and noisy random surgeries, lossy or not."""
+    for name in GOLDENS:
+        yield load_bundled(name), range(100), 2
+    yield _outage_golden(), range(20), 0
+    for seed in range(20):
+        for p_detect, drop_rate in ((0.8, 0.1), (0.95, 0.0)):
+            yield random_scenario(seed, p_detect=p_detect, drop_rate=drop_rate), range(100), 100
 
 
-def test_the_tick_a_plan_learns_is_the_last_no_seed_needs():
-    # every seed's first run learns the same tick; a seedless engine runs every tick up
-    # to it, and below the horizon the next tick needs a stream, so no seed-free tick is
-    # left to a fork's own run
-    for scenario, seeds in _plan_cases():
-        ticks = set()
-        for seed in seeds:
-            plan = kernel.Plan(scenario)
-            plan.run(seed)
-            ticks.add(tick := plan.seed_free_until)
-        assert len(ticks) == 1, scenario.name
-        engine = kernel._Engine(plan, kernel._NO_SEED)._advance(tick)
-        if tick < scenario.horizon_s:
-            with pytest.raises(kernel._NeedsSeed):
-                engine._advance(tick + 1)
+def test_fold_runs_gives_each_seed_the_summary_of_its_own_run(monkeypatch):
+    grafts = _counted_grafts(monkeypatch)
+    for scenario, seeds, most in _memo_cases():
+        plan, grafts[:] = kernel.Plan(scenario), []
+        assert list(plan.fold_runs(seeds, run_summary)) == [
+            run_summary(plan.run(seed)) for seed in seeds], scenario.name
+        assert len(grafts) <= most, scenario.name
+        if scenario.name == "cavity_retention":  # the detector's one pass hits or misses
+            assert [[hit for _, _, hit in path] for path in grafts] == [[True], [False]]
 
 
-def _mutables(root, skip: set[int]) -> dict[int, object]:
-    """Every dict, list and set and every object of an ortrack class that is not frozen
-    reachable from ``root``, by id, not entering an object whose id is in ``skip``."""
-    found, seen, stack = {}, set(), [root]
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen or id(obj) in skip or isinstance(obj, (str, int, float, bytes)):
-            continue
-        seen.add(id(obj))
-        ours = type(obj).__module__.startswith("ortrack")
-        frozen = getattr(getattr(obj, "__dataclass_params__", None), "frozen", False)
-        if isinstance(obj, (dict, list, set)) or (ours and not frozen
-                                                   and not isinstance(obj, tuple)):
-            found[id(obj)] = obj
-        if isinstance(obj, dict):
-            stack += [*obj.keys(), *obj.values()]
-        elif isinstance(obj, (list, tuple, set, frozenset)):
-            stack += obj
-        elif ours:
-            stack += [getattr(obj, name) for name in getattr(obj, "__slots__", ())]
-            stack += vars(obj).values() if hasattr(obj, "__dict__") else ()
-    return found
+@pytest.mark.parametrize("p_detect, problem", [
+    (0.5, "tested sensor:med:OR-1 < 0.5"),
+    (1.0, "ended where another run with the same outcomes went on"),
+], ids=["another-threshold", "no-draw"])
+def test_a_run_whose_tests_disagree_with_the_tree_raises(p_detect, problem, monkeypatch):
+    # from the second recorded run on, the detector draws against another threshold, or
+    # not at all: runs with the same outcomes then differ, and the memo must not hide it
+    scans, med_scan = itertools.count(), sensing.med_scan
+    monkeypatch.setattr(sensing, "med_scan", lambda cavity, passes, model, rng: med_scan(
+        cavity, passes, dataclasses.replace(model, p_detect=p_detect) if next(scans) else model,
+        rng))
+    plan = kernel.Plan(load_bundled("cavity_retention"))
+    with pytest.raises(RuntimeError, match=re.escape(problem)):
+        list(plan.fold_runs(range(100), run_summary))
 
 
-def test_a_fork_shares_nothing_mutable_with_the_engine_it_forks():
-    for scenario in (load_bundled("cavity_retention"), _outage_golden(),
-                     load_bundled("new_equipment")):
-        plan = _paused_plan(scenario)
-        prefix = plan.prefix
-        fork = prefix.fork(7)
-        fork.run()  # a run's state, its records and the messages it sent included
-        outside = {id(plan), id(plan.scenario)}
-        shared = _mutables(fork, outside).keys() & _mutables(prefix, outside).keys()
-        # the plan's own tag ranks are the only such object both reach; runs only read them
-        assert shared == {id(plan.rank)}, [_mutables(fork, outside)[i] for i in shared]
-        assert len(_mutables(fork, outside)) > 20
+def test_the_stop_rule_runs_the_rest_of_a_many_path_batch_directly(monkeypatch):
+    # every seed of this surgery takes a path of its own
+    grafts = _counted_grafts(monkeypatch)
+    plan = kernel.Plan(random_scenario(0, p_detect=0.8, drop_rate=0.1))
+    seeds = range(3 * kernel._MEMO_WINDOW)
+    assert list(plan.fold_runs(seeds, run_summary)) == [run_summary(plan.run(seed))
+                                                        for seed in seeds]
+    assert len(grafts) == kernel._MEMO_WINDOW
 
 
-def test_a_plan_pauses_an_engine_only_from_its_second_run_without_an_observer(monkeypatch):
-    pauses, forks = [], []
-    advance, fork = kernel._Engine._advance, kernel._Engine.fork
+def test_a_plan_with_an_outage_schedule_records_no_run(monkeypatch):
+    # an outage schedule's draws are onsets, not tests, so every seed runs as plan.run does
+    monkeypatch.setattr(kernel, "_Recorder", None)
+    plan = kernel.Plan(_outage_golden())
+    assert list(plan.fold_runs(range(100), run_summary)) == [run_summary(plan.run(seed))
+                                                             for seed in range(100)]
 
-    def counted(engine, *args):
-        if engine.seed is kernel._NO_SEED:
-            pauses.append(engine.plan)
-        return advance(engine, *args)
 
-    monkeypatch.setattr(kernel._Engine, "_advance", counted)
-    monkeypatch.setattr(kernel._Engine, "fork",
-                        lambda engine, seed: forks.append(seed) or fork(engine, seed))
-    scenario = load_bundled("cavity_retention")
-    for _ in range(3):
-        run(scenario)  # one plan per run
-    plan = kernel.Plan(scenario)
-    plan.run(0)
-    for seed in range(3):
-        plan.run(seed, observer=lambda time_s, world, engine: None)
-    assert pauses == [] and forks == []
-    for seed in range(3):
-        plan.run(seed)
-    plan.run(9, observer=lambda time_s, world, engine: None)
-    assert pauses == [plan] and forks == [0, 1, 2]
+_META = {"t": 0, "type": "meta", "items": [], "cases": []}
 
 
 @pytest.mark.parametrize("records", [
     [{}],
     [{"t": 0}],
-    [{"t": 0, "type": "meta"}, {"t": "x", "type": "meta"}],
+    [_META, {**_META, "t": "x"}],
     [{"t": 0, "type": "phase", "case": "C-1", "from": "Nope", "to": "InProgress"}],
-    [{"t": 0, "type": "msg", "status": "dropped", "sent_at": 0, "msg": {}}],
+    [{"t": 0, "type": "msg", "status": "dropped", "sent_at": 0, "msg": {"payload": {}}}],
     [{"t": 0, "type": "msg", "status": "dropped", "sent_at": 0, "msg": 3}],
+    [{"t": 0, "type": "gt", "tag": "T-1"}],
+    [{"t": 0, "type": "alert"}],
+    [{"t": 0, "type": "meta"}],
 ], ids=["empty", "no-type", "tick-not-a-number", "unknown-phase", "msg-without-id",
-        "msg-not-an-object"])
+        "msg-not-an-object", "gt-with-only-a-tag", "alert-without-fields", "meta-without-items"])
 def test_validate_trace_reports_a_malformed_record_as_a_problem(records):
     problems = validate_trace(Trace(records=records))
     assert len(problems) == 1 and problems[0].startswith(f"record {len(records) - 1}: ")
@@ -714,7 +649,7 @@ def test_validate_trace_reports_a_malformed_record_as_a_problem(records):
 
 def _msg_record(msg_id: int, t: int = 0, status: str = "dropped", sent_at: int = 0) -> dict:
     return {"t": t, "type": "msg", "status": status, "sent_at": sent_at,
-            "msg": {"msg_id": msg_id}}
+            "msg": {"msg_id": msg_id, "payload": {}}}
 
 
 @pytest.mark.parametrize("records, problem", [
@@ -724,11 +659,15 @@ def _msg_record(msg_id: int, t: int = 0, status: str = "dropped", sent_at: int =
     ([_msg_record(0, t=0, status="delivered", sent_at=5)], "delivered before sent"),
     ([_msg_record(0, t=5, status="delivered", sent_at=5)], None),
     ([_msg_record(0, status="bogus")], "unknown msg status 'bogus'"),
-    ([{"t": 0, "type": "meta"}, {"t": 0, "type": "bogus"}], "unknown type 'bogus'"),
-    ([{"t": 0, "type": kind} for kind in ("meta", "gt", "alert", "error", "case")], None),
+    ([_META, {"t": 0, "type": "bogus"}], "unknown type 'bogus'"),
+    ([_META, {"t": 0, "type": "gt", "tag": "T-1", "from": {"site": OR, "sub": "RoomSpace"},
+              "to": {"site": OR, "sub": "ToolTray"}},
+      {"t": 0, "type": "alert", "case": None, "tags": []}, {"t": 0, "type": "error"},
+      {"t": 0, "type": "case", "case_id": "C-1", "phase": "Setup", "outcomes": [],
+       "entries": {}}], None),
 ], ids=["phase-skips-ahead", "msg-id-repeated", "delivered-before-sent",
         "delivered-in-its-send-tick", "unknown-msg-status", "unknown-type",
-        "types-without-checks"])
+        "well-formed-types"])
 def test_validate_trace_checks_phase_paths_msg_ids_and_causality(records, problem):
     expected = [] if problem is None else [f"record {len(records) - 1}: {problem}"]
     assert validate_trace(Trace(records=records)) == expected

@@ -27,8 +27,8 @@ def test_only_the_engine_makes_an_outbox():
     found = list(outbox_makers())
     assert [call for call in found
             if call[0] != "kernel.py" or not call[1].startswith("_Engine.")] == []
-    # the scan sees the engine's own outbox and each fork's
-    assert sorted(scope for _, scope, _ in found) == ["_Engine.__init__", "_Engine.fork"]
+    # the scan sees the engine's own outbox
+    assert [scope for _, scope, _ in found] == ["_Engine.__init__"]
 
 
 def record_type(node: ast.Dict):

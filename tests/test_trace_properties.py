@@ -3,7 +3,8 @@
 A golden trace's NDJSON with one record mutated, dropped, added, swapped with
 another or replaced by arbitrary bytes ends, through ``trace.load``,
 ``validate_trace`` and ``read_trace``, in a trace, a problem list and a
-reading, or in a ``TraceIOError``; nothing else escapes. ``locate`` on any
+reading, or in a ``TraceIOError``; nothing else escapes, and ``validate_trace``
+finds a problem in every trace ``read_trace`` rejects. ``locate`` on any
 reading gives a belief for a tag the reading registers and ``UnknownTagError``
 for any other, and a report or run summary of a readable foreign trace whose
 case record lacks a field they read, or has a phase or outcomes of the wrong
@@ -22,7 +23,8 @@ from ortrack.kernel import run, validate_trace
 from ortrack.reconcile import generate_report
 from ortrack.trace import Trace, TraceIOError, UnknownTagError, load, locate, read_trace
 
-NDJSON = {name: run(load_bundled(name)).to_ndjson() for name in GOLDENS}
+TRACES = {name: run(load_bundled(name)).records for name in GOLDENS}
+NDJSON = {name: Trace(records).to_ndjson() for name, records in TRACES.items()}
 
 
 @given(st.data())
@@ -55,6 +57,20 @@ def test_golden_trace_with_one_record_changed_is_read_or_rejected(tmp_path_facto
             assert len(locate(reading, tag)) == 2
         except UnknownTagError:
             assert tag not in reading.kinds
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_validate_trace_reports_a_problem_in_every_trace_read_trace_rejects(data):
+    # validate_trace asks read_trace which records it rejects, so a trace that cannot be
+    # read is never reported clean
+    records = json.loads(json.dumps(TRACES[data.draw(st.sampled_from(GOLDENS))]))
+    mutate_one_field(data, records)
+    trace = Trace(records)
+    try:
+        read_trace(trace)
+    except TraceIOError:
+        assert validate_trace(trace) != []
 
 
 @pytest.mark.parametrize("meta", [
