@@ -1,4 +1,4 @@
-"""Deterministic discrete-event scheduler, scenario loader, trace emitter and validator.
+"""Deterministic discrete-event scheduler, scenario loader and trace emitter.
 
 A run is a pure function of (scenario, seed). ``Plan(s)`` does the seed-free
 set-up once (id checks, initial world, staff-event heap, links), and each
@@ -14,7 +14,7 @@ once per distinct path of outcomes. The future-event list is a heap of flat
 None for a staff event; staff and world events sort before any message at the same tick.
 
 An engine appends its records to its own list, its ``trace.Trace``'s; ``validate_trace``
-checks one.
+lists the problems ``trace.read_trace`` finds in one.
 """
 
 from __future__ import annotations
@@ -777,43 +777,6 @@ def run(scenario: Scenario, observer=None) -> Trace:
 
 
 def validate_trace(trace: Trace) -> list[str]:
-    """Structural checks: well-formed records of known types (each one ``read_trace``
-    rejects is malformed), tick order, phase paths, causality, msg ids."""
-    problems, malformed = [], {}
-    read_trace(trace, malformed)
-    last_t = 0
-    phase_by_case: dict[str, CasePhase] = {}
-    seen_msg_ids: set[int] = set()
-    for idx, record in enumerate(trace.records):
-        if idx in malformed:
-            problems.append(malformed[idx])
-            continue
-        try:
-            t = record["t"]
-            if t < last_t:
-                problems.append(f"record {idx}: tick {t} before {last_t}")
-            last_t = max(last_t, t)
-            if record["type"] == "phase":
-                case = record["case"]
-                current = phase_by_case.get(case, CasePhase.SETUP)
-                frm, to = CasePhase(record["from"]), CasePhase(record["to"])
-                if frm is not current:
-                    problems.append(f"record {idx}: case {case} phase record from "
-                                    f"{frm}, believed {current}")
-                if to not in protocol.PHASE_GRAPH[frm]:
-                    problems.append(f"record {idx}: illegal transition {frm} -> {to}")
-                phase_by_case[case] = to
-            elif record["type"] == "msg":
-                msg_id = record["msg"]["msg_id"]
-                if msg_id in seen_msg_ids:
-                    problems.append(f"record {idx}: duplicate msg_id {msg_id}")
-                seen_msg_ids.add(msg_id)
-                if (status := record["status"]) not in ("delivered", "dropped"):
-                    problems.append(f"record {idx}: unknown msg status {status!r}")
-                elif status == "delivered" and record["sent_at"] > t:
-                    problems.append(f"record {idx}: delivered before sent")
-            elif record["type"] not in ("meta", "gt", "alert", "error", "case"):
-                problems.append(f"record {idx}: unknown type {record['type']!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"record {idx}: malformed ({exc!r:.60})")
+    """Every problem ``read_trace`` finds in a trace, in record order."""
+    read_trace(trace, problems := [])
     return problems

@@ -172,7 +172,7 @@ def generate_report(reading, case_id: str) -> SurgeryReport:
     return SurgeryReport(case_id=case_id, items=items, alerts=alerts,
                          scan_passes=reading.scan_passes.get(case_id, 0), duration_s=duration,
                          final_phase=case_record["phase"],
-                         outcomes=list(case_record.get("outcomes", ())))
+                         outcomes=list(case_record["outcomes"]))
 
 
 # --------------------------------------------------------------------------

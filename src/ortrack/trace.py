@@ -1,10 +1,10 @@
-"""The trace, a run's record: its NDJSON file form, its one reader, and ``locate``.
+"""The trace, a run's record: its NDJSON file form, its one walk, and ``locate``.
 
 Records serialize through one C encoder, built at import, with alphabetically ordered
 keys, so equal runs are equal bytes. ``load`` reads a persisted trace back, ``read_trace``
-walks it once into the ``TraceReading`` every post-run consumer projects from, and
-``locate`` reads a tag's location belief from that; an unreadable trace raises ``TraceIOError``.
-``kernel.validate_trace`` asks ``read_trace`` which records it would reject.
+walks it once, checking it and collecting the ``TraceReading`` every post-run consumer
+projects from, and ``locate`` reads a tag's location belief from that; an unreadable or
+invalid trace raises ``TraceIOError``. ``kernel.validate_trace`` lists its problems instead.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .model import SubLocation
+from .protocol import PHASE_GRAPH, CasePhase
 
 _CAVITY = SubLocation.PATIENT_CAVITY
 #: The C encoder that ``json.dumps(r, sort_keys=True, separators=(",", ":"))`` builds on
@@ -94,11 +95,13 @@ class TraceReading:
     retained_at: set[str] = field(default_factory=set)
 
 
-def read_trace(trace: Trace, malformed: dict[int, str] | None = None) -> TraceReading:
-    """Walk the records once, in order, and collect a ``TraceReading``; a record of the
-    wrong shape raises ``TraceIOError``, or, given ``malformed``, is put there by index."""
+def read_trace(trace: Trace, problems: list[str] | None = None) -> TraceReading:
+    """Walk the records once, in order, into a ``TraceReading``, checking shapes, ticks, phase
+    paths, msg ids, statuses and causality, and types: the first problem raises ``TraceIOError``,
+    or, given ``problems``, each is appended there. A malformed record moves no check."""
     reading, room_by_case = TraceReading(), {}
     seen, cavity, belief = reading.first_seen.setdefault, reading.cavity, reading.belief
+    last_t, phase_by_case, msg_ids = 0, {}, set()
     for idx, record in enumerate(trace.records):
         try:
             kind, t = record["type"], record["t"]
@@ -123,10 +126,13 @@ def read_trace(trace: Trace, malformed: dict[int, str] | None = None) -> TraceRe
                     cavity.setdefault(src["site"], set()).discard(tag)
                 if dst["sub"] == _CAVITY:
                     cavity.setdefault(dst["site"], set()).add(tag)
-            elif kind == "alert":
+            elif kind == "alert":  # with every field a report or a summary reads
                 for tag in record["tags"]:
                     seen(tag, t)
                 reading.alerts.setdefault(record["case"], []).append(record)
+                if not isinstance(record["kind"], str):
+                    raise TypeError("alert kind")
+                _ = record["severity"], record["text"]
             elif kind == "phase":
                 if cavity.get(room_by_case.get(record["case"])):
                     reading.retained_at.add(record["to"])
@@ -142,11 +148,33 @@ def read_trace(trace: Trace, malformed: dict[int, str] | None = None) -> TraceRe
                 reading.meta = record
                 reading.kinds = {item["tag"]: item["kind"] for item in record["items"]}
                 room_by_case = {case["case_id"]: case["room_id"] for case in record["cases"]}
+                _ = record["horizon_s"]
+            found = (f"tick {t} before {last_t}",) if t < last_t else ()
+            if kind == "phase":
+                case, current = record["case"], phase_by_case.get(record["case"], CasePhase.SETUP)
+                frm, to = CasePhase(record["from"]), CasePhase(record["to"])
+                if frm is not current:
+                    found += (f"case {case} phase record from {frm}, believed {current}",)
+                if to not in PHASE_GRAPH[frm]:
+                    found += (f"illegal transition {frm} -> {to}",)
+                phase_by_case[case] = to
+            elif kind == "msg":
+                if (msg_id := record["msg"]["msg_id"]) in msg_ids:
+                    found += (f"duplicate msg_id {msg_id}",)
+                if (status := record["status"]) not in ("delivered", "dropped"):
+                    found += (f"unknown msg status {status!r}",)
+                elif status == "delivered" and record["sent_at"] > t:
+                    found += ("delivered before sent",)
+                msg_ids.add(msg_id)
+            elif kind not in ("meta", "gt", "alert", "error", "case"):
+                found += (f"unknown type {kind!r}",)
+            last_t = t if t > last_t else last_t
         except (AttributeError, KeyError, TypeError, ValueError) as exc:  # entries not a mapping
-            problem = f"record {idx}: malformed ({exc!r:.60})"
-            if malformed is None:
-                raise TraceIOError(problem) from exc
-            malformed[idx] = problem
+            found = (f"malformed ({exc!r:.60})",)
+        if found:
+            if problems is None:
+                raise TraceIOError(f"record {idx}: {found[0]}")
+            problems.extend(f"record {idx}: {problem}" for problem in found)
     return reading
 
 

@@ -627,7 +627,7 @@ def test_a_plan_with_an_outage_schedule_records_no_run(monkeypatch):
                                                              for seed in range(100)]
 
 
-_META = {"t": 0, "type": "meta", "items": [], "cases": []}
+_META = {"t": 0, "type": "meta", "items": [], "cases": [], "horizon_s": 60}
 
 
 @pytest.mark.parametrize("records", [
@@ -652,25 +652,28 @@ def _msg_record(msg_id: int, t: int = 0, status: str = "dropped", sent_at: int =
             "msg": {"msg_id": msg_id, "payload": {}}}
 
 
-@pytest.mark.parametrize("records, problem", [
+@pytest.mark.parametrize("records, problems", [
     ([{"t": 0, "type": "phase", "case": "C-1", "from": "Setup", "to": "Complete"}],
-     "illegal transition Setup -> Complete"),
-    ([_msg_record(0), _msg_record(0)], "duplicate msg_id 0"),
-    ([_msg_record(0, t=0, status="delivered", sent_at=5)], "delivered before sent"),
-    ([_msg_record(0, t=5, status="delivered", sent_at=5)], None),
-    ([_msg_record(0, status="bogus")], "unknown msg status 'bogus'"),
-    ([_META, {"t": 0, "type": "bogus"}], "unknown type 'bogus'"),
+     ["record 0: illegal transition Setup -> Complete"]),
+    ([_msg_record(0), _msg_record(0)], ["record 1: duplicate msg_id 0"]),
+    ([_msg_record(0, t=0, status="delivered", sent_at=5)], ["record 0: delivered before sent"]),
+    ([_msg_record(0, t=5, status="delivered", sent_at=5)], []),
+    ([_msg_record(0, status="bogus")], ["record 0: unknown msg status 'bogus'"]),
+    ([_META, {"t": 0, "type": "bogus"}], ["record 1: unknown type 'bogus'"]),
     ([_META, {"t": 0, "type": "gt", "tag": "T-1", "from": {"site": OR, "sub": "RoomSpace"},
               "to": {"site": OR, "sub": "ToolTray"}},
-      {"t": 0, "type": "alert", "case": None, "tags": []}, {"t": 0, "type": "error"},
+      {"t": 0, "type": "alert", "case": None, "kind": "K", "severity": "Info", "tags": [],
+       "text": ""}, {"t": 0, "type": "error"},
       {"t": 0, "type": "case", "case_id": "C-1", "phase": "Setup", "outcomes": [],
-       "entries": {}}], None),
+       "entries": {}}], []),
+    # a malformed record moves no check: its tick is not the one later records follow
+    ([{"t": 100, "type": "msg", "status": "dropped", "sent_at": 0, "msg": {"payload": {}}},
+      _msg_record(0, t=50)], ["record 0: malformed (KeyError('msg_id'))"]),
 ], ids=["phase-skips-ahead", "msg-id-repeated", "delivered-before-sent",
         "delivered-in-its-send-tick", "unknown-msg-status", "unknown-type",
-        "well-formed-types"])
-def test_validate_trace_checks_phase_paths_msg_ids_and_causality(records, problem):
-    expected = [] if problem is None else [f"record {len(records) - 1}: {problem}"]
-    assert validate_trace(Trace(records=records)) == expected
+        "well-formed-types", "malformed-then-earlier-tick"])
+def test_validate_trace_checks_phase_paths_msg_ids_and_causality(records, problems):
+    assert validate_trace(Trace(records=records)) == problems
 
 
 @pytest.mark.parametrize("records", [
@@ -869,15 +872,18 @@ def test_final_cavity_occupancy_from_trace():
 def test_read_trace_first_seen_counts_every_record_naming_a_tag():
     scan = {"kind": "CavityScanResult", "case": "C-1", "scan": {"detected": ["C"], "passes": 2}}
     reading = read_trace(Trace(records=[
-        {"t": 1, "type": "msg", "status": "dropped", "msg": {"payload": {"kind": "K", "tag": "A"}}},
-        {"t": 2, "type": "alert", "case": None, "kind": "K", "tags": ["B", "A"]},
-        {"t": 3, "type": "msg", "status": "delivered", "msg": {"payload": scan}},
+        {"t": 1, "type": "msg", "status": "dropped", "sent_at": 1,
+         "msg": {"msg_id": 0, "payload": {"kind": "K", "tag": "A"}}},
+        {"t": 2, "type": "alert", "case": None, "kind": "K", "severity": "Info",
+         "tags": ["B", "A"], "text": ""},
+        {"t": 3, "type": "msg", "status": "delivered", "sent_at": 2,
+         "msg": {"msg_id": 1, "payload": scan}},
         {"t": 4, "type": "gt", "tag": "D", "from": {"site": "SPD", "sub": "None"},
          "to": {"site": "OR-1", "sub": "ToolTray"}}]))
     assert reading.first_seen == {"A": 1, "B": 2, "C": 3, "D": 4}
     assert reading.scan_passes == {"C-1": 2}
     assert reading.alerts == {None: [{"t": 2, "type": "alert", "case": None, "kind": "K",
-                                      "tags": ["B", "A"]}]}
+                                      "severity": "Info", "tags": ["B", "A"], "text": ""}]}
 
 
 def test_read_trace_counts_only_the_passes_of_a_delivered_cavity_scan():

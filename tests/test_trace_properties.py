@@ -1,14 +1,14 @@
-"""Reading a trace is total.
+"""Reading a trace is total, and one walk decides whether a trace is valid.
 
 A golden trace's NDJSON with one record mutated, dropped, added, swapped with
 another or replaced by arbitrary bytes ends, through ``trace.load``,
 ``validate_trace`` and ``read_trace``, in a trace, a problem list and a
-reading, or in a ``TraceIOError``; nothing else escapes, and ``validate_trace``
-finds a problem in every trace ``read_trace`` rejects. ``locate`` on any
-reading gives a belief for a tag the reading registers and ``UnknownTagError``
-for any other, and a report or run summary of a readable foreign trace whose
-case record lacks a field they read, or has a phase or outcomes of the wrong
-type, ends in a ``TraceIOError``.
+reading, or in a ``TraceIOError``; nothing else escapes. ``read_trace`` raises
+exactly when ``validate_trace`` finds a problem, and names the first one.
+``locate`` on any reading gives a belief for a tag the reading registers and
+``UnknownTagError`` for any other, and a report or run summary of a readable
+foreign trace whose case, alert or meta record lacks a field they read, or has
+a phase, outcomes or alert kind of the wrong type, ends in a ``TraceIOError``.
 """
 
 import json
@@ -61,16 +61,21 @@ def test_golden_trace_with_one_record_changed_is_read_or_rejected(tmp_path_facto
 
 @given(st.data())
 @settings(max_examples=300, deadline=None)
-def test_validate_trace_reports_a_problem_in_every_trace_read_trace_rejects(data):
-    # validate_trace asks read_trace which records it rejects, so a trace that cannot be
-    # read is never reported clean
+def test_read_trace_raises_exactly_when_validate_trace_finds_a_problem(data):
+    # one field changed, or two records swapped, so ticks and phase paths go wrong too
     records = json.loads(json.dumps(TRACES[data.draw(st.sampled_from(GOLDENS))]))
-    mutate_one_field(data, records)
+    if data.draw(st.booleans()):
+        mutate_one_field(data, records)
+    else:
+        i, j = (data.draw(st.integers(0, len(records) - 1)) for _ in range(2))
+        records[i], records[j] = records[j], records[i]
     trace = Trace(records)
     try:
         read_trace(trace)
-    except TraceIOError:
-        assert validate_trace(trace) != []
+    except TraceIOError as exc:
+        assert validate_trace(trace)[:1] == [str(exc)]
+    else:
+        assert validate_trace(trace) == []
 
 
 @pytest.mark.parametrize("meta", [
@@ -83,22 +88,34 @@ def test_locate_on_a_readable_foreign_trace_raises_only_trace_errors(meta):
         locate(read_trace(Trace([meta])), "T-1")
 
 
-@pytest.mark.parametrize("case", [
-    {"t": 0, "type": "case", "case_id": "C-1"},
-    {"t": 0, "type": "case", "case_id": "C-1", "phase": "Setup", "outcomes": [],
-     "entries": {"T-1": {"status": "OnTray"}}},
-    {"t": 0, "type": "case", "case_id": "C-1", "phase": "Setup", "outcomes": [], "entries": []},
-    {"t": 0, "type": "case", "case_id": "C-1", "phase": ["x"], "outcomes": [], "entries": {}},
-    {"t": 0, "type": "case", "case_id": "C-1", "phase": "Setup", "outcomes": [["x"]],
-     "entries": {}},
-    {"t": 0, "type": "case", "case_id": "C-1", "phase": "Setup", "outcomes": {"a": 1},
-     "entries": {}},
+_CASE = {"t": 0, "type": "case", "case_id": "C-1", "phase": "Setup", "outcomes": [],
+         "entries": {}}  # completed_s None: a report's duration is the meta's horizon_s
+_META = {"t": 0, "type": "meta", "items": [], "cases": [], "horizon_s": 60}
+_ALERT = {"t": 0, "type": "alert", "case": "C-1", "kind": "CountMismatch",
+          "severity": "Critical", "tags": [], "text": "count"}
+
+
+@pytest.mark.parametrize("records", [
+    [{"t": 0, "type": "case", "case_id": "C-1"}],
+    [{**_CASE, "entries": {"T-1": {"status": "OnTray"}}}],
+    [{**_CASE, "entries": []}],
+    [{**_CASE, "phase": ["x"]}],
+    [{**_CASE, "outcomes": [["x"]]}],
+    [{**_CASE, "outcomes": {"a": 1}}],
+    *([_META, _CASE, {key: value for key, value in _ALERT.items() if key != field}]
+      for field in ("kind", "severity", "text")),
+    [_META, _CASE, {**_ALERT, "kind": ["CountMismatch"]}],
+    [_CASE, {key: value for key, value in _META.items() if key != "horizon_s"}],
 ], ids=["no-entries", "entry-without-last-seen", "entries-not-an-object", "phase-not-a-str",
-        "outcome-not-a-str", "outcomes-not-a-list"])
+        "outcome-not-a-str", "outcomes-not-a-list", "alert-without-kind",
+        "alert-without-severity", "alert-without-text", "alert-kind-not-a-str",
+        "meta-without-horizon"])
 @pytest.mark.parametrize("consumer", [
     lambda trace: generate_report(read_trace(trace), "C-1"),
     run_summary,
 ], ids=["generate_report", "run_summary"])
-def test_a_report_or_summary_of_a_readable_foreign_trace_raises_only_trace_errors(case, consumer):
-    with pytest.raises(TraceIOError, match=r"^record 0: malformed \("):
-        consumer(Trace([case]))
+def test_a_report_or_summary_of_a_readable_foreign_trace_raises_only_trace_errors(records,
+                                                                                  consumer):
+    # the record missing a field, or holding one of the wrong type, is the last
+    with pytest.raises(TraceIOError, match=rf"^record {len(records) - 1}: malformed \("):
+        consumer(Trace(records))
